@@ -1,14 +1,16 @@
 """Command-line surface.
 
 Exit codes: 0 = success / corroborated, 1 = violation or divergence found
-(witness in the report), 2 = usage or input error. Reports are JSON with
-stable key order, printed to stdout.
+(witness in the report), 2 = usage or input error, including input nested
+deeper than the recursion limit and a stdout closed before the report was
+written. Reports are JSON with stable key order, printed to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -31,7 +33,7 @@ from .textio import (
     parse_tree_file,
     solution_json,
 )
-from .trees import nfd, strategically_equivalent
+from .trees import gamb, nfd, strategically_equivalent
 
 
 def _load_document(path: str) -> TreeDocument:
@@ -128,6 +130,8 @@ def _cmd_check_properties(args) -> int:
     props = [PropertyId.parse(p.strip()) for p in args.props.split(",") if p.strip()]
     if not props:
         raise TreechoiceError("no properties given")
+    if args.budget < 1:
+        raise TreechoiceError(f"--budget must be at least 1, got {args.budget}")
     policy = seeded_rule_policy(args.rule, credal_size=args.credal_size)
     config = GenConfig()
     reports = []
@@ -173,8 +177,6 @@ def _cmd_equiv(args) -> int:
         "ev_equal": verdict.ev_equal,
     }
     if not verdict.gambles_equal:
-        from .trees import gamb
-
         first = gamb(doc1.tree)
         second = gamb(doc2.tree)
         payload["only_first"] = gamble_set_json(first.difference(second))
@@ -255,13 +257,23 @@ def run_command(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (TreechoiceError, MissingContext, OSError, ValueError) as exc:
+    except BrokenPipeError:
+        raise  # stdout is gone: no error report can reach it
+    except (TreechoiceError, MissingContext, OSError, RecursionError, ValueError) as exc:
         _print({"command": args.command, "error": str(exc), "type": type(exc).__name__})
         return 2
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

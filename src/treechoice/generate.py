@@ -51,7 +51,6 @@ __all__ = [
     "random_mass_function",
     "random_credal",
     "seeded_rule_policy",
-    "fixed_rule_policy",
 ]
 
 
@@ -463,15 +462,6 @@ def seeded_rule_policy(
         else:
             context = ChoiceContext(rewards, credal=random_credal(space, rng, credal_size))
         return make_rule(name, context)
-
-    return policy
-
-
-def fixed_rule_policy(rule: ChoiceRule) -> Callable:
-    """Adapt an already-bound rule for falsification over a fixed space."""
-
-    def policy(space: PossibilitySpace, rewards: RewardTable, rng: random.Random):
-        return rule
 
     return policy
 

@@ -219,9 +219,6 @@ class Gamble:
     def of(cls, space: PossibilitySpace, assignment: Mapping[str, str]) -> Gamble:
         return cls(space, tuple(assignment[s] for s in space.states))
 
-    def value_on(self, index: int) -> str:
-        return self.values[index]
-
     def restrict(self, event: Event) -> PartialGamble:
         _same_space(self.space, event.space)
         vals = tuple(
@@ -312,10 +309,11 @@ class GambleSet:
     so serialization and set comparison are deterministic.
     """
 
-    __slots__ = ("_members",)
+    __slots__ = ("_members", "_lookup")
 
     def __init__(self, gambles: Iterable[Gamble]):
-        unique = sorted(set(gambles), key=lambda g: g.values)
+        self._lookup = frozenset(gambles)
+        unique = sorted(self._lookup, key=lambda g: g.values)
         if len(unique) > 1:
             space = unique[0].space
             for g in unique[1:]:
@@ -339,7 +337,7 @@ class GambleSet:
         return len(self._members)
 
     def __contains__(self, gamble: Gamble) -> bool:
-        return gamble in set(self._members)
+        return gamble in self._lookup
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GambleSet) and self._members == other._members
@@ -348,18 +346,16 @@ class GambleSet:
         return hash(self._members)
 
     def union(self, other: GambleSet) -> GambleSet:
-        return GambleSet(self._members + other._members)
+        return GambleSet(self._lookup | other._lookup)
 
     def intersection(self, other: GambleSet) -> GambleSet:
-        pool = set(other._members)
-        return GambleSet(g for g in self._members if g in pool)
+        return GambleSet(self._lookup & other._lookup)
 
     def difference(self, other: GambleSet) -> GambleSet:
-        pool = set(other._members)
-        return GambleSet(g for g in self._members if g not in pool)
+        return GambleSet(self._lookup - other._lookup)
 
     def issubset(self, other: GambleSet) -> bool:
-        return set(self._members) <= set(other._members)
+        return self._lookup <= other._lookup
 
     def __repr__(self) -> str:
         return f"GambleSet({list(self._members)!r})"

@@ -3,24 +3,22 @@ and the normal/extensive equivalence check."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import EmptySolution, EnumerationLimitExceeded
-from .model import Event, Gamble, GambleSet, combine_on_partition
+from .errors import EmptySolution
+from .model import Gamble, GambleSet, PossibilitySpace
 from .rules import ChoiceRule
 from .trees import (
     DEFAULT_ENUMERATION_CAP,
     Chance,
     Decision,
     DecisionTree,
-    Leaf,
     Node,
     NodeId,
     NormalFormDecision,
-    gamb,
-    nfd,
+    Strategy,
+    strategies,
     validate,
 )
 
@@ -29,6 +27,22 @@ Solution = frozenset[NormalFormDecision]
 
 def induced_gambles(solution: Iterable[NormalFormDecision]) -> GambleSet:
     return GambleSet(member.gamble for member in solution)
+
+
+def _gamble_set(space: PossibilitySpace, pairs: Iterable[Strategy]) -> GambleSet:
+    """The distinct gambles of enumerated (choices, values) pairs."""
+    return GambleSet(Gamble(space, values) for values in {v for _, v in pairs})
+
+
+def _optimal(
+    tree: DecisionTree, rule: ChoiceRule, pairs: list[Strategy], path: NodeId
+) -> tuple[GambleSet, GambleSet, list[Strategy]]:
+    """The candidate pool at `path`, the rule's choice from it given the
+    node's event, and the pairs whose gamble was chosen."""
+    pool = _gamble_set(tree.space, pairs)
+    chosen = rule.select(pool, tree.event_at(path))
+    values = {g.values for g in chosen}
+    return pool, chosen, [pair for pair in pairs if pair[1] in values]
 
 
 @dataclass(frozen=True)
@@ -51,18 +65,17 @@ def norm_opt(
     """The normal form operator: keep exactly those strategies whose induced
     gamble the rule selects from the tree's full gamble set given its event."""
     validate(tree)
-    decisions = nfd(tree, cap)
-    pool = gamb(tree, cap)
-    chosen = rule.select(pool, tree.root_event)
-    solution = frozenset(d for d in decisions if d.gamble in chosen)
-    assert induced_gambles(solution) == chosen
+    pairs = strategies(tree, cap)
+    pool, chosen, kept = _optimal(tree, rule, pairs, ())
+    solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
+    assert _gamble_set(tree.space, kept) == chosen
     return SolveReport(
         solution=solution,
         induced=chosen,
         method="normal",
         stats={
             "nodes": tree.node_counts(),
-            "nfd_count": len(decisions),
+            "nfd_count": len(pairs),
             "gamble_count": len(pool),
             "solution_count": len(solution),
         },
@@ -77,49 +90,18 @@ def back_opt(
     validate(tree)
     stages: list[dict] = []
 
-    def solve(node: Node, path: NodeId, ev: Event) -> list[tuple[dict, Gamble]]:
-        if isinstance(node, Leaf):
-            return [({}, Gamble.constant(tree.space, node.reward))]
-        if isinstance(node, Decision):
-            candidates: list[tuple[dict, Gamble]] = []
-            for i, child in enumerate(node.children):
-                for choices, gamble in solve(child, path + (i,), ev):
-                    candidates.append(({path: i, **choices}, gamble))
-        else:
-            per_branch = [
-                (event, solve(child, path + (i,), ev & event))
-                for i, (event, child) in enumerate(node.branches)
-            ]
-            count = 1
-            for _, sols in per_branch:
-                count *= len(sols)
-            if count > cap:
-                raise EnumerationLimitExceeded(
-                    f"{count} glued candidates exceed the cap of {cap}"
-                )
-            candidates = []
-            for combo in itertools.product(*(sols for _, sols in per_branch)):
-                merged: dict = {}
-                parts = []
-                for (event, _), (choices, gamble) in zip(per_branch, combo):
-                    merged.update(choices)
-                    parts.append((event, gamble))
-                candidates.append((merged, combine_on_partition(parts)))
-        pool = GambleSet(g for _, g in candidates)
-        chosen = rule.select(pool, ev)
-        kept = [(c, g) for c, g in candidates if g in chosen]
+    def keep_optimal(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+        _, _, kept = _optimal(tree, rule, candidates, path)
         stages.append(
             {"node": list(path), "candidates": len(candidates), "kept": len(kept)}
         )
         return kept
 
-    survivors = solve(tree.root, (), tree.root_event)
-    solution = frozenset(
-        NormalFormDecision.of(tree, choices) for choices, _ in survivors
-    )
+    survivors = strategies(tree, cap, select=keep_optimal)
+    solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in survivors)
     return SolveReport(
         solution=solution,
-        induced=induced_gambles(solution),
+        induced=_gamble_set(tree.space, survivors),
         method="backward",
         stats={
             "nodes": tree.node_counts(),
@@ -142,9 +124,6 @@ class ExtensiveSolution:
     kept_arcs: frozenset[NodeId]
     pruned_arcs: frozenset[NodeId]
     unreachable: frozenset[NodeId]
-
-    def is_kept(self, arc: NodeId) -> bool:
-        return arc in self.kept_arcs
 
 
 def extract_extensive(
@@ -189,42 +168,8 @@ def nfd_of_extensive(
     extensive: ExtensiveSolution, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Solution:
     """All strategies of the source tree that only use kept decision arcs."""
-    tree = extensive.tree
-
-    def enumerate_node(node: Node, path: NodeId) -> list[dict[NodeId, int]]:
-        if isinstance(node, Leaf):
-            return [{}]
-        if isinstance(node, Decision):
-            out = []
-            for i, child in enumerate(node.children):
-                if path + (i,) not in extensive.kept_arcs:
-                    continue
-                for sub in enumerate_node(child, path + (i,)):
-                    out.append({path: i, **sub})
-            return out
-        per_branch = [
-            enumerate_node(child, path + (i,))
-            for i, (_, child) in enumerate(node.branches)
-        ]
-        count = 1
-        for sols in per_branch:
-            count *= len(sols)
-        if count > cap:
-            raise EnumerationLimitExceeded(
-                f"{count} strategies exceed the cap of {cap}"
-            )
-        out = []
-        for combo in itertools.product(*per_branch):
-            merged: dict[NodeId, int] = {}
-            for sub in combo:
-                merged.update(sub)
-            out.append(merged)
-        return out
-
-    return frozenset(
-        NormalFormDecision.of(tree, choices)
-        for choices in enumerate_node(tree.root, ())
-    )
+    pairs = strategies(extensive.tree, cap, keep_arc=extensive.kept_arcs.__contains__)
+    return frozenset(NormalFormDecision(extensive.tree, choices) for choices, _ in pairs)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ path of child indices from the root.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     EmptySubtreeEvent,
@@ -25,12 +26,13 @@ from .model import (
     Gamble,
     GambleSet,
     PossibilitySpace,
-    combine_on_partition,
     gamble_set_sum,
     is_partition,
+    require_partition,
 )
 
 NodeId = tuple[int, ...]
+Strategy = tuple[tuple[tuple[NodeId, int], ...], tuple[str, ...]]  # (choices, values)
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -91,10 +93,6 @@ class DecisionTree:
     ) -> DecisionTree:
         return cls(space, root, space.omega if root_event is None else root_event)
 
-    @property
-    def ev(self) -> Event:
-        return self.root_event
-
     def node_at(self, path: NodeId) -> Node:
         node = self.root
         for step, index in enumerate(path):
@@ -126,45 +124,28 @@ class DecisionTree:
     def subtree_at(self, path: NodeId) -> DecisionTree:
         return DecisionTree(self.space, self.node_at(path), self.event_at(path))
 
-    def paths(self) -> Iterator[NodeId]:
-        """All node paths in depth-first preorder."""
+    def nodes(self) -> Iterator[tuple[NodeId, Node]]:
+        """All (path, node) pairs in depth-first preorder."""
 
-        def walk(node: Node, path: NodeId) -> Iterator[NodeId]:
-            yield path
-            children = _children_of(node)
-            if children:
-                for i, child in enumerate(children):
-                    yield from walk(child, path + (i,))
+        def walk(node: Node, path: NodeId) -> Iterator[tuple[NodeId, Node]]:
+            yield path, node
+            for i, child in enumerate(_children_of(node) or ()):
+                yield from walk(child, path + (i,))
 
         return walk(self.root, ())
 
+    def paths(self) -> Iterator[NodeId]:
+        """All node paths in depth-first preorder."""
+        return (path for path, _ in self.nodes())
+
     def node_counts(self) -> dict[str, int]:
         counts = {"decision": 0, "chance": 0, "leaf": 0}
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Decision):
-                counts["decision"] += 1
-            elif isinstance(node, Chance):
-                counts["chance"] += 1
-            else:
-                counts["leaf"] += 1
-            for child in _children_of(node) or ():
-                walk(child)
-
-        walk(self.root)
+        for _, node in self.nodes():
+            counts[type(node).__name__.lower()] += 1
         return counts
 
     def leaf_rewards(self) -> tuple[str, ...]:
-        rewards: set[str] = set()
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Leaf):
-                rewards.add(node.reward)
-            for child in _children_of(node) or ():
-                walk(child)
-
-        walk(self.root)
-        return tuple(sorted(rewards))
+        return tuple(sorted({n.reward for _, n in self.nodes() if isinstance(n, Leaf)}))
 
 
 def _children_of(node: Node) -> Optional[tuple[Node, ...]]:
@@ -308,21 +289,11 @@ class NormalFormDecision:
 
     @cached_property
     def gamble(self) -> Gamble:
-        """The normal form gamble this strategy induces."""
-
-        def build(node: Node, path: NodeId) -> Gamble:
-            if isinstance(node, Leaf):
-                return Gamble.constant(self.tree.space, node.reward)
-            if isinstance(node, Decision):
-                index = self.choice_map[path]
-                return build(node.children[index], path + (index,))
-            parts = [
-                (event, build(child, path + (i,)))
-                for i, (event, child) in enumerate(node.branches)
-            ]
-            return combine_on_partition(parts)
-
-        return build(self.tree.root, ())
+        """The normal form gamble this strategy induces: the one pair that
+        `strategies` enumerates under this strategy's own arcs."""
+        arcs = frozenset(self.arc_paths())
+        ((_, values),) = strategies(self.tree, keep_arc=arcs.__contains__)
+        return Gamble(self.tree.space, values)
 
     def as_tree(self) -> DecisionTree:
         """Materialize the strategy as a tree whose decision nodes are unary."""
@@ -351,39 +322,79 @@ class NormalFormDecision:
         return f"NormalFormDecision({' '.join(arcs) or 'trivial'})"
 
 
+def strategies(
+    tree: DecisionTree,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    keep_arc: Optional[Callable[[NodeId], bool]] = None,
+    select: Optional[Callable[[NodeId, list[Strategy]], list[Strategy]]] = None,
+) -> list[Strategy]:
+    """Every strategy of `tree` as a (choices, values) pair, built bottom-up.
+
+    `choices` is the canonical sorted tuple of (decision path, kept index)
+    pairs, `values` the induced gamble's reward symbol per state. Decision
+    nodes take the union of their children's pairs; chance nodes combine one
+    pair per branch through a state-to-branch index built once per node. No
+    strategy's choices are a prefix of another's, so the pairs come out in
+    canonical choice order.
+
+    `keep_arc(arc)` drops the decision arcs (named by the child's path) it
+    rejects: extensive forms, single strategies. `select(path, candidates)`
+    keeps some candidates of every non-leaf node, children first: backward
+    induction. Without hooks the count is checked against `cap` up front,
+    otherwise at each chance node.
+    """
+    if keep_arc is None and select is None:
+        total = nfd_count(tree)
+        if total > cap:
+            raise EnumerationLimitExceeded(
+                f"{total} normal form decisions exceed the cap of {cap}"
+            )
+    size = tree.space.size
+    noun = "strategies" if select is None else "glued candidates"
+
+    def walk(node: Node, path: NodeId) -> list[Strategy]:
+        if isinstance(node, Leaf):
+            return [((), (node.reward,) * size)]
+        # the recursive calls sit in loops, not comprehensions, so that each
+        # tree level costs one frame of the recursion limit
+        if isinstance(node, Decision):
+            candidates = []
+            for i, child in enumerate(node.children):
+                if keep_arc is None or keep_arc(path + (i,)):
+                    below = walk(child, path + (i,))
+                    candidates += [(((path, i),) + c, v) for c, v in below]
+        else:
+            events = [event for event, _ in node.branches]
+            require_partition(events, node_id=path)
+            owner = [0] * size
+            for b, event in enumerate(events):
+                for i in event.indices():
+                    owner[i] = b
+            per_branch = []
+            for b, (_, child) in enumerate(node.branches):
+                per_branch.append(walk(child, path + (b,)))
+            count = math.prod(map(len, per_branch))
+            if count > cap:
+                raise EnumerationLimitExceeded(
+                    f"{count} {noun} exceed the cap of {cap}"
+                )
+            candidates = [
+                (
+                    tuple(itertools.chain.from_iterable(c for c, _ in combo)),
+                    tuple([combo[b][1][i] for i, b in enumerate(owner)]),
+                )
+                for combo in itertools.product(*per_branch)
+            ]
+        return candidates if select is None else select(path, candidates)
+
+    return walk(tree.root, ())
+
+
 def nfd(
     tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[NormalFormDecision, ...]:
     """Enumerate all normal form decisions, in canonical (choice-sorted) order."""
-    total = nfd_count(tree)
-    if total > cap:
-        raise EnumerationLimitExceeded(
-            f"{total} normal form decisions exceed the cap of {cap}"
-        )
-
-    def enumerate_node(node: Node, path: NodeId) -> list[dict[NodeId, int]]:
-        if isinstance(node, Leaf):
-            return [{}]
-        if isinstance(node, Decision):
-            out = []
-            for i, child in enumerate(node.children):
-                for sub in enumerate_node(child, path + (i,)):
-                    out.append({path: i, **sub})
-            return out
-        per_branch = [
-            enumerate_node(child, path + (i,))
-            for i, (_, child) in enumerate(node.branches)
-        ]
-        out = []
-        for combo in itertools.product(*per_branch):
-            merged: dict[NodeId, int] = {}
-            for sub in combo:
-                merged.update(sub)
-            out.append(merged)
-        return out
-
-    decisions = [NormalFormDecision.of(tree, c) for c in enumerate_node(tree.root, ())]
-    return tuple(sorted(decisions, key=lambda d: d.choices))
+    return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree, cap))
 
 
 def gamb(tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP) -> GambleSet:

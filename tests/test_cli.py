@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from treechoice.cli import run_command
 
 from conftest import FIXTURES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 INCOMP = str(FIXTURES / "incomparable.tree")
 LAKE = str(FIXTURES / "lake.tree")
@@ -152,6 +158,17 @@ def test_check_properties_bad_prop(capsys):
     assert code == 2
 
 
+def test_check_properties_rejects_budget_below_one(capsys):
+    for budget in ("-5", "0"):
+        code, payload = run_json(
+            capsys,
+            "check-properties", "--rule", "eu_max", "--props", "P1", "--budget", budget,
+        )
+        assert code == 2
+        assert payload["type"] == "TreechoiceError"
+        assert "instances_checked" not in json.dumps(payload)
+
+
 def test_equiv_tree_with_itself(capsys):
     code, payload = run_json(capsys, "equiv", "--tree", INCOMP, "--tree2", INCOMP)
     assert code == 0
@@ -217,3 +234,46 @@ def test_reports_are_deterministic(capsys):
         capsys, "solve", "--tree", LAKE, "--rule", "eu_max", "--context", LAKE_PROB
     )
     assert first == second
+
+
+def cli_process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "treechoice.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    leaves = ", ".join(f"leaf(r{i % 2})" for i in range(40))
+    wide = tmp_path / "wide.tree"
+    wide.write_text(
+        "omega a1 a2\nreward r0 = 0\nreward r1 = 1\nevent A = a1\nevent Ac = a2\n"
+        f"tree = chance(A: decision({leaves}), Ac: decision({leaves}))\n"
+    )
+    # 1,600 strategies: the --full report is far larger than a pipe buffer
+    proc = cli_process(
+        "solve", "--tree", str(wide), "--rule", "pointwise_dominance", "--full"
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 2
+    assert stderr == b""
+
+
+def test_deep_nesting_is_an_input_error(tmp_path):
+    deep = tmp_path / "deep.tree"
+    deep.write_text(
+        "omega a\nreward z = 0\ntree = " + "decision(" * 600 + "leaf(z)" + ")" * 600 + "\n"
+    )
+    proc = cli_process("solve", "--tree", str(deep), "--rule", "pointwise_dominance")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b""
+    assert json.loads(out)["type"] == "RecursionError"
