@@ -132,6 +132,10 @@ def _cmd_check_properties(args) -> int:
         raise TreechoiceError("no properties given")
     if args.budget < 1:
         raise TreechoiceError(f"--budget must be at least 1, got {args.budget}")
+    if args.credal_size < 1:
+        raise TreechoiceError(
+            f"--credal-size must be at least 1, got {args.credal_size}"
+        )
     policy = seeded_rule_policy(args.rule, credal_size=args.credal_size)
     config = GenConfig()
     reports = []

@@ -4,6 +4,7 @@ and the normal/extensive equivalence check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import EmptySolution
@@ -18,6 +19,7 @@ from .trees import (
     NodeId,
     NormalFormDecision,
     Strategy,
+    capped_nfd_count,
     strategies,
     validate,
 )
@@ -59,14 +61,42 @@ class SolveReport:
         return tuple(sorted(self.solution, key=lambda m: m.choices))
 
 
+def _distinct(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+    """A `select` hook keeping one pair per distinct gamble."""
+    return list({values: (choices, values) for choices, values in candidates}.values())
+
+
+def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
+    """A `select` hook keeping the pairs that agree with some chosen gamble
+    on the states routed to their node: those in every chance-arc event on
+    the path. Elsewhere a node's values never reach the root, where the
+    routed states are all states and the test is exact membership."""
+    unconditioned = DecisionTree.over(tree.space, tree.root)
+
+    def keep(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+        on_routed = itemgetter(*unconditioned.event_at(path).indices())
+        wanted = {on_routed(values) for values in chosen}
+        return [pair for pair in candidates if on_routed(pair[1]) in wanted]
+
+    return keep
+
+
 def norm_opt(
     tree: DecisionTree, rule: ChoiceRule, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SolveReport:
     """The normal form operator: keep exactly those strategies whose induced
-    gamble the rule selects from the tree's full gamble set given its event."""
+    gamble the rule selects from the tree's gamble set given its event.
+
+    One walk keeps a pair per distinct gamble at every node, which yields
+    the gamble set; the rule selects from it; a second walk expands only
+    the strategies of the chosen gambles. When every strategy has its own
+    gamble, the first walk kept them all and the second is skipped."""
     validate(tree)
-    pairs = strategies(tree, cap)
-    pool, chosen, kept = _optimal(tree, rule, pairs, ())
+    total = capped_nfd_count(tree, cap)
+    pool_pairs = strategies(tree, cap, select=_distinct)
+    pool, chosen, kept = _optimal(tree, rule, pool_pairs, ())
+    if len(pool_pairs) < total:
+        kept = strategies(tree, cap, select=_agreeing(tree, {g.values for g in chosen}))
     solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
     assert _gamble_set(tree.space, kept) == chosen
     return SolveReport(
@@ -75,7 +105,7 @@ def norm_opt(
         method="normal",
         stats={
             "nodes": tree.node_counts(),
-            "nfd_count": len(pairs),
+            "nfd_count": total,
             "gamble_count": len(pool),
             "solution_count": len(solution),
         },

@@ -241,9 +241,22 @@ def nfd_count(tree: DecisionTree) -> int:
             for _, child in node.branches:
                 total *= count(child)
             return total
-        return sum(count(child) for child in node.children)
+        total = 0  # a loop, not sum() over a generator: one frame per level
+        for child in node.children:
+            total += count(child)
+        return total
 
     return count(tree.root)
+
+
+def capped_nfd_count(tree: DecisionTree, cap: int) -> int:
+    """`nfd_count`, refused up front when it exceeds `cap`."""
+    total = nfd_count(tree)
+    if total > cap:
+        raise EnumerationLimitExceeded(
+            f"{total} normal form decisions exceed the cap of {cap}"
+        )
+    return total
 
 
 @dataclass(frozen=True)
@@ -313,6 +326,11 @@ class NormalFormDecision:
 
         return DecisionTree(self.tree.space, build(self.tree.root, ()), self.tree.root_event)
 
+    def __hash__(self) -> int:
+        # the members of a solution share one tree: hashing it would walk
+        # the whole tree once per member
+        return hash(self.choices)
+
     def arc_paths(self) -> tuple[NodeId, ...]:
         """Kept decision arcs, each identified by the path of its child node."""
         return tuple(sorted(q + (i,) for q, i in self.choices))
@@ -344,11 +362,7 @@ def strategies(
     otherwise at each chance node.
     """
     if keep_arc is None and select is None:
-        total = nfd_count(tree)
-        if total > cap:
-            raise EnumerationLimitExceeded(
-                f"{total} normal form decisions exceed the cap of {cap}"
-            )
+        capped_nfd_count(tree, cap)
     size = tree.space.size
     noun = "strategies" if select is None else "glued candidates"
 

@@ -169,6 +169,18 @@ def test_check_properties_rejects_budget_below_one(capsys):
         assert "instances_checked" not in json.dumps(payload)
 
 
+def test_check_properties_rejects_credal_size_below_one(capsys):
+    for size in ("-1", "0"):
+        code, payload = run_json(
+            capsys,
+            "check-properties", "--rule", "maximality", "--props", "P1",
+            "--budget", "1", "--credal-size", size,
+        )
+        assert code == 2
+        assert payload["type"] == "TreechoiceError"
+        assert "--credal-size" in payload["error"]
+
+
 def test_equiv_tree_with_itself(capsys):
     code, payload = run_json(capsys, "equiv", "--tree", INCOMP, "--tree2", INCOMP)
     assert code == 0

@@ -14,10 +14,12 @@ enumerator, `trees.strategies`.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from treechoice import solve
 from treechoice.errors import EnumerationLimitExceeded
 from treechoice.generate import (
     GenConfig,
@@ -45,6 +47,7 @@ from treechoice.trees import (
     gamb,
     nfd,
     nfd_count,
+    strategies,
     validate,
 )
 
@@ -249,13 +252,32 @@ def test_enumeration_matches_literal_oracle(acceptance_corpus):
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
-def test_solvers_match_literal_oracle(acceptance_corpus, name):
-    for index, tree in enumerate(acceptance_corpus):
-        rule = rule_for(tree, name, index)
+def test_solvers_match_literal_oracle(acceptance_corpus, name, monkeypatch):
+    walks = []  # enumerator walks of the current norm_opt call
+
+    def counted_strategies(*args, **kwargs):
+        walks.append(kwargs)
+        return strategies(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "strategies", counted_strategies)
+    calls_by_walks = Counter()
+
+    def check_normal_form(tree, rule, where):
+        walks.clear()
         normal = norm_opt(tree, rule)
+        calls_by_walks[len(walks)] += 1
         assert (normal.solution, normal.induced, normal.stats) == literal_norm_opt(
             tree, rule
-        ), index
+        ), where
+        return normal
+
+    for index, tree in enumerate(acceptance_corpus):
+        rule = rule_for(tree, name, index)
+        normal = check_normal_form(tree, rule, index)
+        # the subtrees the perfectness check re-solves, under their own events
+        for path in tree.paths():
+            if path and any(m.contains_node(path) for m in normal.solution):
+                check_normal_form(tree.subtree_at(path), rule, (index, path))
         backward = back_opt(tree, rule)
         assert (
             backward.solution,
@@ -267,6 +289,9 @@ def test_solvers_match_literal_oracle(acceptance_corpus, name):
             assert nfd_of_extensive(extensive) == literal_nfd_of_extensive(
                 extensive
             ), index
+    # one walk where every strategy has its own gamble, two where the
+    # chosen gambles' strategies had to be expanded
+    assert set(calls_by_walks) == {1, 2}, calls_by_walks
 
 
 def test_enumeration_caps_keep_their_messages(lake_doc, lake_eu):

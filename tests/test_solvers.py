@@ -126,6 +126,27 @@ def test_back_opt_divergence_for_pathological_rule():
     assert {m.choices for m in only_normal} == {(((), 0), ((0,), 1))}
 
 
+def test_norm_opt_expands_on_all_states_at_the_root():
+    # given ev = {a, b}, the gambles (1, 2, 1) and (1, 2, 2) agree on ev; a
+    # rule that keeps one of them must get back only its strategies
+    from treechoice.trees import Chance
+
+    space = PossibilitySpace(("a", "b", "c"))
+
+    def split(first, second):
+        return Chance(((space.event(first), Leaf("1")), (space.event(second), Leaf("2"))))
+
+    fork = Decision((split(["a", "c"], ["b"]), split(["a"], ["b", "c"])))
+    tree = DecisionTree.over(
+        space, Decision((fork, split(["a", "c"], ["b"]))), space.event(["a", "b"])
+    )
+    rewards = RewardTable.from_literals(["1", "2"])
+    report = norm_opt(tree, FussyPairsRule(ChoiceContext(rewards)))
+    assert (report.stats["nfd_count"], report.stats["gamble_count"]) == (3, 2)
+    assert len(report.induced) == 1
+    assert induced_gambles(report.solution) == report.induced
+
+
 def test_extract_extensive_full_solution_prunes_nothing(lake_doc):
     members = frozenset(nfd(lake_doc.tree))
     extensive = extract_extensive(lake_doc.tree, members)
@@ -265,3 +286,44 @@ def test_solvers_agree_on_larger_trees():
         assert back_opt(tree, rule, cap=5000).solution == norm_opt(
             tree, rule, cap=5000
         ).solution
+
+
+def chain_tree(link, depth):
+    """`depth` nested nodes built by `link(child)` over one leaf."""
+    space = PossibilitySpace(("a", "b"))
+    node = Leaf("0")
+    for _ in range(depth):
+        node = link(space, node)
+    return DecisionTree.over(space, node)
+
+
+def solve_both(tree):
+    rule = make_rule(
+        "eu_max",
+        ChoiceContext(
+            RewardTable.from_literals(["0", "1"]),
+            probability=MassFunction.uniform(tree.space),
+        ),
+    )
+    return norm_opt(tree, rule), back_opt(tree, rule)
+
+
+def test_solvers_reach_the_parser_depth_through_decisions():
+    # as deep as the parser nests: each level offers the rest of the chain
+    # or a leaf, so the count recursion runs to the bottom
+    tree = chain_tree(lambda space, child: Decision((child, Leaf("1"))), 496)
+    normal, backward = solve_both(tree)
+    assert normal.stats["nfd_count"] == 497
+    assert normal.stats["gamble_count"] == 2
+    assert normal.solution == backward.solution
+    assert len(normal.solution) == 496  # every strategy that takes a "1" leaf
+
+
+def test_solvers_reach_the_parser_depth_through_chance_nodes():
+    # one strategy: solution members are hashed without walking the tree
+    from treechoice.trees import Chance
+
+    tree = chain_tree(lambda space, child: Chance(((space.omega, child),)), 496)
+    normal, backward = solve_both(tree)
+    assert normal.solution == backward.solution
+    assert [m.choices for m in normal.solution] == [()]
