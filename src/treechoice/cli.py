@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / corroborated, 1 = violation or divergence found
 (witness in the report), 2 = usage or input error, including input nested
-deeper than the recursion limit and a stdout closed before the report was
-written. Reports are JSON with stable key order, printed to stdout.
+deeper than the recursion limit, a stdout closed before the report was
+written, and any unexpected exception (reported with its type name).
+Reports are JSON with stable key order, printed to stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import MissingContext, TreechoiceError
+from .errors import TreechoiceError
 from .generate import GenConfig, seeded_rule_policy
 from .laws import check_subtree_perfectness, falsify_property
 from .props import PropertyId
@@ -149,6 +150,7 @@ def _cmd_check_properties(args) -> int:
             "id": prop.name,
             "rule": report.rule_name,
             "instances_checked": report.instances_checked,
+            "vacuous": report.vacuous,
             "verdict": report.verdict,
         }
         if report.witness is not None:
@@ -263,7 +265,7 @@ def run_command(argv) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise  # stdout is gone: no error report can reach it
-    except (TreechoiceError, MissingContext, OSError, RecursionError, ValueError) as exc:
+    except Exception as exc:  # input errors, and any defect: never a traceback
         _print({"command": args.command, "error": str(exc), "type": type(exc).__name__})
         return 2
 

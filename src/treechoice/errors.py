@@ -85,10 +85,11 @@ class TreeSyntaxError(TreechoiceError):
 
 
 class UnknownReference(TreechoiceError):
-    """A name (state, event, reward) was used but never defined."""
+    """A name (state, event, reward) was used but never defined, or a
+    defined name was never given a value it needs (`message` says which)."""
 
-    def __init__(self, name: str):
-        super().__init__(f"unknown reference: {name!r}")
+    def __init__(self, name: str, message: str | None = None):
+        super().__init__(message or f"unknown reference: {name!r}")
         self.name = name
 
 

@@ -327,10 +327,13 @@ class ViolationWitness:
 
 @dataclass(frozen=True)
 class LawReport:
+    """`vacuous` counts the instances checked whose premise never fired."""
+
     prop: PropertyId
     rule_name: str
     instances_checked: int
     verdict: str
+    vacuous: int
     witness: Optional[ViolationWitness] = None
 
     @property
@@ -403,6 +406,7 @@ def falsify_property(
 
     config = generate.GenConfig() if config is None else config
     rule_name = None
+    vacuous = 0
     for index in range(budget):
         instance = generate.random_gamble_instance(prop, config, seed=generate.subseed(seed, index))
         rewards = generate.reward_table_for_instance(instance)
@@ -410,6 +414,7 @@ def falsify_property(
         rule = rule_policy(instance.space, rewards, rng)
         rule_name = rule.name
         result = check_property_instance(prop, rule, instance)
+        vacuous += result.vacuous
         if not result.holds:
             shrunk, shrunk_rule, detail = shrink_violation(prop, rule, instance)
             return LawReport(
@@ -417,6 +422,7 @@ def falsify_property(
                 rule_name=rule.name,
                 instances_checked=index + 1,
                 verdict=VIOLATED,
+                vacuous=vacuous,
                 witness=ViolationWitness(shrunk, shrunk_rule, detail),
             )
     return LawReport(
@@ -424,6 +430,7 @@ def falsify_property(
         rule_name=rule_name if rule_name is not None else "?",
         instances_checked=budget,
         verdict=CORROBORATED,
+        vacuous=vacuous,
     )
 
 

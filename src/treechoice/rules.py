@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import ge, gt, itemgetter
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     EmptyEvent,
@@ -112,6 +113,26 @@ class ChoiceContext:
         )
 
 
+def undominated(
+    rows: dict[Gamble, tuple],
+    score: Callable[[tuple], Fraction],
+    dominates: Callable[[tuple, tuple], bool],
+) -> list[Gamble]:
+    """The gambles whose row no other row dominates, for a strict partial
+    order `dominates(y, x)` whose dominators always have a strictly higher
+    `score`. Visited by falling score, each row is tested only against the
+    undominated rows kept so far: a dominated dominator is itself dominated
+    by a kept row (transitivity). Ties are never broken."""
+    front: list[tuple] = []
+    kept = []
+    for gamble in sorted(rows, key=lambda g: score(rows[g]), reverse=True):
+        row = rows[gamble]
+        if not any(dominates(y, row) for y in front):
+            front.append(row)
+            kept.append(gamble)
+    return kept
+
+
 class ChoiceRule:
     """A conditional choice function bound to its numeric context.
 
@@ -147,9 +168,6 @@ class ChoiceRule:
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
         raise NotImplementedError
 
-    def _u(self, gamble: Gamble, index: int) -> Fraction:
-        return self.context.utilities.utility(gamble.values[index])
-
     def _exp(self, p: MassFunction, gamble: Gamble, given: Event) -> Fraction:
         return conditional_expectation(p, gamble, given, self.context.utilities)
 
@@ -180,22 +198,10 @@ class PointwiseDominance(ChoiceRule):
 
     name = "pointwise_dominance"
 
-    def _dominates(self, y: Gamble, x: Gamble, given: Event) -> bool:
-        strict = False
-        for i in given.indices():
-            uy, ux = self._u(y, i), self._u(x, i)
-            if uy < ux:
-                return False
-            if uy > ux:
-                strict = True
-        return strict
-
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        return [
-            x
-            for x in gambles
-            if not any(self._dominates(y, x, given) for y in gambles)
-        ]
+        utility, states = self.context.utilities.utility, tuple(given.indices())
+        rows = {g: tuple(utility(g.values[i]) for i in states) for g in gambles}
+        return undominated(rows, sum, lambda y, x: y != x and all(map(ge, y, x)))
 
 
 class Maximality(ChoiceRule):
@@ -207,14 +213,8 @@ class Maximality(ChoiceRule):
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
         credal = self.context.credal
-
-        def dominated(x: Gamble) -> bool:
-            return any(
-                all(self._exp(p, y, given) > self._exp(p, x, given) for p in credal)
-                for y in gambles
-            )
-
-        return [x for x in gambles if not dominated(x)]
+        rows = {g: tuple(self._exp(p, g, given) for p in credal) for g in gambles}
+        return undominated(rows, itemgetter(0), lambda y, x: all(map(gt, y, x)))
 
 
 class EAdmissibility(ChoiceRule):

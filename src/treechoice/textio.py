@@ -337,7 +337,7 @@ class ContextDocument:
                     raise UnknownReference(label)
             for state in space.states:
                 if state not in mapping:
-                    raise UnknownReference(state)
+                    raise UnknownReference(state, f"the mass for state {state!r} is missing")
             return MassFunction.of(space, mapping)
 
         return ChoiceContext(

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from treechoice.cli import run_command
 
 from conftest import FIXTURES
@@ -138,6 +140,10 @@ def test_check_properties_finds_p2_violation(capsys):
     p2 = next(r for r in payload["reports"] if r["property"] == "P2")
     assert "witness" in p2
     assert len(p2["witness"]["instance"]["gambles"]) <= 3
+    # P1's premise (two gambles equal on the event) fires only now and then
+    vacuous = {r["property"]: r["vacuous"] for r in payload["reports"]}
+    assert 0 < vacuous["P1"] < 400
+    assert 0 <= vacuous["P2"] <= p2["instances_checked"]
 
 
 def test_check_properties_eu_corroborated(capsys):
@@ -179,6 +185,41 @@ def test_check_properties_rejects_credal_size_below_one(capsys):
         assert code == 2
         assert payload["type"] == "TreechoiceError"
         assert "--credal-size" in payload["error"]
+
+
+def test_context_without_a_state_names_the_missing_mass(capsys, tmp_path):
+    missing = tmp_path / "missing.prob"
+    missing.write_text("prob a1 = 1\n")
+    outside = tmp_path / "outside.prob"
+    outside.write_text("prob a1 = 1/2\nprob zz = 1/2\n")
+    for context, error in (
+        (missing, "the mass for state 'a2' is missing"),
+        (outside, "unknown reference: 'zz'"),
+    ):
+        code, payload = run_json(
+            capsys, "solve", "--tree", INCOMP, "--rule", "eu_max", "--context", str(context)
+        )
+        assert code == 2
+        assert (payload["error"], payload["type"]) == (error, "UnknownReference")
+
+
+def test_unexpected_exceptions_are_json_errors(capsys, monkeypatch):
+    from treechoice import cli
+
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_equiv", broken)
+    code, payload = run_json(capsys, "equiv", "--tree", INCOMP, "--tree2", INCOMP)
+    assert code == 2
+    assert payload == {"command": "equiv", "error": "'lost'", "type": "KeyError"}
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_equiv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_command(["equiv", "--tree", INCOMP, "--tree2", INCOMP])
 
 
 def test_equiv_tree_with_itself(capsys):

@@ -11,6 +11,11 @@ definitions read: strategies as merged choice dicts, each strategy's gamble
 patched together over every chance node's partition, backward induction as
 its own recursion. The library derives all of these from one bottom-up
 enumerator, `trees.strategies`.
+
+The literal rules compare every pair of gambles, recomputing conditional
+expectations or utilities for each pair, as maximality and pointwise
+dominance read. The library scores each gamble once and sweeps against
+the undominated front (`rules.undominated`).
 """
 
 import itertools
@@ -24,14 +29,31 @@ from treechoice.errors import EnumerationLimitExceeded
 from treechoice.generate import (
     GenConfig,
     random_consistent_tree,
+    random_gamble_instance,
+    reward_table_for_instance,
     reward_table_for_tree,
     rng_for,
     seeded_rule_policy,
     subseed,
     tree_corpus,
 )
-from treechoice.model import Gamble, GambleSet, combine_on_partition
-from treechoice.rules import RULES
+from treechoice.laws import check_property_instance, check_subtree_perfectness
+from treechoice.model import (
+    Gamble,
+    GambleSet,
+    PossibilitySpace,
+    RewardTable,
+    combine_on_partition,
+)
+from treechoice.props import PropertyId
+from treechoice.rules import (
+    RULES,
+    ChoiceContext,
+    EuMax,
+    MassFunction,
+    Maximality,
+    PointwiseDominance,
+)
 from treechoice.solve import (
     back_opt,
     extract_extensive,
@@ -235,6 +257,67 @@ def literal_nfd_of_extensive(extensive):
     )
 
 
+class LiteralPointwiseDominance(PointwiseDominance):
+    """Pointwise dominance as it reads: every pair, every state."""
+
+    def _u(self, gamble, index):
+        return self.context.utilities.utility(gamble.values[index])
+
+    def _dominates(self, y, x, given):
+        strict = False
+        for i in given.indices():
+            uy, ux = self._u(y, i), self._u(x, i)
+            if uy < ux:
+                return False
+            if uy > ux:
+                strict = True
+        return strict
+
+    def _select(self, gambles, given):
+        return [
+            x
+            for x in gambles
+            if not any(self._dominates(y, x, given) for y in gambles)
+        ]
+
+
+class LiteralMaximality(Maximality):
+    """Maximality as it reads: every pair, every mass function."""
+
+    def _select(self, gambles, given):
+        credal = self.context.credal
+
+        def dominated(x):
+            return any(
+                all(self._exp(p, y, given) > self._exp(p, x, given) for p in credal)
+                for y in gambles
+            )
+
+        return [x for x in gambles if not dominated(x)]
+
+
+LITERAL_RULES = {
+    "pointwise_dominance": LiteralPointwiseDominance,
+    "maximality": LiteralMaximality,
+}
+
+
+def checked_rule(rule, sizes):
+    """The rule, with every `select` call compared against the literal rule
+    on the same context; `sizes` collects each call's gamble count."""
+    literal = LITERAL_RULES[rule.name](rule.context)
+    fast = rule._select
+
+    def compare(gambles, given):
+        chosen = fast(gambles, given)
+        assert GambleSet(chosen) == literal.select(gambles, given), (gambles, given)
+        sizes.append(len(gambles))
+        return chosen
+
+    rule._select = compare
+    return rule
+
+
 @pytest.fixture(scope="module")
 def acceptance_corpus():
     return tree_corpus(CORPUS_CONFIG, SEED, 200)
@@ -335,3 +418,94 @@ def test_dominance_solutions_match_play_out_oracle(index):
     )
     expected = oracle_dominance_solution(tree, nfd(tree), rewards)
     assert norm_opt(tree, rule).solution == expected
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_RULES))
+def test_sweep_rules_match_literal_rules_on_corpus(acceptance_corpus, name):
+    sizes = []
+    for index, tree in enumerate(acceptance_corpus):
+        rule = checked_rule(rule_for(tree, name, index), sizes)
+        norm_opt(tree, rule)
+        back_opt(tree, rule)
+        check_subtree_perfectness(tree, rule)
+    assert len(sizes) > 1000 and max(sizes) > 50, (len(sizes), max(sizes))
+
+
+@pytest.mark.parametrize(
+    "name, credal_size",
+    [("maximality", 1), ("maximality", 2), ("maximality", 3), ("pointwise_dominance", 1)],
+)
+def test_sweep_rules_match_literal_rules_on_instances(name, credal_size):
+    policy = seeded_rule_policy(name, credal_size=credal_size)
+    sizes = []
+    for prop in PropertyId:
+        for index in range(25):
+            instance = random_gamble_instance(
+                prop, GenConfig(), seed=subseed("diff-sweep", prop.value, index)
+            )
+            rule = policy(
+                instance.space,
+                reward_table_for_instance(instance),
+                rng_for("diff-sweep", name, credal_size, prop.value, index),
+            )
+            check_property_instance(prop, checked_rule(rule, sizes), instance)
+    assert len(sizes) > 12 * 25
+
+
+W3 = PossibilitySpace(("w1", "w2", "w3"))
+TIES = RewardTable({"a": 0, "b": 2, "c": 1, "d": 3, "e": 2, "f": 4})
+INNER = W3.event(["w1", "w2"])
+
+
+def tie_gambles(*rows):
+    return GambleSet(Gamble(W3, tuple(row)) for row in rows)
+
+
+def mass(*weights):
+    return MassFunction.from_weights(W3, weights)
+
+
+def assert_sweeps_as_literal(rule, gambles, given, expected):
+    literal = LITERAL_RULES[rule.name](rule.context)
+    chosen = rule.select(gambles, given)
+    assert chosen == literal.select(gambles, given)
+    assert {g.values for g in chosen} == expected
+
+
+def test_maximality_ties_on_the_first_mass_function():
+    # bac, ccc and cab all score 1 under the first mass function and 1, 1
+    # and 3/2 under the second: cab's row is >= the others', yet none of the
+    # three dominates another; aaa (0, 0) is dominated by all of them
+    rule = Maximality(ChoiceContext(TIES, credal=(mass(1, 1, 1), mass(1, 1, 4))))
+    gambles = tie_gambles("bac", "ccc", "cab", "aaa")
+    assert_sweeps_as_literal(
+        rule, gambles, W3.omega, {("b", "a", "c"), ("c", "c", "c"), ("c", "a", "b")}
+    )
+
+
+@pytest.mark.parametrize("credal", [(mass(2, 1, 1),), (mass(2, 1, 1), mass(2, 1, 1))])
+def test_maximality_with_one_distinct_mass_function_is_eu_max(credal):
+    # expectations 7/4, 7/4, 2, 3/4 and 2: two ties, one of them on top
+    gambles = tie_gambles("dac", "cdb", "bbb", "cca", "ebe")
+    rule = Maximality(ChoiceContext(TIES, credal=credal))
+    eu = EuMax(ChoiceContext(TIES, probability=credal[0]))
+    assert rule.select(gambles, W3.omega) == eu.select(gambles, W3.omega)
+    assert_sweeps_as_literal(
+        rule, gambles, W3.omega, {("b", "b", "b"), ("e", "b", "e")}
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_RULES))
+def test_gambles_equal_on_the_event_stay_or_go_together(name):
+    # on INNER, bdb and bdd agree, and ede has the same utilities (2, 3)
+    # through other symbols; dad (3, 0) is incomparable with them
+    context = ChoiceContext(TIES, credal=(mass(1, 2, 1), mass(9, 1, 1)))
+    rule = RULES[name](context)
+    equal = {("b", "d", "b"), ("b", "d", "d"), ("e", "d", "e")}
+    kept = tie_gambles("bdb", "bdd", "ede", "dad")
+    assert_sweeps_as_literal(rule, kept, INNER, equal | {("d", "a", "d")})
+    # bfb (2, 4) dominates all three under both rules, but not dad
+    dropped = tie_gambles("bdb", "bdd", "ede", "dad", "bfb")
+    assert_sweeps_as_literal(
+        rule, dropped, INNER, {("d", "a", "d"), ("b", "f", "b")}
+    )

@@ -224,12 +224,27 @@ def test_falsify_p1_eu_corroborated_small_budget():
     assert report.instances_checked == 100
 
 
+@pytest.mark.parametrize("rule", ["eu_max", "pointwise_dominance", "maximality"])
+def test_falsify_counts_vacuous_instances(rule):
+    policy = seeded_rule_policy(rule)
+    vacuous = {}
+    for prop in P:
+        report = falsify_property(prop, policy, budget=60, seed=3)
+        assert 0 <= report.vacuous <= report.instances_checked, prop
+        again = falsify_property(prop, policy, budget=60, seed=3)
+        assert again.vacuous == report.vacuous, prop
+        vacuous[prop] = report.vacuous
+    # P1 fires only when a selected gamble has a twin equal on the event
+    assert vacuous[P.P1_conditioning] > 0
+
+
 def test_falsify_budget_zero_vacuous():
     report = falsify_property(
         P.P1_conditioning, seeded_rule_policy("eu_max"), budget=0, seed=0
     )
     assert report.verdict == "corroborated"
     assert report.instances_checked == 0
+    assert report.vacuous == 0
 
 
 def test_falsify_deterministic():
@@ -239,7 +254,11 @@ def test_falsify_deterministic():
     b = falsify_property(
         P.P2_intersection, seeded_rule_policy("pointwise_dominance"), budget=200, seed=5
     )
-    assert (a.verdict, a.instances_checked) == (b.verdict, b.instances_checked)
+    assert (a.verdict, a.instances_checked, a.vacuous) == (
+        b.verdict,
+        b.instances_checked,
+        b.vacuous,
+    )
     if a.witness is not None:
         assert a.witness.instance == b.witness.instance
 

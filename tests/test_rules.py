@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,25 @@ def test_context_restriction_renormalizes():
     small = PossibilitySpace(("w2", "w4"))
     q = p.restricted(small, (1, 3))
     assert q.masses == (Fraction(1, 3), Fraction(2, 3))
+
+
+def test_maximality_scores_each_gamble_once_per_mass_function(monkeypatch):
+    from treechoice import rules
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return conditional_expectation(*args)
+
+    monkeypatch.setattr(rules, "conditional_expectation", counted)
+    gambles = GambleSet(
+        Gamble(W4, values) for values in itertools.product(("0", "1", "2", "5"), repeat=4)
+    )
+    rng = rng_for("work-bound")
+    credal = tuple(random_mass_function(W4, rng) for _ in range(3))
+    chosen = make_rule("maximality", ChoiceContext(NUMERIC, credal=credal)).select(
+        gambles, W4.omega
+    )
+    assert len(gambles) == 256 and 0 < len(chosen) < len(gambles)
+    assert len(calls) <= len(gambles) * len(credal)

@@ -1,6 +1,14 @@
 import pytest
 
 from treechoice.errors import EmptySolution
+from treechoice.generate import (
+    GenConfig,
+    random_consistent_tree,
+    reward_table_for_tree,
+    rng_for,
+    seeded_rule_policy,
+    subseed,
+)
 from treechoice.model import PossibilitySpace, RewardTable
 from treechoice.rules import ChoiceContext, MassFunction, make_rule
 from treechoice.solve import (
@@ -19,6 +27,7 @@ from treechoice.trees import (
     NormalFormDecision,
     gamb,
     nfd,
+    nfd_count,
 )
 
 from conftest import FussyPairsRule
@@ -327,3 +336,16 @@ def test_solvers_reach_the_parser_depth_through_chance_nodes():
     normal, backward = solve_both(tree)
     assert normal.solution == backward.solution
     assert [m.choices for m in normal.solution] == [()]
+
+
+@pytest.mark.parametrize("name", ["pointwise_dominance", "maximality"])
+def test_backward_exact_rules_agree_on_a_2k_strategy_tree(name):
+    # the smallest rung of the benchmark ladder: 420 distinct gambles
+    config = GenConfig(max_depth=6, max_children=3, omega_range=(6, 10), nfd_ceiling=100_000)
+    tree = random_consistent_tree(config, subseed(20110916, "ladder", 45))
+    assert 1_500 <= nfd_count(tree) <= 2_500
+    rewards = reward_table_for_tree(tree)
+    rule = seeded_rule_policy(name)(tree.space, rewards, rng_for("scale", name))
+    normal = norm_opt(tree, rule)
+    assert normal.stats["gamble_count"] == 420
+    assert normal.solution == back_opt(tree, rule).solution
