@@ -151,6 +151,7 @@ def _cmd_check_properties(args) -> int:
             "rule": report.rule_name,
             "instances_checked": report.instances_checked,
             "vacuous": report.vacuous,
+            "shrink_steps": report.shrink_steps,
             "verdict": report.verdict,
         }
         if report.witness is not None:

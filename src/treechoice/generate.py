@@ -19,6 +19,7 @@ from .props import (
     BackwardConditioningInstance,
     ConditioningInstance,
     FamilyInstance,
+    INSTANCE_SHAPES,
     Instance,
     MixtureInstance,
     PropertyId,
@@ -334,8 +335,9 @@ def _build_instance(
     space = _random_space(rng, config)
     pool = _reward_pool(rng, config)
     omega = space.omega
+    shape = INSTANCE_SHAPES[prop]
 
-    if prop in (PropertyId.P1_conditioning,):
+    if shape is ConditioningInstance:
         given = omega if rng.random() < 0.2 else _random_event(rng, space)
         gambles = _consistent_set(
             rng, space, given, pool, rng.randint(2, config.max_gambles)
@@ -344,11 +346,7 @@ def _build_instance(
             gambles = _plant_equal_pair(rng, gambles, given, given)
         return ConditioningInstance(gambles, given)
 
-    if prop in (
-        PropertyId.P2_intersection,
-        PropertyId.P8_insensitivity,
-        PropertyId.P9_preservation,
-    ):
+    if shape is SubsetInstance:
         given = omega if rng.random() < 0.3 else _random_event(rng, space)
         gambles = _consistent_set(
             rng, space, given, pool, rng.randint(2, config.max_gambles)
@@ -358,7 +356,7 @@ def _build_instance(
         subset = GambleSet(rng.sample(members, size))
         return SubsetInstance(gambles, subset, given)
 
-    if prop in (PropertyId.P3_mixture, PropertyId.P10_backward_mixture):
+    if shape is MixtureInstance:
         if space.size < 2:
             raise GenerationRetryExhausted("mixture instances need >= 2 states")
         part = _random_event(rng, space, proper=True)
@@ -371,12 +369,7 @@ def _build_instance(
         other = _consistent_gamble(rng, space, outside, pool)
         return MixtureInstance(gambles, other, part, given)
 
-    if prop in (
-        PropertyId.P4_strong_path_independence,
-        PropertyId.P5_very_strong_path_independence,
-        PropertyId.P6_total_preorder,
-        PropertyId.P11_path_independence,
-    ):
+    if shape is FamilyInstance:
         given = omega if rng.random() < 0.3 else _random_event(rng, space)
         shared = list(
             _consistent_set(
@@ -390,7 +383,7 @@ def _build_instance(
             parts.append(GambleSet(rng.sample(shared, size)))
         return FamilyInstance(tuple(parts), given)
 
-    if prop is PropertyId.P7_backward_conditioning:
+    if shape is BackwardConditioningInstance:
         if space.size < 2:
             raise GenerationRetryExhausted("backward conditioning needs >= 2 states")
         part = _random_event(rng, space, proper=True)
@@ -405,7 +398,7 @@ def _build_instance(
         others = _consistent_set(rng, space, outside, pool, rng.randint(1, 3))
         return BackwardConditioningInstance(gambles, part, given, others)
 
-    if prop is PropertyId.L_setsum_factorization:
+    if shape is SetSumInstance:
         if space.size < 2:
             raise GenerationRetryExhausted("set-sum instances need >= 2 states")
         given = _random_event(rng, space)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import MalformedInstance
+from .errors import MalformedInstance, TreechoiceError
 from .model import Gamble, GambleSet, combine_on_partition, gamble_set_sum
 from .props import (
     BackwardConditioningInstance,
@@ -327,7 +327,9 @@ class ViolationWitness:
 
 @dataclass(frozen=True)
 class LawReport:
-    """`vacuous` counts the instances checked whose premise never fired."""
+    """`vacuous` counts the instances checked whose premise never fired;
+    `shrink_steps` counts the instance checks that returned a verdict while
+    the witness was shrunk (0 when nothing was shrunk)."""
 
     prop: PropertyId
     rule_name: str
@@ -335,37 +337,44 @@ class LawReport:
     verdict: str
     vacuous: int
     witness: Optional[ViolationWitness] = None
+    shrink_steps: int = 0
 
     @property
     def violated(self) -> bool:
         return self.verdict == VIOLATED
 
 
-def _still_violated(prop: PropertyId, rule: ChoiceRule, instance: Instance) -> Optional[dict]:
-    try:
-        result = check_property_instance(prop, rule, instance)
-    except MalformedInstance:
-        return None
-    return result.witness if not result.holds else None
-
-
 def shrink_violation(
     prop: PropertyId, rule: ChoiceRule, instance: Instance
-) -> tuple[Instance, ChoiceRule, dict]:
+) -> tuple[Instance, ChoiceRule, dict, int]:
     """Greedily drop gambles, then states, while the violation persists.
 
     Deterministic: candidates are tried in canonical order and the first
     successful reduction restarts the scan. Mass functions are renormalized
-    when states are dropped.
+    when states are dropped. Returns the shrunk instance and rule, the
+    violation's detail, and the number of instance checks that returned a
+    verdict, the first re-check of `instance` included (a candidate that
+    fails its shape's preconditions is not counted).
     """
-    detail = _still_violated(prop, rule, instance)
+    steps = 0
+
+    def still_violated(candidate_rule: ChoiceRule, candidate: Instance) -> Optional[dict]:
+        nonlocal steps
+        try:
+            result = check_property_instance(prop, candidate_rule, candidate)
+        except MalformedInstance:
+            return None
+        steps += 1
+        return result.witness if not result.holds else None
+
+    detail = still_violated(rule, instance)
     assert detail is not None, "shrink_violation needs a violating instance"
     current, current_rule = instance, rule
     reduced = True
     while reduced:
         reduced = False
         for candidate in current.drop_gamble_candidates():
-            found = _still_violated(prop, current_rule, candidate)
+            found = still_violated(current_rule, candidate)
             if found is not None:
                 current, detail = candidate, found
                 reduced = True
@@ -381,12 +390,12 @@ def shrink_violation(
             candidate_rule = current_rule.rebind(
                 current_rule.context.restricted(candidate.space, kept)
             )
-            found = _still_violated(prop, candidate_rule, candidate)
+            found = still_violated(candidate_rule, candidate)
             if found is not None:
                 current, current_rule, detail = candidate, candidate_rule, found
                 reduced = True
                 break
-    return current, current_rule, detail
+    return current, current_rule, detail, steps
 
 
 def falsify_property(
@@ -400,10 +409,12 @@ def falsify_property(
 
     `rule_policy(space, rewards, rng)` binds the rule to each generated
     instance's possibility space. Budget exhaustion corroborates, it never
-    proves.
+    proves. A negative budget raises `TreechoiceError`.
     """
     from . import generate  # deferred: generate builds the instances checked here
 
+    if budget < 0:
+        raise TreechoiceError(f"budget must not be negative, got {budget}")
     config = generate.GenConfig() if config is None else config
     rule_name = None
     vacuous = 0
@@ -416,7 +427,7 @@ def falsify_property(
         result = check_property_instance(prop, rule, instance)
         vacuous += result.vacuous
         if not result.holds:
-            shrunk, shrunk_rule, detail = shrink_violation(prop, rule, instance)
+            shrunk, shrunk_rule, detail, steps = shrink_violation(prop, rule, instance)
             return LawReport(
                 prop=prop,
                 rule_name=rule.name,
@@ -424,6 +435,7 @@ def falsify_property(
                 verdict=VIOLATED,
                 vacuous=vacuous,
                 witness=ViolationWitness(shrunk, shrunk_rule, detail),
+                shrink_steps=steps,
             )
     return LawReport(
         prop=prop,

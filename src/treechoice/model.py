@@ -219,14 +219,6 @@ class Gamble:
     def of(cls, space: PossibilitySpace, assignment: Mapping[str, str]) -> Gamble:
         return cls(space, tuple(assignment[s] for s in space.states))
 
-    def restrict(self, event: Event) -> PartialGamble:
-        _same_space(self.space, event.space)
-        vals = tuple(
-            self.values[i] if event.contains_index(i) else None
-            for i in range(self.space.size)
-        )
-        return PartialGamble(self.space, event, vals)
-
     def preimage(self, reward: str) -> Event:
         bits = 0
         for i, v in enumerate(self.values):

@@ -1,15 +1,16 @@
 """Property identifiers and the instance shapes the law checkers consume.
 
 Each instance type carries exactly the data quantified over by one family of
-properties, plus `validate` (the property's preconditions), canonical
-shrinking moves, and re-mapping onto a smaller possibility space.
+properties, plus `validate` (the property's preconditions) and canonical
+shrinking moves. Re-mapping onto a smaller possibility space is shared: the
+`InstanceShape` base maps each field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import MalformedInstance
 from .model import (
@@ -55,36 +56,52 @@ def _require_consistent(gambles, event: Event, what: str) -> None:
     _require(bool(verdict), f"{what} is not consistent with {event!r}")
 
 
-def _map_space(space: PossibilitySpace, kept: Sequence[int]) -> PossibilitySpace:
-    return PossibilitySpace(tuple(space.states[i] for i in kept))
+def _restrict(value, space: PossibilitySpace, kept: Sequence[int]):
+    """One instance field (a gamble, gamble set, event or tuple of these)
+    re-mapped onto the states at indices `kept`."""
+    if isinstance(value, tuple):
+        return tuple(_restrict(v, space, kept) for v in value)
+    if isinstance(value, GambleSet):
+        return GambleSet(_restrict(g, space, kept) for g in value)
+    if isinstance(value, Event):
+        bits = 0
+        for new_index, old_index in enumerate(kept):
+            if value.contains_index(old_index):
+                bits |= 1 << new_index
+        return Event(space, bits)
+    return Gamble(space, tuple(value.values[i] for i in kept))
 
 
-def _map_event(event: Event, space: PossibilitySpace, kept: Sequence[int]) -> Event:
-    bits = 0
-    for new_index, old_index in enumerate(kept):
-        if event.contains_index(old_index):
-            bits |= 1 << new_index
-    return Event(space, bits)
+class InstanceShape:
+    """Base of the six instance shapes.
 
+    Every field of a shape is a gamble, a gamble set, an event or a tuple of
+    these, all over the space of its `given` event. Restriction, gamble
+    listing and witness JSON read the fields in declaration order; `shape`
+    names the shape in witness JSON.
+    """
 
-def _map_gamble(g: Gamble, space: PossibilitySpace, kept: Sequence[int]) -> Gamble:
-    return Gamble(space, tuple(g.values[i] for i in kept))
-
-
-def _map_set(s: GambleSet, space: PossibilitySpace, kept: Sequence[int]) -> GambleSet:
-    return GambleSet(_map_gamble(g, space, kept) for g in s)
-
-
-@dataclass(frozen=True)
-class ConditioningInstance:
-    """(gambles, given): shape for the conditioning property."""
-
-    gambles: GambleSet
-    given: Event
+    shape: ClassVar[str]
 
     @property
     def space(self) -> PossibilitySpace:
         return self.given.space
+
+    def restricted(self, kept: Sequence[int]) -> InstanceShape:
+        """The same instance on the states at indices `kept` (in order)."""
+        space = PossibilitySpace(tuple(self.space.states[i] for i in kept))
+        values = (_restrict(getattr(self, f.name), space, kept) for f in fields(self))
+        return type(self)(*values)
+
+
+@dataclass(frozen=True)
+class ConditioningInstance(InstanceShape):
+    """(gambles, given): shape for the conditioning property."""
+
+    shape = "conditioning"
+
+    gambles: GambleSet
+    given: Event
 
     def validate(self) -> None:
         _require(not self.given.is_empty, "conditioning event is empty")
@@ -97,25 +114,17 @@ class ConditioningInstance:
             if rest:
                 yield replace(self, gambles=GambleSet(rest))
 
-    def restricted(self, kept: Sequence[int]) -> ConditioningInstance:
-        space = _map_space(self.space, kept)
-        return ConditioningInstance(
-            _map_set(self.gambles, space, kept), _map_event(self.given, space, kept)
-        )
-
 
 @dataclass(frozen=True)
-class SubsetInstance:
+class SubsetInstance(InstanceShape):
     """(gambles, subset, given): shape for intersection / insensitivity /
     preservation properties."""
+
+    shape = "subset"
 
     gambles: GambleSet
     subset: GambleSet
     given: Event
-
-    @property
-    def space(self) -> PossibilitySpace:
-        return self.given.space
 
     def validate(self) -> None:
         _require(not self.given.is_empty, "conditioning event is empty")
@@ -130,28 +139,18 @@ class SubsetInstance:
             if len(rest) > 0 and len(sub) > 0:
                 yield SubsetInstance(rest, sub, self.given)
 
-    def restricted(self, kept: Sequence[int]) -> SubsetInstance:
-        space = _map_space(self.space, kept)
-        return SubsetInstance(
-            _map_set(self.gambles, space, kept),
-            _map_set(self.subset, space, kept),
-            _map_event(self.given, space, kept),
-        )
-
 
 @dataclass(frozen=True)
-class MixtureInstance:
+class MixtureInstance(InstanceShape):
     """(gambles, other, part, given): gambles live on `part` of `given`,
     `other` on the complement; shape for the mixture properties."""
+
+    shape = "mixture"
 
     gambles: GambleSet
     other: Gamble
     part: Event
     given: Event
-
-    @property
-    def space(self) -> PossibilitySpace:
-        return self.given.space
 
     def validate(self) -> None:
         inside = self.part & self.given
@@ -168,27 +167,16 @@ class MixtureInstance:
             if rest:
                 yield replace(self, gambles=GambleSet(rest))
 
-    def restricted(self, kept: Sequence[int]) -> MixtureInstance:
-        space = _map_space(self.space, kept)
-        return MixtureInstance(
-            _map_set(self.gambles, space, kept),
-            _map_gamble(self.other, space, kept),
-            _map_event(self.part, space, kept),
-            _map_event(self.given, space, kept),
-        )
-
 
 @dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(InstanceShape):
     """(parts, given): a family of gamble sets; shape for the path
     independence / total preorder properties."""
 
+    shape = "family"
+
     parts: tuple[GambleSet, ...]
     given: Event
-
-    @property
-    def space(self) -> PossibilitySpace:
-        return self.given.space
 
     def union(self) -> GambleSet:
         out = GambleSet([])
@@ -214,27 +202,18 @@ class FamilyInstance:
                     continue
                 yield FamilyInstance(parts, self.given)
 
-    def restricted(self, kept: Sequence[int]) -> FamilyInstance:
-        space = _map_space(self.space, kept)
-        return FamilyInstance(
-            tuple(_map_set(p, space, kept) for p in self.parts),
-            _map_event(self.given, space, kept),
-        )
-
 
 @dataclass(frozen=True)
-class BackwardConditioningInstance:
+class BackwardConditioningInstance(InstanceShape):
     """(gambles, part, given, others): the backward-conditioning shape; the
     `others` set supplies the off-part continuations."""
+
+    shape = "backward_conditioning"
 
     gambles: GambleSet
     part: Event
     given: Event
     others: GambleSet
-
-    @property
-    def space(self) -> PossibilitySpace:
-        return self.given.space
 
     def validate(self) -> None:
         inside = self.part & self.given
@@ -256,28 +235,17 @@ class BackwardConditioningInstance:
             if rest:
                 yield replace(self, others=GambleSet(rest))
 
-    def restricted(self, kept: Sequence[int]) -> BackwardConditioningInstance:
-        space = _map_space(self.space, kept)
-        return BackwardConditioningInstance(
-            _map_set(self.gambles, space, kept),
-            _map_event(self.part, space, kept),
-            _map_event(self.given, space, kept),
-            _map_set(self.others, space, kept),
-        )
-
 
 @dataclass(frozen=True)
-class SetSumInstance:
+class SetSumInstance(InstanceShape):
     """(partition, parts, given): one gamble set per partition block; shape
     for the set-sum factorization law."""
+
+    shape = "setsum"
 
     partition: tuple[Event, ...]
     parts: tuple[GambleSet, ...]
     given: Event
-
-    @property
-    def space(self) -> PossibilitySpace:
-        return self.given.space
 
     def validate(self) -> None:
         _require(len(self.partition) == len(self.parts), "one set per block required")
@@ -299,14 +267,6 @@ class SetSumInstance:
                         self.parts[:index] + (rest,) + self.parts[index + 1:],
                         self.given,
                     )
-
-    def restricted(self, kept: Sequence[int]) -> SetSumInstance:
-        space = _map_space(self.space, kept)
-        return SetSumInstance(
-            tuple(_map_event(e, space, kept) for e in self.partition),
-            tuple(_map_set(p, space, kept) for p in self.parts),
-            _map_event(self.given, space, kept),
-        )
 
 
 Instance = Union[
@@ -336,22 +296,15 @@ INSTANCE_SHAPES: dict[PropertyId, type] = {
 
 def instance_gambles(instance: Instance) -> GambleSet:
     """Every gamble mentioned anywhere in the instance."""
-    if isinstance(instance, ConditioningInstance):
-        return instance.gambles
-    if isinstance(instance, SubsetInstance):
-        return instance.gambles
-    if isinstance(instance, MixtureInstance):
-        return instance.gambles.union(GambleSet([instance.other]))
-    if isinstance(instance, FamilyInstance):
-        return instance.union()
-    if isinstance(instance, BackwardConditioningInstance):
-        return instance.gambles.union(instance.others)
-    if isinstance(instance, SetSumInstance):
-        out = GambleSet([])
-        for part in instance.parts:
-            out = out.union(part)
-        return out
-    raise TypeError(f"not an instance: {instance!r}")
+    found: list[Gamble] = []
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, GambleSet):
+                found.extend(item)
+            elif isinstance(item, Gamble):
+                found.append(item)
+    return GambleSet(found)
 
 
 def reward_table_for_instance(instance: Instance) -> RewardTable:

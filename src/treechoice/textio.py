@@ -19,7 +19,7 @@ Rationals are serialized as `p/q` in lowest terms, integers bare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -30,6 +30,7 @@ from .errors import (
     UnknownReference,
 )
 from .model import Event, Gamble, GambleSet, PossibilitySpace, RewardTable
+from .props import InstanceShape
 from .rules import ChoiceContext, ChoiceRule, MassFunction
 from .solve import ExtensiveSolution, extract_extensive
 from .trees import (
@@ -471,49 +472,13 @@ def jsonable(value):
 
 
 def instance_json(instance) -> dict:
-    """Serialize a property instance with its space for re-checking."""
-    from .props import (
-        BackwardConditioningInstance,
-        ConditioningInstance,
-        FamilyInstance,
-        MixtureInstance,
-        SetSumInstance,
-        SubsetInstance,
-    )
-
-    out: dict = {"space": list(instance.space.states)}
-    if isinstance(instance, ConditioningInstance):
-        out["shape"] = "conditioning"
-        out["gambles"] = gamble_set_json(instance.gambles)
-        out["given"] = event_json(instance.given)
-    elif isinstance(instance, SubsetInstance):
-        out["shape"] = "subset"
-        out["gambles"] = gamble_set_json(instance.gambles)
-        out["subset"] = gamble_set_json(instance.subset)
-        out["given"] = event_json(instance.given)
-    elif isinstance(instance, MixtureInstance):
-        out["shape"] = "mixture"
-        out["gambles"] = gamble_set_json(instance.gambles)
-        out["other"] = gamble_json(instance.other)
-        out["part"] = event_json(instance.part)
-        out["given"] = event_json(instance.given)
-    elif isinstance(instance, FamilyInstance):
-        out["shape"] = "family"
-        out["parts"] = [gamble_set_json(p) for p in instance.parts]
-        out["given"] = event_json(instance.given)
-    elif isinstance(instance, BackwardConditioningInstance):
-        out["shape"] = "backward_conditioning"
-        out["gambles"] = gamble_set_json(instance.gambles)
-        out["part"] = event_json(instance.part)
-        out["given"] = event_json(instance.given)
-        out["others"] = gamble_set_json(instance.others)
-    elif isinstance(instance, SetSumInstance):
-        out["shape"] = "setsum"
-        out["partition"] = [event_json(e) for e in instance.partition]
-        out["parts"] = [gamble_set_json(p) for p in instance.parts]
-        out["given"] = event_json(instance.given)
-    else:
+    """Serialize a property instance for re-checking: its space, its shape
+    name, then each field in declaration order."""
+    if not isinstance(instance, InstanceShape):
         raise TreechoiceError(f"unknown instance type: {type(instance).__name__}")
+    out: dict = {"space": jsonable(instance.space), "shape": instance.shape}
+    for f in fields(instance):
+        out[f.name] = jsonable(getattr(instance, f.name))
     return out
 
 
@@ -539,6 +504,9 @@ def export_dot(
     def node_id(path) -> str:
         return "n" + "_".join(str(i) for i in path) if path else "n"
 
+    def quoted(label: str) -> str:
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     def leaf_label(reward: str) -> str:
         if rewards is not None and reward in rewards:
             utility = rewards.utility(reward)
@@ -549,7 +517,7 @@ def export_dot(
     def visit(node: Node, path) -> None:
         me = node_id(path)
         if isinstance(node, Leaf):
-            lines.append(f'  {me} [shape=plaintext, label="{leaf_label(node.reward)}"];')
+            lines.append(f"  {me} [shape=plaintext, label={quoted(leaf_label(node.reward))}];")
             return
         if isinstance(node, Decision):
             lines.append(f'  {me} [shape=box, label=""];')
@@ -564,8 +532,8 @@ def export_dot(
         lines.append(f'  {me} [shape=circle, label=""];')
         for i, (event, child) in enumerate(node.branches):
             arc = path + (i,)
-            label = "{" + ",".join(event.labels()) + "}"
-            lines.append(f'  {me} -> {node_id(arc)} [label="{label}"];')
+            label = quoted("{" + ",".join(event.labels()) + "}")
+            lines.append(f"  {me} -> {node_id(arc)} [label={label}];")
             visit(child, arc)
 
     visit(tree.root, ())

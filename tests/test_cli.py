@@ -144,6 +144,12 @@ def test_check_properties_finds_p2_violation(capsys):
     vacuous = {r["property"]: r["vacuous"] for r in payload["reports"]}
     assert 0 < vacuous["P1"] < 400
     assert 0 <= vacuous["P2"] <= p2["instances_checked"]
+    # the shrink-step count follows the vacuous count in every report
+    for report in payload["reports"]:
+        keys = list(report)
+        assert keys[keys.index("vacuous") + 1] == "shrink_steps"
+    steps = {r["property"]: r["shrink_steps"] for r in payload["reports"]}
+    assert steps["P1"] == 0 and steps["P2"] > 0
 
 
 def test_check_properties_eu_corroborated(capsys):

@@ -16,16 +16,23 @@ The literal rules compare every pair of gambles, recomputing conditional
 expectations or utilities for each pair, as maximality and pointwise
 dominance read. The library scores each gamble once and sweeps against
 the undominated front (`rules.undominated`).
+
+The literal instance schema names every property-instance shape: one
+restriction per shape, and gamble listing and witness JSON as `isinstance`
+chains. The library reads each shape's dataclass fields instead
+(`props.InstanceShape`).
 """
 
 import itertools
+import json
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from treechoice import solve
-from treechoice.errors import EnumerationLimitExceeded
+from treechoice.errors import EnumerationLimitExceeded, TreechoiceError
 from treechoice.generate import (
     GenConfig,
     random_consistent_tree,
@@ -39,13 +46,24 @@ from treechoice.generate import (
 )
 from treechoice.laws import check_property_instance, check_subtree_perfectness
 from treechoice.model import (
+    Event,
     Gamble,
     GambleSet,
     PossibilitySpace,
     RewardTable,
     combine_on_partition,
 )
-from treechoice.props import PropertyId
+from treechoice.props import (
+    INSTANCE_SHAPES,
+    BackwardConditioningInstance,
+    ConditioningInstance,
+    FamilyInstance,
+    MixtureInstance,
+    PropertyId,
+    SetSumInstance,
+    SubsetInstance,
+    instance_gambles,
+)
 from treechoice.rules import (
     RULES,
     ChoiceContext,
@@ -72,6 +90,7 @@ from treechoice.trees import (
     strategies,
     validate,
 )
+from treechoice.textio import event_json, gamble_json, gamble_set_json, instance_json
 
 from test_acceptance import CORPUS_CONFIG, SEED, rule_for
 
@@ -509,3 +528,155 @@ def test_gambles_equal_on_the_event_stay_or_go_together(name):
     assert_sweeps_as_literal(
         rule, dropped, INNER, {("d", "a", "d"), ("b", "f", "b")}
     )
+
+
+# ---------------------------------------------------------------------------
+# The literal instance schema: every shape named where it is used
+
+
+def _map_space(space, kept):
+    return PossibilitySpace(tuple(space.states[i] for i in kept))
+
+
+def _map_event(event, space, kept):
+    bits = 0
+    for new_index, old_index in enumerate(kept):
+        if event.contains_index(old_index):
+            bits |= 1 << new_index
+    return Event(space, bits)
+
+
+def _map_gamble(g, space, kept):
+    return Gamble(space, tuple(g.values[i] for i in kept))
+
+
+def _map_set(s, space, kept):
+    return GambleSet(_map_gamble(g, space, kept) for g in s)
+
+
+def literal_restricted(instance, kept):
+    """Each shape's own re-mapping onto the states at indices `kept`."""
+    space = _map_space(instance.given.space, kept)
+    if isinstance(instance, ConditioningInstance):
+        return ConditioningInstance(
+            _map_set(instance.gambles, space, kept),
+            _map_event(instance.given, space, kept),
+        )
+    if isinstance(instance, SubsetInstance):
+        return SubsetInstance(
+            _map_set(instance.gambles, space, kept),
+            _map_set(instance.subset, space, kept),
+            _map_event(instance.given, space, kept),
+        )
+    if isinstance(instance, MixtureInstance):
+        return MixtureInstance(
+            _map_set(instance.gambles, space, kept),
+            _map_gamble(instance.other, space, kept),
+            _map_event(instance.part, space, kept),
+            _map_event(instance.given, space, kept),
+        )
+    if isinstance(instance, FamilyInstance):
+        return FamilyInstance(
+            tuple(_map_set(p, space, kept) for p in instance.parts),
+            _map_event(instance.given, space, kept),
+        )
+    if isinstance(instance, BackwardConditioningInstance):
+        return BackwardConditioningInstance(
+            _map_set(instance.gambles, space, kept),
+            _map_event(instance.part, space, kept),
+            _map_event(instance.given, space, kept),
+            _map_set(instance.others, space, kept),
+        )
+    assert isinstance(instance, SetSumInstance)
+    return SetSumInstance(
+        tuple(_map_event(e, space, kept) for e in instance.partition),
+        tuple(_map_set(p, space, kept) for p in instance.parts),
+        _map_event(instance.given, space, kept),
+    )
+
+
+def literal_instance_gambles(instance):
+    if isinstance(instance, (ConditioningInstance, SubsetInstance)):
+        return instance.gambles
+    if isinstance(instance, MixtureInstance):
+        return instance.gambles.union(GambleSet([instance.other]))
+    if isinstance(instance, FamilyInstance):
+        return instance.union()
+    if isinstance(instance, BackwardConditioningInstance):
+        return instance.gambles.union(instance.others)
+    assert isinstance(instance, SetSumInstance)
+    out = GambleSet([])
+    for part in instance.parts:
+        out = out.union(part)
+    return out
+
+
+def literal_instance_json(instance):
+    out = {"space": list(instance.given.space.states)}
+    if isinstance(instance, ConditioningInstance):
+        out["shape"] = "conditioning"
+        out["gambles"] = gamble_set_json(instance.gambles)
+        out["given"] = event_json(instance.given)
+    elif isinstance(instance, SubsetInstance):
+        out["shape"] = "subset"
+        out["gambles"] = gamble_set_json(instance.gambles)
+        out["subset"] = gamble_set_json(instance.subset)
+        out["given"] = event_json(instance.given)
+    elif isinstance(instance, MixtureInstance):
+        out["shape"] = "mixture"
+        out["gambles"] = gamble_set_json(instance.gambles)
+        out["other"] = gamble_json(instance.other)
+        out["part"] = event_json(instance.part)
+        out["given"] = event_json(instance.given)
+    elif isinstance(instance, FamilyInstance):
+        out["shape"] = "family"
+        out["parts"] = [gamble_set_json(p) for p in instance.parts]
+        out["given"] = event_json(instance.given)
+    elif isinstance(instance, BackwardConditioningInstance):
+        out["shape"] = "backward_conditioning"
+        out["gambles"] = gamble_set_json(instance.gambles)
+        out["part"] = event_json(instance.part)
+        out["given"] = event_json(instance.given)
+        out["others"] = gamble_set_json(instance.others)
+    else:
+        assert isinstance(instance, SetSumInstance)
+        out["shape"] = "setsum"
+        out["partition"] = [event_json(e) for e in instance.partition]
+        out["parts"] = [gamble_set_json(p) for p in instance.parts]
+        out["given"] = event_json(instance.given)
+    return out
+
+
+@pytest.mark.parametrize("prop", list(PropertyId), ids=lambda p: p.value)
+def test_instance_schema_matches_literal_shapes(prop):
+    restrictions = 0
+    for index in range(25):
+        instance = random_gamble_instance(
+            prop, GenConfig(), seed=subseed("diff-shape", prop.value, index)
+        )
+        size = instance.space.size
+        checked = [instance]
+        for drop in range(size if size > 1 else 0):
+            kept = tuple(i for i in range(size) if i != drop)
+            restricted = instance.restricted(kept)
+            expected = literal_restricted(instance, kept)
+            assert type(restricted) is type(expected) and restricted == expected
+            checked.append(restricted)
+        restrictions += len(checked) - 1
+        for each in checked:
+            assert instance_gambles(each).members == literal_instance_gambles(each).members
+            # as text, so the key order counts
+            assert json.dumps(instance_json(each)) == json.dumps(literal_instance_json(each))
+    assert restrictions > 25
+
+
+def test_every_shape_has_a_distinct_name_and_a_given_field():
+    shapes = set(INSTANCE_SHAPES.values())
+    assert len({shape.shape for shape in shapes}) == len(shapes) == 6
+    for shape in shapes:
+        assert "given" in [f.name for f in fields(shape)], shape
+
+
+def test_instance_json_rejects_a_non_instance():
+    with pytest.raises(TreechoiceError):
+        instance_json(object())

@@ -177,6 +177,22 @@ def test_dot_labels_carry_utilities(incomparable_doc):
     assert 'label="m2 = -2"' in dot
 
 
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    doc = parse_tree_file(
+        'omega w"1 w\\2\n'
+        'reward x"y = 1\n'
+        'reward a\\b = 2\n'
+        'event E = w"1\n'
+        'event F = w\\2\n'
+        'tree = chance(E: leaf(x"y), F: leaf(a\\b))\n'
+    )
+    dot = export_dot(doc.tree, rewards=doc.rewards)
+    assert 'label="{w\\"1}"' in dot
+    assert 'label="x\\"y = 1"' in dot
+    assert 'label="{w\\\\2}"' in dot
+    assert 'label="a\\\\b = 2"' in dot
+
+
 def test_solution_json_is_sorted_arc_lists(incomparable_doc, incomparable_dominance):
     solution = norm_opt(incomparable_doc.tree, incomparable_dominance).solution
     payload = solution_json(solution)

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from treechoice.errors import MalformedInstance
+from treechoice import laws
+from treechoice.errors import MalformedInstance, TreechoiceError
 from treechoice.generate import GenConfig, seeded_rule_policy
 from treechoice.laws import (
     check_property_instance,
@@ -245,6 +248,48 @@ def test_falsify_budget_zero_vacuous():
     assert report.verdict == "corroborated"
     assert report.instances_checked == 0
     assert report.vacuous == 0
+    assert report.shrink_steps == 0
+
+
+def test_falsify_rejects_a_negative_budget():
+    with pytest.raises(TreechoiceError, match="budget"):
+        falsify_property(P.P1_conditioning, seeded_rule_policy("eu_max"), budget=-5)
+
+
+def test_shrink_steps_count_the_checks_made_while_shrinking(monkeypatch):
+    calls = Counter()
+    shrinking = []
+    check, shrink = laws.check_property_instance, laws.shrink_violation
+
+    def counted_check(*args):
+        try:
+            result = check(*args)
+        except MalformedInstance:
+            calls["malformed"] += 1
+            raise
+        calls[bool(shrinking)] += 1
+        return result
+
+    def flagged_shrink(*args):
+        shrinking.append(True)
+        try:
+            return shrink(*args)
+        finally:
+            shrinking.pop()
+
+    monkeypatch.setattr(laws, "check_property_instance", counted_check)
+    monkeypatch.setattr(laws, "shrink_violation", flagged_shrink)
+    policy = seeded_rule_policy("pointwise_dominance")
+    report = falsify_property(P.P2_intersection, policy, budget=1000, seed=0)
+    assert report.violated
+    assert report.shrink_steps == calls[True] > 1
+    assert calls[False] == report.instances_checked
+    # candidates that fail the shape's preconditions are not counted
+    assert calls["malformed"] > 0
+    calls.clear()
+    eu = falsify_property(P.P1_conditioning, seeded_rule_policy("eu_max"), budget=50)
+    assert eu.verdict == "corroborated" and eu.shrink_steps == 0
+    assert calls == {False: 50}
 
 
 def test_falsify_deterministic():
@@ -254,10 +299,11 @@ def test_falsify_deterministic():
     b = falsify_property(
         P.P2_intersection, seeded_rule_policy("pointwise_dominance"), budget=200, seed=5
     )
-    assert (a.verdict, a.instances_checked, a.vacuous) == (
+    assert (a.verdict, a.instances_checked, a.vacuous, a.shrink_steps) == (
         b.verdict,
         b.instances_checked,
         b.vacuous,
+        b.shrink_steps,
     )
     if a.witness is not None:
         assert a.witness.instance == b.witness.instance
