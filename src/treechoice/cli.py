@@ -131,6 +131,9 @@ def _cmd_check_properties(args) -> int:
     props = [PropertyId.parse(p.strip()) for p in args.props.split(",") if p.strip()]
     if not props:
         raise TreechoiceError("no properties given")
+    for index, prop in enumerate(props):
+        if prop in props[:index]:
+            raise TreechoiceError(f"--props lists {prop.value} more than once")
     if args.budget < 1:
         raise TreechoiceError(f"--budget must be at least 1, got {args.budget}")
     if args.credal_size < 1:
@@ -236,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-properties", help="falsify choice-function properties")
     p.add_argument("--rule", required=True, choices=sorted(RULES))
     p.add_argument("--props", required=True, help="comma-separated ids, e.g. P1,P2,L")
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--credal-size", type=int, default=2)
+    p.add_argument("--budget", type=int, default=1000, help="instances per property, >= 1")
+    p.add_argument("--seed", type=int, default=0, help="draws the instances and rule contexts")
+    p.add_argument("--credal-size", type=int, default=2, help="size of each credal list, >= 1")
     p.set_defaults(func=_cmd_check_properties)
 
     p = sub.add_parser("equiv", help="strategic equivalence of two trees")

@@ -71,6 +71,10 @@ class MalformedInstance(TreechoiceError):
     """A property instance violates the property's preconditions."""
 
 
+class NoViolation(TreechoiceError):
+    """A violation was required, but the property holds on the instance."""
+
+
 class GenerationRetryExhausted(TreechoiceError):
     """The generator could not satisfy its invariants within the retry budget."""
 

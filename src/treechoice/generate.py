@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import GenerationRetryExhausted, MalformedInstance
+from .errors import GenerationRetryExhausted
 from .model import Event, Gamble, GambleSet, PossibilitySpace, RewardTable
 from .props import (
     BackwardConditioningInstance,
@@ -100,15 +100,16 @@ class GenConfig:
             raise ValueError("ceiling exceeds the enumeration cap")
 
 
-def _random_value(rng: random.Random, config: GenConfig) -> str:
+def _random_value(rng: random.Random, config: GenConfig) -> Fraction:
     num = rng.randint(*config.value_range)
     den = rng.randint(1, config.max_denominator)
-    return str(Fraction(num, den))
+    return Fraction(num, den)
 
 
 def _reward_pool(rng: random.Random, config: GenConfig) -> list[str]:
+    """Distinct random rationals in increasing order, spelled as literals."""
     pool = {_random_value(rng, config) for _ in range(config.reward_pool_size)}
-    return sorted(pool, key=Fraction)
+    return [str(value) for value in sorted(pool)]
 
 
 def _random_space(rng: random.Random, config: GenConfig) -> PossibilitySpace:
@@ -313,16 +314,14 @@ def _plant_equal_pair(
 def random_gamble_instance(
     prop: PropertyId, config: GenConfig, seed: int
 ) -> Instance:
-    """An instance of the property's shape, satisfying its consistency
-    preconditions by construction (and re-validated before release)."""
+    """An instance of the property's shape, satisfying its preconditions by
+    construction; `laws.check_property_instance` validates it before use."""
     last_error = None
     for attempt in range(config.retries):
         rng = rng_for("instance", prop.value, seed, attempt)
         try:
-            instance = _build_instance(prop, config, rng)
-            instance.validate()
-            return instance
-        except (MalformedInstance, GenerationRetryExhausted) as exc:
+            return _build_instance(prop, config, rng)
+        except GenerationRetryExhausted as exc:
             last_error = exc
     raise GenerationRetryExhausted(
         f"could not build a valid {prop.value} instance: {last_error}"
@@ -356,9 +355,9 @@ def _build_instance(
         subset = GambleSet(rng.sample(members, size))
         return SubsetInstance(gambles, subset, given)
 
-    if shape is MixtureInstance:
+    if shape is MixtureInstance or shape is BackwardConditioningInstance:
         if space.size < 2:
-            raise GenerationRetryExhausted("mixture instances need >= 2 states")
+            raise GenerationRetryExhausted(f"{shape.shape} instances need >= 2 states")
         part = _random_event(rng, space, proper=True)
         given = _pick_straddling_event(rng, space, part)
         inside = part & given
@@ -366,8 +365,13 @@ def _build_instance(
         gambles = _consistent_set(
             rng, space, inside, pool, rng.randint(1, config.max_gambles)
         )
-        other = _consistent_gamble(rng, space, outside, pool)
-        return MixtureInstance(gambles, other, part, given)
+        if shape is MixtureInstance:
+            other = _consistent_gamble(rng, space, outside, pool)
+            return MixtureInstance(gambles, other, part, given)
+        if rng.random() < 0.9:
+            gambles = _plant_equal_pair(rng, gambles, part, inside)
+        others = _consistent_set(rng, space, outside, pool, rng.randint(1, 3))
+        return BackwardConditioningInstance(gambles, part, given, others)
 
     if shape is FamilyInstance:
         given = omega if rng.random() < 0.3 else _random_event(rng, space)
@@ -382,21 +386,6 @@ def _build_instance(
             size = rng.randint(1, len(shared))
             parts.append(GambleSet(rng.sample(shared, size)))
         return FamilyInstance(tuple(parts), given)
-
-    if shape is BackwardConditioningInstance:
-        if space.size < 2:
-            raise GenerationRetryExhausted("backward conditioning needs >= 2 states")
-        part = _random_event(rng, space, proper=True)
-        given = _pick_straddling_event(rng, space, part)
-        inside = part & given
-        outside = part.complement() & given
-        gambles = _consistent_set(
-            rng, space, inside, pool, rng.randint(1, config.max_gambles)
-        )
-        if rng.random() < 0.9:
-            gambles = _plant_equal_pair(rng, gambles, part, inside)
-        others = _consistent_set(rng, space, outside, pool, rng.randint(1, 3))
-        return BackwardConditioningInstance(gambles, part, given, others)
 
     if shape is SetSumInstance:
         if space.size < 2:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import MalformedInstance, TreechoiceError
+from .errors import MalformedInstance, NoViolation, TreechoiceError
 from .model import Gamble, GambleSet, combine_on_partition, gamble_set_sum
 from .props import (
     BackwardConditioningInstance,
@@ -120,10 +120,8 @@ def _check_strong_path_independence(
     union = inst.union()
     overall = rule.select(union, inst.given)
     per_part = [rule.select(part, inst.given) for part in inst.parts]
-    eligible = [i for i, sel in enumerate(per_part) if sel.issubset(overall)]
-    covered = GambleSet([])
-    for i in eligible:
-        covered = covered.union(per_part[i])
+    eligible = [sel for sel in per_part if sel.issubset(overall)]
+    covered = GambleSet(g for sel in eligible for g in sel)
     if eligible and covered == overall:
         return _holds(prop)
     return _violated(
@@ -143,10 +141,8 @@ def _check_very_strong_path_independence(
     union = inst.union()
     overall = rule.select(union, inst.given)
     per_part = [rule.select(part, inst.given) for part in inst.parts]
-    covered = GambleSet([])
-    for part, sel in zip(inst.parts, per_part):
-        if len(part.intersection(overall)) > 0:
-            covered = covered.union(sel)
+    meeting = [sel for part, sel in zip(inst.parts, per_part) if any(g in overall for g in part)]
+    covered = GambleSet(g for sel in meeting for g in sel)
     if covered == overall:
         return _holds(prop)
     return _violated(
@@ -260,9 +256,7 @@ def _check_path_independence(rule: ChoiceRule, inst: FamilyInstance) -> Instance
     prop = PropertyId.P11_path_independence
     union = inst.union()
     overall = rule.select(union, inst.given)
-    inner = GambleSet([])
-    for part in inst.parts:
-        inner = inner.union(rule.select(part, inst.given))
+    inner = GambleSet(g for part in inst.parts for g in rule.select(part, inst.given))
     second_round = rule.select(inner, inst.given)
     if overall == second_round:
         return _holds(prop)
@@ -354,9 +348,13 @@ def shrink_violation(
     when states are dropped. Returns the shrunk instance and rule, the
     violation's detail, and the number of instance checks that returned a
     verdict, the first re-check of `instance` included (a candidate that
-    fails its shape's preconditions is not counted).
+    fails its shape's preconditions is not counted). Raises `NoViolation`
+    if the property holds on `instance`, `MalformedInstance` if it is malformed.
     """
-    steps = 0
+    first = check_property_instance(prop, rule, instance)
+    if first.holds:
+        raise NoViolation(f"{prop.value} holds on the instance: nothing to shrink")
+    steps, detail = 1, first.witness
 
     def still_violated(candidate_rule: ChoiceRule, candidate: Instance) -> Optional[dict]:
         nonlocal steps
@@ -367,8 +365,6 @@ def shrink_violation(
         steps += 1
         return result.witness if not result.holds else None
 
-    detail = still_violated(rule, instance)
-    assert detail is not None, "shrink_violation needs a violating instance"
     current, current_rule = instance, rule
     reduced = True
     while reduced:

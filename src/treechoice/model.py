@@ -394,13 +394,16 @@ def check_a_consistency(gambles: Iterable[Gamble], event: Event) -> ConsistencyV
     """Check that every reward attained by any gamble is attained inside `event`.
 
     This is the inverse-map characterization of representability by a
-    consistent decision tree conditioned on `event`.
+    consistent decision tree conditioned on `event`. The witness is the first
+    offending gamble with the smallest of its rewards missing on `event`.
     """
     if event.is_empty:
         raise EmptyEvent("A-consistency is defined for non-empty events only")
+    inside = tuple(event.indices())
     for gamble in gambles:
         _same_space(gamble.space, event.space)
-        for reward in gamble.attained_rewards():
-            if (gamble.preimage(reward) & event).is_empty:
-                return ConsistencyVerdict(False, event, (gamble, reward))
+        on_event = {gamble.values[i] for i in inside}
+        if not on_event.issuperset(gamble.values):
+            missing = min(set(gamble.values) - on_event)
+            return ConsistencyVerdict(False, event, (gamble, missing))
     return ConsistencyVerdict(True, event)

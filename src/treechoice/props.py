@@ -179,10 +179,7 @@ class FamilyInstance(InstanceShape):
     given: Event
 
     def union(self) -> GambleSet:
-        out = GambleSet([])
-        for part in self.parts:
-            out = out.union(part)
-        return out
+        return GambleSet(g for part in self.parts for g in part)
 
     def validate(self) -> None:
         _require(not self.given.is_empty, "conditioning event is empty")
@@ -294,22 +291,25 @@ INSTANCE_SHAPES: dict[PropertyId, type] = {
 }
 
 
-def instance_gambles(instance: Instance) -> GambleSet:
-    """Every gamble mentioned anywhere in the instance."""
-    found: list[Gamble] = []
+def _field_gambles(instance: Instance) -> Iterator[Gamble]:
+    """The gambles of the instance's fields, in field order (repeats kept)."""
     for f in fields(instance):
         value = getattr(instance, f.name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, GambleSet):
-                found.extend(item)
+                yield from item
             elif isinstance(item, Gamble):
-                found.append(item)
-    return GambleSet(found)
+                yield item
+
+
+def instance_gambles(instance: Instance) -> GambleSet:
+    """Every gamble mentioned anywhere in the instance."""
+    return GambleSet(_field_gambles(instance))
 
 
 def reward_table_for_instance(instance: Instance) -> RewardTable:
     """Utility table for instances built over literal reward symbols."""
     symbols: set[str] = set()
-    for g in instance_gambles(instance):
+    for g in _field_gambles(instance):
         symbols.update(g.values)
     return RewardTable.from_literals(symbols)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import ge, gt, itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -42,7 +43,8 @@ class MassFunction:
             raise ValueError("one mass per state required")
         if any(m <= 0 for m in self.masses):
             raise ValueError("all state masses must be strictly positive")
-        if sum(self.masses) != 1:
+        common = lcm(*(m.denominator for m in self.masses))
+        if sum(m.numerator * (common // m.denominator) for m in self.masses) != common:
             raise ValueError("masses must sum to one")
 
     @classmethod

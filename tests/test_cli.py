@@ -193,6 +193,31 @@ def test_check_properties_rejects_credal_size_below_one(capsys):
         assert "--credal-size" in payload["error"]
 
 
+def test_check_properties_rejects_a_repeated_property(capsys):
+    # the id and the name of one property count as the same property
+    for props in ("P1,P1", "P2,L,P2", "P1,P1_conditioning"):
+        code, payload = run_json(
+            capsys,
+            "check-properties", "--rule", "eu_max", "--props", props, "--budget", "1",
+        )
+        assert code == 2
+        assert payload["type"] == "TreechoiceError"
+        repeated = props.split(",")[0]
+        assert payload["error"] == f"--props lists {repeated} more than once"
+
+
+def test_check_properties_help_describes_every_option(capsys):
+    code, out = run(capsys, "check-properties", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    for option, words in (
+        ("--budget BUDGET", "instances per property, >= 1"),
+        ("--seed SEED", "draws the instances and rule contexts"),
+        ("--credal-size CREDAL_SIZE", "size of each credal list, >= 1"),
+    ):
+        assert f"{option} {words}" in text, option
+
+
 def test_context_without_a_state_names_the_missing_mass(capsys, tmp_path):
     missing = tmp_path / "missing.prob"
     missing.write_text("prob a1 = 1\n")

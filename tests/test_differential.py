@@ -21,6 +21,13 @@ The literal instance schema names every property-instance shape: one
 restriction per shape, and gamble listing and witness JSON as `isinstance`
 chains. The library reads each shape's dataclass fields instead
 (`props.InstanceShape`).
+
+The literal falsifier instance path checks A-consistency through one
+preimage event per attained reward, sorts each reward pool by parsing its
+literals back into rationals, re-validates every generated instance and
+sums masses as fractions. The library collects each gamble's rewards on
+the event in one pass, keeps rationals until the pool is spelled out,
+leaves validation to `check_property_instance` and sums integer numerators.
 """
 
 import itertools
@@ -31,8 +38,15 @@ from fractions import Fraction
 
 import pytest
 
-from treechoice import solve
-from treechoice.errors import EnumerationLimitExceeded, TreechoiceError
+from treechoice import generate, props, rules, solve
+from treechoice.errors import (
+    EmptyEvent,
+    EnumerationLimitExceeded,
+    GenerationRetryExhausted,
+    MalformedInstance,
+    SpaceMismatch,
+    TreechoiceError,
+)
 from treechoice.generate import (
     GenConfig,
     random_consistent_tree,
@@ -46,11 +60,13 @@ from treechoice.generate import (
 )
 from treechoice.laws import check_property_instance, check_subtree_perfectness
 from treechoice.model import (
+    ConsistencyVerdict,
     Event,
     Gamble,
     GambleSet,
     PossibilitySpace,
     RewardTable,
+    check_a_consistency,
     combine_on_partition,
 )
 from treechoice.props import (
@@ -680,3 +696,190 @@ def test_every_shape_has_a_distinct_name_and_a_given_field():
 def test_instance_json_rejects_a_non_instance():
     with pytest.raises(TreechoiceError):
         instance_json(object())
+
+
+# ---------------------------------------------------------------------------
+# The literal falsifier instance path: A-consistency through one preimage
+# event per attained reward, reward pools sorted by parsing their literals
+# back, and every generated instance re-validated before release
+
+
+def literal_check_a_consistency(gambles, event):
+    if event.is_empty:
+        raise EmptyEvent("A-consistency is defined for non-empty events only")
+    for gamble in gambles:
+        if gamble.space != event.space:
+            raise SpaceMismatch("values over different spaces")
+        for reward in gamble.attained_rewards():
+            if (gamble.preimage(reward) & event).is_empty:
+                return ConsistencyVerdict(False, event, (gamble, reward))
+    return ConsistencyVerdict(True, event)
+
+
+def literal_random_value(rng, config):
+    num = rng.randint(*config.value_range)
+    den = rng.randint(1, config.max_denominator)
+    return str(Fraction(num, den))
+
+
+def literal_reward_pool(rng, config):
+    pool = {literal_random_value(rng, config) for _ in range(config.reward_pool_size)}
+    return sorted(pool, key=Fraction)
+
+
+def literal_random_gamble_instance(prop, config, seed):
+    """Instances built from literal pools (`generate._reward_pool` must be
+    patched to `literal_reward_pool`), each validated before release."""
+    for attempt in range(config.retries):
+        rng = rng_for("instance", prop.value, seed, attempt)
+        try:
+            instance = generate._build_instance(prop, config, rng)
+            instance.validate()
+            return instance
+        except (MalformedInstance, GenerationRetryExhausted):
+            continue
+    raise GenerationRetryExhausted(prop.value)
+
+
+def literal_reward_table_for_instance(instance):
+    symbols = set()
+    for g in instance_gambles(instance):
+        symbols.update(g.values)
+    return RewardTable.from_literals(symbols)
+
+
+def compared_a_consistency(monkeypatch):
+    """Route every A-consistency check of `select` and instance `validate`
+    through a comparison with the literal check; returns the verdicts seen."""
+    verdicts = []
+
+    def check(gambles, event):
+        gambles = list(gambles)
+        verdict = check_a_consistency(gambles, event)
+        # equal verdicts: the same ok, event and (gamble, reward) witness
+        assert verdict == literal_check_a_consistency(gambles, event), (gambles, event)
+        verdicts.append(verdict.ok)
+        return verdict
+
+    monkeypatch.setattr(rules, "check_a_consistency", check)
+    monkeypatch.setattr(props, "check_a_consistency", check)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_a_consistency_matches_literal_on_corpus(acceptance_corpus, name, monkeypatch):
+    verdicts = compared_a_consistency(monkeypatch)
+    for index, tree in enumerate(acceptance_corpus):
+        rule = rule_for(tree, name, index)
+        norm_opt(tree, rule)
+        back_opt(tree, rule)
+        check_subtree_perfectness(tree, rule)
+    assert len(verdicts) > 1000 and all(verdicts)
+
+
+def test_a_consistency_matches_literal_on_instances(monkeypatch):
+    verdicts = compared_a_consistency(monkeypatch)
+    policy = seeded_rule_policy("maximality")
+    for prop in PropertyId:
+        for index in range(25):
+            instance = random_gamble_instance(
+                prop, GenConfig(), seed=subseed("diff-consistency", prop.value, index)
+            )
+            rule = policy(
+                instance.space,
+                reward_table_for_instance(instance),
+                rng_for("diff-consistency", prop.value, index),
+            )
+            # the shrinker's candidates: some fail their preconditions
+            candidates = [(rule, instance)]
+            candidates += [(rule, c) for c in instance.drop_gamble_candidates()]
+            size = instance.space.size
+            for drop in range(size if size > 1 else 0):
+                kept = tuple(i for i in range(size) if i != drop)
+                restricted = instance.restricted(kept)
+                context = rule.context.restricted(restricted.space, kept)
+                candidates.append((rule.rebind(context), restricted))
+            for candidate_rule, candidate in candidates:
+                try:
+                    check_property_instance(prop, candidate_rule, candidate)
+                except MalformedInstance:
+                    pass
+    assert verdicts.count(True) > 12 * 25 and verdicts.count(False) > 100
+
+
+S3 = PossibilitySpace(("s1", "s2", "s3"))
+
+
+@pytest.mark.parametrize(
+    "rows, labels, witness",
+    [
+        # "10" and "9" are both missing: "10" sorts first as a string
+        ([("9", "10", "1")], ["s3"], (0, "10")),
+        # the first gamble is consistent, the second is not
+        ([("1", "1", "2"), ("3", "1", "2")], ["s2", "s3"], (1, "3")),
+        ([("1", "2", "2"), ("2", "2", "1"), ("5", "6", "5")], ["s1", "s2"], (1, "1")),
+        # every gamble is consistent with the whole space
+        ([("9", "10", "1"), ("1", "1", "1")], ["s1", "s2", "s3"], None),
+        # a single-state event: only constant gambles pass
+        ([("2", "2", "2"), ("2", "2", "3")], ["s2"], (1, "3")),
+        ([("2", "2", "2")], ["s2"], None),
+    ],
+)
+def test_a_consistency_matches_literal_on_crafted_cases(rows, labels, witness):
+    gambles = [Gamble(S3, row) for row in rows]
+    event = S3.event(labels)
+    verdict = check_a_consistency(gambles, event)
+    assert verdict == literal_check_a_consistency(gambles, event)
+    assert verdict.event == event
+    if witness is None:
+        assert verdict.ok and verdict.witness is None
+    else:
+        assert not verdict.ok
+        assert verdict.witness == (gambles[witness[0]], witness[1])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GenConfig(), GenConfig(value_range=(-30, 30), max_denominator=12, reward_pool_size=9)],
+)
+def test_reward_pools_match_literal_pools(config):
+    for seed in range(200):
+        rng, literal_rng = rng_for("diff-pool", seed), rng_for("diff-pool", seed)
+        assert generate._reward_pool(rng, config) == literal_reward_pool(literal_rng, config)
+        assert rng.getstate() == literal_rng.getstate()
+
+
+@pytest.mark.parametrize("prop", list(PropertyId), ids=lambda p: p.value)
+def test_generated_instances_match_literal_generator(prop, monkeypatch):
+    seeds = [subseed("diff-generate", prop.value, index) for index in range(50)]
+    instances = [random_gamble_instance(prop, GenConfig(), seed) for seed in seeds]
+    with monkeypatch.context() as patched:
+        patched.setattr(generate, "_reward_pool", literal_reward_pool)
+        expected = [literal_random_gamble_instance(prop, GenConfig(), s) for s in seeds]
+    for instance, literal in zip(instances, expected):
+        # as text, so the order of every list counts
+        assert json.dumps(instance_json(instance)) == json.dumps(instance_json(literal))
+        assert reward_table_for_instance(instance) == literal_reward_table_for_instance(
+            literal
+        )
+
+
+def test_mass_sum_check_matches_fraction_sum():
+    rng = rng_for("diff-mass")
+    accepted = rejected = 0
+    for _ in range(500):
+        size = rng.randint(1, 6)
+        weights = [rng.randint(1, 12) for _ in range(size)]
+        total = sum(weights) + rng.choice((0, 0, 1, -1))
+        masses = tuple(Fraction(w, max(total, 1)) for w in weights)
+        space = PossibilitySpace(tuple(f"w{i}" for i in range(size)))
+        try:
+            MassFunction(space, masses)
+            ok = True
+        except ValueError as exc:
+            assert str(exc) == "masses must sum to one"
+            ok = False
+        assert ok == (sum(masses) == 1), masses
+        accepted += ok
+        rejected += not ok
+    assert accepted > 100 and rejected > 100

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from treechoice import laws
-from treechoice.errors import MalformedInstance, TreechoiceError
+from treechoice.errors import MalformedInstance, NoViolation, TreechoiceError
 from treechoice.generate import GenConfig, seeded_rule_policy
 from treechoice.laws import (
     check_property_instance,
@@ -24,7 +28,9 @@ from treechoice.rules import ChoiceContext, MassFunction, make_rule
 from treechoice.solve import induced_gambles
 from treechoice.trees import Decision, DecisionTree, Leaf, gamb
 
-from conftest import FussyPairsRule
+from conftest import FIXTURES, FussyPairsRule
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 P = PropertyId
 
@@ -378,5 +384,50 @@ def test_weak_perfectness_named_wrapper(incomparable_doc, incomparable_dominance
 def test_shrink_needs_violation(incomparable_doc, incomparable_eu):
     x, y, z = incomparable_sets(incomparable_doc)
     inst = ConditioningInstance(GambleSet([x, y, z]), incomparable_doc.space.omega)
-    with pytest.raises(AssertionError):
+    with pytest.raises(NoViolation, match="^P1 holds on the instance"):
         shrink_violation(P.P1_conditioning, incomparable_eu, inst)
+    empty = ConditioningInstance(GambleSet([]), incomparable_doc.space.omega)
+    with pytest.raises(MalformedInstance, match="gamble set is empty"):
+        shrink_violation(P.P1_conditioning, incomparable_eu, empty)
+
+
+SHRINK_HOLDING_INSTANCE = """
+import sys
+from pathlib import Path
+
+from treechoice.errors import NoViolation
+from treechoice.laws import shrink_violation
+from treechoice.props import ConditioningInstance, PropertyId
+from treechoice.rules import make_rule
+from treechoice.textio import parse_context_file, parse_tree_file
+from treechoice.trees import gamb
+
+doc = parse_tree_file(Path(sys.argv[1]).read_text())
+context = parse_context_file(Path(sys.argv[2]).read_text()).bind(doc.space, doc.rewards)
+instance = ConditioningInstance(gamb(doc.tree), doc.space.omega)
+try:
+    shrink_violation(PropertyId.P1_conditioning, make_rule("eu_max", context), instance)
+except NoViolation:
+    print("optimize", sys.flags.optimize, "NoViolation")
+"""
+
+
+def test_shrink_needs_violation_under_optimize():
+    # `python -O` strips assert statements; the precondition must survive it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            SHRINK_HOLDING_INSTANCE,
+            str(FIXTURES / "incomparable.tree"),
+            str(FIXTURES / "incomparable_uniform.prob"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["optimize", "1", "NoViolation"]
