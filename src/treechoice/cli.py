@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = success / corroborated, 1 = violation or divergence found
-(witness in the report), 2 = usage or input error, including input nested
-deeper than the recursion limit, a stdout closed before the report was
+(witness in the report), 2 = usage or input error, including a tree nested
+deeper than `textio.MAX_TREE_DEPTH`, a stdout closed before the report was
 written, and any unexpected exception (reported with its type name).
 Reports are JSON with stable key order, printed to stdout.
 """

@@ -298,7 +298,8 @@ _CHECKERS: dict[PropertyId, Callable[[ChoiceRule, Instance], InstanceCheck]] = {
 def check_property_instance(
     prop: PropertyId, rule: ChoiceRule, instance: Instance
 ) -> InstanceCheck:
-    """Evaluate the property's equality/inclusion literally on one instance."""
+    """Evaluate the property's equality/inclusion literally on one instance;
+    the check's `select` calls share one score table (`with_scores`)."""
     expected_shape = INSTANCE_SHAPES[prop]
     if not isinstance(instance, expected_shape):
         raise MalformedInstance(
@@ -306,7 +307,7 @@ def check_property_instance(
             f"got {type(instance).__name__}"
         )
     instance.validate()
-    return _CHECKERS[prop](rule, instance)
+    return _CHECKERS[prop](rule.with_scores(), instance)
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ class RewardTable:
         for symbol, value in entries.items():
             if symbol in table:
                 raise DuplicateDefinition(symbol)
-            table[symbol] = Fraction(value)
+            table[symbol] = value if isinstance(value, Fraction) else Fraction(value)
         self._entries = dict(sorted(table.items()))
 
     @classmethod

@@ -8,6 +8,7 @@ returned.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -151,6 +152,14 @@ class ChoiceRule:
             if getattr(context, requirement) is None:
                 raise MissingContext(f"rule {self.name!r} needs {requirement}")
         self.context = context
+        self.scores: Optional[dict] = None  # see `with_scores`
+
+    def with_scores(self) -> ChoiceRule:
+        """A copy of this rule whose `select` calls share one fresh score
+        table: each (gamble, event) is scored once over the copy's life."""
+        scored = copy(self)
+        scored.scores = {}
+        return scored
 
     def select(self, gambles: GambleSet, given: Event) -> GambleSet:
         if len(gambles) == 0:
@@ -170,8 +179,18 @@ class ChoiceRule:
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
         raise NotImplementedError
 
-    def _exp(self, p: MassFunction, gamble: Gamble, given: Event) -> Fraction:
-        return conditional_expectation(p, gamble, given, self.context.utilities)
+    def _rows(self, gambles, given, masses) -> dict[Gamble, tuple[Fraction, ...]]:
+        """Each gamble's conditional expectations given `given`, one per
+        distinct mass function in `masses` (a rule always passes the same
+        list); with a score table, rows are kept there in one dict per event."""
+        masses = [p for i, p in enumerate(masses) if p not in masses[:i]]
+        table = {} if self.scores is None else self.scores.setdefault(given, {})
+        for g in gambles:
+            if g not in table:
+                table[g] = tuple(
+                    conditional_expectation(p, g, given, self.context.utilities) for p in masses
+                )
+        return {g: table[g] for g in gambles}
 
     def rebind(self, context: ChoiceContext) -> "ChoiceRule":
         return type(self)(context)
@@ -188,10 +207,9 @@ class EuMax(ChoiceRule):
     needs = frozenset({"probability"})
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        p = self.context.probability
-        scored = [(self._exp(p, g, given), g) for g in gambles]
-        best = max(s for s, _ in scored)
-        return [g for s, g in scored if s == best]
+        rows = self._rows(gambles, given, (self.context.probability,))
+        best = max(rows.values())
+        return [g for g, row in rows.items() if row == best]
 
 
 class PointwiseDominance(ChoiceRule):
@@ -214,8 +232,7 @@ class Maximality(ChoiceRule):
     needs = frozenset({"credal"})
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        credal = self.context.credal
-        rows = {g: tuple(self._exp(p, g, given) for p in credal) for g in gambles}
+        rows = self._rows(gambles, given, self.context.credal)
         return undominated(rows, itemgetter(0), lambda y, x: all(map(gt, y, x)))
 
 
@@ -227,11 +244,11 @@ class EAdmissibility(ChoiceRule):
     needs = frozenset({"credal"})
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
+        rows = self._rows(gambles, given, self.context.credal)
         admissible: set[Gamble] = set()
-        for p in self.context.credal:
-            scored = [(self._exp(p, g, given), g) for g in gambles]
-            best = max(s for s, _ in scored)
-            admissible.update(g for s, g in scored if s == best)
+        for column in zip(*rows.values()):
+            best = max(column)
+            admissible.update(g for g, s in zip(rows, column) if s == best)
         return [g for g in gambles if g in admissible]
 
 
@@ -242,28 +259,23 @@ class GammaMaximin(ChoiceRule):
     needs = frozenset({"credal"})
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        credal = self.context.credal
-        scored = [
-            (min(self._exp(p, g, given) for p in credal), g) for g in gambles
-        ]
-        best = max(s for s, _ in scored)
-        return [g for s, g in scored if s == best]
+        rows = self._rows(gambles, given, self.context.credal)
+        lower = {g: min(row) for g, row in rows.items()}
+        best = max(lower.values())
+        return [g for g, s in lower.items() if s == best]
 
 
 class IntervalDominance(ChoiceRule):
     """Keep a gamble unless another's lower expectation strictly exceeds its
-    upper expectation over the credal list."""
+    upper one over the credal list: iff it reaches the greatest lower one."""
 
     name = "interval_dominance"
     needs = frozenset({"credal"})
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        credal = self.context.credal
-        lower = {g: min(self._exp(p, g, given) for p in credal) for g in gambles}
-        upper = {g: max(self._exp(p, g, given) for p in credal) for g in gambles}
-        return [
-            x for x in gambles if not any(lower[y] > upper[x] for y in gambles)
-        ]
+        rows = self._rows(gambles, given, self.context.credal)
+        greatest_lower = max(min(row) for row in rows.values())
+        return [g for g, row in rows.items() if max(row) >= greatest_lower]
 
 
 RULES: dict[str, type[ChoiceRule]] = {

@@ -45,6 +45,9 @@ from .trees import (
 
 RESERVED = set("(),:=#")
 
+# The deepest decision/chance nest every command handles (CPython 3.10-3.13).
+MAX_TREE_DEPTH = 493
+
 
 @dataclass(frozen=True)
 class TreeDocument:
@@ -150,39 +153,42 @@ class _ExprParser:
             raise self.error("trailing input after tree expression")
         return expr
 
-    def expr(self) -> "_Expr":
+    def expr(self, depth: int = 0) -> "_Expr":
         head = self.atom()
         if head == "leaf":
             self.expect("(")
             reward = self.atom()
             self.expect(")")
             return ("leaf", reward)
+        if head in ("decision", "chance") and depth == MAX_TREE_DEPTH:
+            raise self.error(
+                f"decision/chance nodes nested deeper than the limit of {MAX_TREE_DEPTH}"
+            )
         if head == "decision":
             self.expect("(")
-            children = [self.expr()]
+            children = [self.expr(depth + 1)]
             self.skip_ws()
             while self.peek() == ",":
                 self.pos += 1
-                children.append(self.expr())
+                children.append(self.expr(depth + 1))
                 self.skip_ws()
             self.expect(")")
             return ("decision", children)
         if head == "chance":
             self.expect("(")
-            branches = [self.branch()]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                branches.append(self.branch())
+            branches = []
+            while True:
+                # one frame per level: a branch is parsed in place
+                name = self.atom()
+                self.expect(":")
+                branches.append((name, self.expr(depth + 1)))
                 self.skip_ws()
+                if self.peek() != ",":
+                    break
+                self.pos += 1
             self.expect(")")
             return ("chance", branches)
         raise self.error(f"expected leaf/decision/chance, got {head!r}")
-
-    def branch(self):
-        name = self.atom()
-        self.expect(":")
-        return (name, self.expr())
 
 
 _Expr = tuple

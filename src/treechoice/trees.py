@@ -432,7 +432,8 @@ def gamb(tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP) -> GambleSet:
                 out = out.union(build(child))
             return out
         partition = [event for event, _ in node.branches]
-        return gamble_set_sum(partition, [build(child) for _, child in node.branches])
+        # map, not a comprehension: a tree level costs one frame
+        return gamble_set_sum(partition, list(map(build, (c for _, c in node.branches))))
 
     return build(tree.root)
 

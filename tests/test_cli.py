@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from treechoice.cli import run_command
+from treechoice.textio import MAX_TREE_DEPTH
 
 from conftest import FIXTURES
 
@@ -360,4 +361,49 @@ def test_deep_nesting_is_an_input_error(tmp_path):
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == b""
-    assert json.loads(out)["type"] == "RecursionError"
+    error = json.loads(out)
+    assert error["type"] == "TreeSyntaxError"
+    assert "nested deeper than the limit of 493" in error["error"]
+
+
+def nest_document(head, depth):
+    """`depth` nested `head` nodes (each with one child) over one leaf."""
+    return (
+        "omega a b\nreward z = 0\nevent E = a b\ntree = "
+        + head * depth + "leaf(z)" + ")" * depth + "\n"
+    )
+
+
+@pytest.mark.parametrize("head", ["decision(", "chance(E: "])
+def test_the_depth_limit_is_the_deepest_nest_the_solvers_and_the_check_handle(tmp_path, head):
+    assert MAX_TREE_DEPTH == 493
+    at_limit, deeper = tmp_path / "limit.tree", tmp_path / "deeper.tree"
+    at_limit.write_text(nest_document(head, MAX_TREE_DEPTH))
+    deeper.write_text(nest_document(head, MAX_TREE_DEPTH + 1))
+    rule = ("--rule", "pointwise_dominance")
+    commands = [
+        ("solve", *rule),
+        ("solve", "--method", "backward", *rule),
+        ("check-perfect", *rule),
+        ("check-perfect", "--weak", *rule),
+        ("compare-backward", *rule),
+        ("export-dot", "--solution", *rule),
+        ("equiv", "--tree2", None),
+    ]
+    # at the limit: both solvers and the perfectness check, which solves
+    # every node's subtree (seconds on this nest); one deeper: every command
+    for path, count in ((at_limit, 3), (deeper, len(commands))):
+        procs = [
+            cli_process(*(str(path) if a is None else a for a in argv), "--tree", str(path))
+            for argv in commands[:count]
+        ]
+        for argv, proc in zip(commands, procs):
+            out, err = proc.communicate(timeout=120)
+            assert err == b"", (argv, path)
+            report = json.loads(out)
+            if path == at_limit:
+                assert proc.returncode == 0 and "error" not in report, (argv, report)
+            else:
+                assert proc.returncode == 2, (argv, report)
+                assert report["type"] == "TreeSyntaxError", (argv, report)
+                assert "nested deeper than the limit of 493" in report["error"]

@@ -13,14 +13,23 @@ its own recursion. The library derives all of these from one bottom-up
 enumerator, `trees.strategies`.
 
 The literal rules compare every pair of gambles, recomputing conditional
-expectations or utilities for each pair, as maximality and pointwise
-dominance read. The library scores each gamble once and sweeps against
-the undominated front (`rules.undominated`).
+expectations or utilities for each pair, as maximality, pointwise
+dominance and interval dominance read. The library scores each gamble
+once, sweeps against the undominated front (`rules.undominated`) and keeps
+an interval-dominance gamble iff its upper bound reaches the greatest
+lower bound.
+
+The plain-`select` checker path runs a property's checker on the rule
+itself, so every `select` scores its gambles afresh. The library shares
+one score table between all `select` calls of an instance check.
 
 The literal instance schema names every property-instance shape: one
 restriction per shape, and gamble listing and witness JSON as `isinstance`
 chains. The library reads each shape's dataclass fields instead
 (`props.InstanceShape`).
+
+The literal reward table parses each literal twice: once to a rational,
+then again in the table's constructor. The library parses it once.
 
 The literal falsifier instance path checks A-consistency through one
 preimage event per attained reward, sorts each reward pool by parsing its
@@ -38,7 +47,7 @@ from fractions import Fraction
 
 import pytest
 
-from treechoice import generate, props, rules, solve
+from treechoice import generate, laws, props, rules, solve
 from treechoice.errors import (
     EmptyEvent,
     EnumerationLimitExceeded,
@@ -84,6 +93,7 @@ from treechoice.rules import (
     RULES,
     ChoiceContext,
     EuMax,
+    IntervalDominance,
     MassFunction,
     Maximality,
     PointwiseDominance,
@@ -106,8 +116,17 @@ from treechoice.trees import (
     strategies,
     validate,
 )
-from treechoice.textio import event_json, gamble_json, gamble_set_json, instance_json
+from treechoice.textio import (
+    document_for,
+    event_json,
+    gamble_json,
+    gamble_set_json,
+    instance_json,
+    jsonable,
+    parse_tree_file,
+)
 
+from conftest import FIXTURES
 from test_acceptance import CORPUS_CONFIG, SEED, rule_for
 
 CONFIG = GenConfig(max_depth=4, omega_range=(2, 6), nfd_ceiling=250)
@@ -320,20 +339,40 @@ class LiteralMaximality(Maximality):
     """Maximality as it reads: every pair, every mass function."""
 
     def _select(self, gambles, given):
-        credal = self.context.credal
+        credal, utilities = self.context.credal, self.context.utilities
+
+        def exp(p, g):
+            return rules.conditional_expectation(p, g, given, utilities)
 
         def dominated(x):
             return any(
-                all(self._exp(p, y, given) > self._exp(p, x, given) for p in credal)
-                for y in gambles
+                all(exp(p, y) > exp(p, x) for p in credal) for y in gambles
             )
 
         return [x for x in gambles if not dominated(x)]
 
 
+class LiteralIntervalDominance(IntervalDominance):
+    """Interval dominance as it reads: both bounds of every gamble, then
+    every pair of bounds."""
+
+    def _select(self, gambles, given):
+        credal, utilities = self.context.credal, self.context.utilities
+
+        def exp(p, g):
+            return rules.conditional_expectation(p, g, given, utilities)
+
+        lower = {g: min(exp(p, g) for p in credal) for g in gambles}
+        upper = {g: max(exp(p, g) for p in credal) for g in gambles}
+        return [
+            x for x in gambles if not any(lower[y] > upper[x] for y in gambles)
+        ]
+
+
 LITERAL_RULES = {
     "pointwise_dominance": LiteralPointwiseDominance,
     "maximality": LiteralMaximality,
+    "interval_dominance": LiteralIntervalDominance,
 }
 
 
@@ -468,7 +507,15 @@ def test_sweep_rules_match_literal_rules_on_corpus(acceptance_corpus, name):
 
 @pytest.mark.parametrize(
     "name, credal_size",
-    [("maximality", 1), ("maximality", 2), ("maximality", 3), ("pointwise_dominance", 1)],
+    [
+        ("maximality", 1),
+        ("maximality", 2),
+        ("maximality", 3),
+        ("pointwise_dominance", 1),
+        ("interval_dominance", 1),
+        ("interval_dominance", 2),
+        ("interval_dominance", 3),
+    ],
 )
 def test_sweep_rules_match_literal_rules_on_instances(name, credal_size):
     policy = seeded_rule_policy(name, credal_size=credal_size)
@@ -530,7 +577,7 @@ def test_maximality_with_one_distinct_mass_function_is_eu_max(credal):
     )
 
 
-@pytest.mark.parametrize("name", sorted(LITERAL_RULES))
+@pytest.mark.parametrize("name", ["maximality", "pointwise_dominance"])
 def test_gambles_equal_on_the_event_stay_or_go_together(name):
     # on INNER, bdb and bdd agree, and ede has the same utilities (2, 3)
     # through other symbols; dad (3, 0) is incomparable with them
@@ -544,6 +591,24 @@ def test_gambles_equal_on_the_event_stay_or_go_together(name):
     assert_sweeps_as_literal(
         rule, dropped, INNER, {("d", "a", "d"), ("b", "f", "b")}
     )
+
+
+def test_interval_dominance_keeps_an_upper_bound_equal_to_the_greatest_lower_bound():
+    # given INNER the two mass functions weigh (w1, w2) as (3/4, 1/4) and
+    # (1/4, 3/4). Bounds: cdc [3/2, 5/2] (the greatest lower bound), aba
+    # [1/2, 3/2], faf [1, 3], ccc [1, 1] and aca [1/4, 3/4]. aba's upper
+    # bound equals the greatest lower bound, so no lower bound strictly
+    # exceeds it and it is kept
+    context = ChoiceContext(TIES, credal=(mass(3, 1, 1), mass(1, 3, 1)))
+    gambles = tie_gambles("cdc", "aba", "faf", "ccc", "aca")
+    bounds = {
+        g.values: [rules.conditional_expectation(p, g, INNER, TIES) for p in context.credal]
+        for g in gambles
+    }
+    assert max(bounds[("a", "b", "a")]) == Fraction(3, 2) == min(bounds[("c", "d", "c")])
+    chosen = IntervalDominance(context).select(gambles, INNER)
+    assert chosen == LiteralIntervalDominance(context).select(gambles, INNER)
+    assert {g.values for g in chosen} == {("c", "d", "c"), ("a", "b", "a"), ("f", "a", "f")}
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +813,21 @@ def literal_reward_table_for_instance(instance):
     return RewardTable.from_literals(symbols)
 
 
+def with_shrink_candidates(rule, instance):
+    """The instance and the shrinker's candidates, each with its rule: one
+    per dropped gamble, then one per dropped state (rule rebound to the
+    restricted context). Some candidates fail their preconditions."""
+    candidates = [(rule, instance)]
+    candidates += [(rule, c) for c in instance.drop_gamble_candidates()]
+    size = instance.space.size
+    for drop in range(size if size > 1 else 0):
+        kept = tuple(i for i in range(size) if i != drop)
+        restricted = instance.restricted(kept)
+        context = rule.context.restricted(restricted.space, kept)
+        candidates.append((rule.rebind(context), restricted))
+    return candidates
+
+
 def compared_a_consistency(monkeypatch):
     """Route every A-consistency check of `select` and instance `validate`
     through a comparison with the literal check; returns the verdicts seen."""
@@ -790,16 +870,7 @@ def test_a_consistency_matches_literal_on_instances(monkeypatch):
                 reward_table_for_instance(instance),
                 rng_for("diff-consistency", prop.value, index),
             )
-            # the shrinker's candidates: some fail their preconditions
-            candidates = [(rule, instance)]
-            candidates += [(rule, c) for c in instance.drop_gamble_candidates()]
-            size = instance.space.size
-            for drop in range(size if size > 1 else 0):
-                kept = tuple(i for i in range(size) if i != drop)
-                restricted = instance.restricted(kept)
-                context = rule.context.restricted(restricted.space, kept)
-                candidates.append((rule.rebind(context), restricted))
-            for candidate_rule, candidate in candidates:
+            for candidate_rule, candidate in with_shrink_candidates(rule, instance):
                 try:
                     check_property_instance(prop, candidate_rule, candidate)
                 except MalformedInstance:
@@ -883,3 +954,94 @@ def test_mass_sum_check_matches_fraction_sum():
         accepted += ok
         rejected += not ok
     assert accepted > 100 and rejected > 100
+
+
+# ---------------------------------------------------------------------------
+# One score table per instance check, against the plain-`select` checkers
+
+
+def plain_check(prop, rule, instance):
+    """The property's checker on the rule itself: no shared score table."""
+    instance.validate()
+    return laws._CHECKERS[prop](rule, instance)
+
+
+def check_as_text(check):
+    return (check.prop, check.holds, check.vacuous, json.dumps(jsonable(check.witness)))
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_score_table_keeps_every_instance_check(name):
+    policy = seeded_rule_policy(name)
+    verdicts = Counter()
+    for prop in PropertyId:
+        for index in range(25):
+            instance = random_gamble_instance(
+                prop, GenConfig(), seed=subseed("diff-table", prop.value, index)
+            )
+            rule = policy(
+                instance.space,
+                reward_table_for_instance(instance),
+                rng_for("diff-table", name, prop.value, index),
+            )
+            for candidate_rule, candidate in with_shrink_candidates(rule, instance):
+                try:
+                    expected = plain_check(prop, candidate_rule, candidate)
+                except MalformedInstance:
+                    with pytest.raises(MalformedInstance):
+                        check_property_instance(prop, candidate_rule, candidate)
+                    continue
+                check = check_property_instance(prop, candidate_rule, candidate)
+                assert check_as_text(check) == check_as_text(expected), (prop, index)
+                assert candidate_rule.scores is None  # the table is the check's own
+                verdicts[check.holds, check.vacuous] += 1
+    assert verdicts[True, False] > 100 and verdicts[True, True] > 10, verdicts
+
+
+def literal_from_literals(symbols):
+    return RewardTable({s: Fraction(Fraction(s)) for s in set(symbols)})
+
+
+def table_or_error(build, symbols):
+    try:
+        table = build(symbols)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(s, v, type(v)) for s, v in table.items()], repr(table)
+
+
+@pytest.mark.parametrize("prop", list(PropertyId), ids=lambda p: p.value)
+def test_literal_reward_tables_match_the_twice_parsed_tables(prop):
+    for index in range(50):
+        instance = random_gamble_instance(
+            prop, GenConfig(), seed=subseed("diff-literals", prop.value, index)
+        )
+        symbols = [v for g in instance_gambles(instance) for v in g.values]
+        table = table_or_error(RewardTable.from_literals, symbols)
+        assert table == table_or_error(literal_from_literals, symbols)
+        assert reward_table_for_instance(instance) == literal_from_literals(symbols)
+
+
+def test_trees_read_without_a_reward_table_match_the_twice_parsed_tables(acceptance_corpus):
+    fixture_trees = [
+        parse_tree_file(path.read_text()).tree for path in sorted(FIXTURES.glob("*.tree"))
+    ]
+    outcomes = Counter()
+    for index, tree in enumerate(fixture_trees + acceptance_corpus):
+        symbols = tree.leaf_rewards()
+        table = table_or_error(RewardTable.from_literals, symbols)
+        # a bad literal raises the same error
+        assert table == table_or_error(literal_from_literals, symbols), index
+        outcomes[table[0] is ValueError] += 1
+        try:
+            document = document_for(tree)
+        except ValueError as exc:
+            assert (ValueError, str(exc)) == table
+        else:
+            assert document.rewards == literal_from_literals(symbols)
+    for literal in ("-3/2", "09", " 7 ", "1/0", "x"):
+        assert table_or_error(RewardTable.from_literals, [literal]) == table_or_error(
+            literal_from_literals, [literal]
+        ), literal
+    # the fixtures' names are bad literals, the corpus's rewards good ones
+    assert outcomes[True] == len(fixture_trees) >= 4 and outcomes[False] == 200, outcomes

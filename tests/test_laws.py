@@ -8,7 +8,14 @@ import pytest
 
 from treechoice import laws
 from treechoice.errors import MalformedInstance, NoViolation, TreechoiceError
-from treechoice.generate import GenConfig, seeded_rule_policy
+from treechoice.generate import (
+    GenConfig,
+    random_gamble_instance,
+    reward_table_for_instance,
+    rng_for,
+    seeded_rule_policy,
+    subseed,
+)
 from treechoice.laws import (
     check_property_instance,
     check_subtree_perfectness,
@@ -431,3 +438,34 @@ def test_shrink_needs_violation_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimize", "1", "NoViolation"]
+
+
+@pytest.mark.parametrize(
+    "name", ["eu_max", "maximality", "e_admissibility", "gamma_maximin", "interval_dominance"]
+)
+def test_path_independence_scores_each_union_member_once(monkeypatch, name):
+    # P11 selects from the union, from every part and from the parts'
+    # survivors, all subsets of the union: with the check's one score
+    # table each union member is scored once per mass function
+    from treechoice import rules
+
+    calls = []
+    expectation = rules.conditional_expectation
+
+    def counted(*args):
+        calls.append(args)
+        return expectation(*args)
+
+    monkeypatch.setattr(rules, "conditional_expectation", counted)
+    policy = seeded_rule_policy(name, credal_size=3)
+    for index in range(20):
+        instance = random_gamble_instance(
+            P.P11_path_independence, GenConfig(), seed=subseed("p11-work", index)
+        )
+        rule = policy(
+            instance.space, reward_table_for_instance(instance), rng_for("p11-work", index)
+        )
+        masses = 1 if name == "eu_max" else len(rule.context.credal)
+        calls.clear()
+        check_property_instance(P.P11_path_independence, rule, instance)
+        assert 0 < len(calls) <= len(instance.union()) * masses, index

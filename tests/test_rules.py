@@ -239,7 +239,10 @@ def test_context_restriction_renormalizes():
     assert q.masses == (Fraction(1, 3), Fraction(2, 3))
 
 
-def test_maximality_scores_each_gamble_once_per_mass_function(monkeypatch):
+def count_work_bound_calls(monkeypatch, name):
+    """One `select` of rule `name` on 256 gambles under 3 mass functions:
+    the gambles, the mass functions and the `conditional_expectation`
+    calls it made."""
     from treechoice import rules
 
     calls = []
@@ -254,8 +257,40 @@ def test_maximality_scores_each_gamble_once_per_mass_function(monkeypatch):
     )
     rng = rng_for("work-bound")
     credal = tuple(random_mass_function(W4, rng) for _ in range(3))
-    chosen = make_rule("maximality", ChoiceContext(NUMERIC, credal=credal)).select(
+    chosen = make_rule(name, ChoiceContext(NUMERIC, credal=credal)).select(
         gambles, W4.omega
     )
     assert len(gambles) == 256 and 0 < len(chosen) < len(gambles)
+    return gambles, credal, calls
+
+
+def test_maximality_scores_each_gamble_once_per_mass_function(monkeypatch):
+    gambles, credal, calls = count_work_bound_calls(monkeypatch, "maximality")
     assert len(calls) <= len(gambles) * len(credal)
+
+
+@pytest.mark.parametrize("name", ["interval_dominance", "gamma_maximin", "e_admissibility"])
+def test_credal_rules_score_each_gamble_once_per_mass_function(monkeypatch, name):
+    gambles, credal, calls = count_work_bound_calls(monkeypatch, name)
+    assert len(calls) <= len(gambles) * len(credal)
+
+
+
+@pytest.mark.parametrize(
+    "name", ["eu_max", "maximality", "e_admissibility", "gamma_maximin", "interval_dominance"]
+)
+def test_a_score_table_keeps_events_apart(name):
+    # x wins given {w1, w2} (9/2 against 3 under the uniform masses), y
+    # given omega (9/4 against 4): one table must keep the two events apart
+    x = Gamble(W4, ("9", "0", "0", "0"))
+    y = Gamble(W4, ("1", "5", "5", "5"))
+    context = ChoiceContext(NUMERIC, probability=UNIFORM4, credal=(UNIFORM4, UNIFORM4))
+    rule = make_rule(name, context)
+    scored = rule.with_scores()
+    inner = W4.event(["w1", "w2"])
+    for given, winner in ((W4.omega, y), (inner, x), (W4.omega, y)):
+        chosen = scored.select(GambleSet([x, y]), given)
+        assert chosen == rule.select(GambleSet([x, y]), given) == GambleSet([winner])
+    # one dict of rows per event, one row per gamble
+    assert [len(rows) for rows in scored.scores.values()] == [2, 2]
+    assert rule.scores is None
