@@ -34,7 +34,7 @@ from .textio import (
     parse_tree_file,
     solution_json,
 )
-from .trees import gamb, nfd, strategically_equivalent
+from .trees import nfd, strategically_equivalent
 
 
 def _load_document(path: str) -> TreeDocument:
@@ -187,8 +187,7 @@ def _cmd_equiv(args) -> int:
         "ev_equal": verdict.ev_equal,
     }
     if not verdict.gambles_equal:
-        first = gamb(doc1.tree)
-        second = gamb(doc2.tree)
+        first, second = verdict.first, verdict.second
         payload["only_first"] = gamble_set_json(first.difference(second))
         payload["only_second"] = gamble_set_json(second.difference(first))
     _print(payload)

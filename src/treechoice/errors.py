@@ -15,6 +15,8 @@ class NotAPartition(TreechoiceError):
     """Events overlap, contain an empty block, or fail to cover the space."""
 
     def __init__(self, message: str, node_id: tuple[int, ...] | None = None):
+        if node_id is not None:
+            message = f"{message} at node {list(node_id)}"
         super().__init__(message)
         self.node_id = node_id
 

@@ -200,8 +200,7 @@ def _replace_node(root: Node, path: NodeId, new: Node) -> Node:
 
 def _rewrite_candidates(tree: DecisionTree) -> list[tuple[str, NodeId, Optional[int]]]:
     out: list[tuple[str, NodeId, Optional[int]]] = []
-    for path in tree.paths():
-        node = tree.node_at(path)
+    for path, node, _ in tree.nodes():
         out.append(("wrap", path, None))
         if isinstance(node, Decision):
             if len(node.children) >= 2:

@@ -15,11 +15,11 @@ from .trees import (
     Chance,
     Decision,
     DecisionTree,
-    Node,
     NodeId,
     NormalFormDecision,
     Strategy,
     capped_nfd_count,
+    distinct,
     strategies,
     validate,
 )
@@ -61,11 +61,6 @@ class SolveReport:
         return tuple(sorted(self.solution, key=lambda m: m.choices))
 
 
-def _distinct(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
-    """A `select` hook keeping one pair per distinct gamble."""
-    return list({values: (choices, values) for choices, values in candidates}.values())
-
-
 def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
     """A `select` hook keeping the pairs that agree with some chosen gamble
     on the states routed to their node: those in every chance-arc event on
@@ -93,7 +88,7 @@ def norm_opt(
     gamble, the first walk kept them all and the second is skipped."""
     validate(tree)
     total = capped_nfd_count(tree, cap)
-    pool_pairs = strategies(tree, cap, select=_distinct)
+    pool_pairs = strategies(tree, cap, select=distinct)
     pool, chosen, kept = _optimal(tree, rule, pool_pairs, ())
     if len(pool_pairs) < total:
         kept = strategies(tree, cap, select=_agreeing(tree, {g.values for g in chosen}))
@@ -170,22 +165,16 @@ def extract_extensive(
 
     pruned: set[NodeId] = set()
     unreachable: set[NodeId] = set()
-
-    def walk(node: Node, path: NodeId, reachable: bool) -> None:
-        if not reachable and path:
+    reachable: set[NodeId] = {()}
+    for path, node, _ in tree.nodes():
+        if path not in reachable:
             unreachable.add(path)
-        if isinstance(node, Decision):
-            for i, child in enumerate(node.children):
+        elif isinstance(node, Decision):
+            for i in range(len(node.children)):
                 arc = path + (i,)
-                child_reachable = reachable and arc in kept
-                if reachable and arc not in kept:
-                    pruned.add(arc)
-                walk(child, arc, child_reachable)
+                (reachable if arc in kept else pruned).add(arc)
         elif isinstance(node, Chance):
-            for i, (_, child) in enumerate(node.branches):
-                walk(child, path + (i,), reachable)
-
-    walk(tree.root, (), True)
+            reachable.update(path + (i,) for i in range(len(node.branches)))
     return ExtensiveSolution(
         tree=tree,
         kept_arcs=frozenset(kept),

@@ -301,20 +301,12 @@ def document_for(
     names: dict[int, str] = {}
     order: list[tuple[str, Event]] = []
 
-    def visit(node: Node) -> None:
-        if isinstance(node, Decision):
-            for child in node.children:
-                visit(child)
-        elif isinstance(node, Chance):
-            for event, child in node.branches:
+    for _, node, _ in tree.nodes():
+        if isinstance(node, Chance):
+            for event, _ in node.branches:
                 if event.bits not in names:
-                    name = f"e{len(names) + 1}"
-                    names[event.bits] = name
+                    names[event.bits] = name = f"e{len(names) + 1}"
                     order.append((name, event))
-            for _, child in node.branches:
-                visit(child)
-
-    visit(tree.root)
     root_name = None
     if not tree.root_event.is_omega:
         if tree.root_event.bits not in names:

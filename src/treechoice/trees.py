@@ -26,7 +26,6 @@ from .model import (
     Gamble,
     GambleSet,
     PossibilitySpace,
-    gamble_set_sum,
     is_partition,
     require_partition,
 )
@@ -124,28 +123,37 @@ class DecisionTree:
     def subtree_at(self, path: NodeId) -> DecisionTree:
         return DecisionTree(self.space, self.node_at(path), self.event_at(path))
 
-    def nodes(self) -> Iterator[tuple[NodeId, Node]]:
-        """All (path, node) pairs in depth-first preorder."""
-
-        def walk(node: Node, path: NodeId) -> Iterator[tuple[NodeId, Node]]:
-            yield path, node
-            for i, child in enumerate(_children_of(node) or ()):
-                yield from walk(child, path + (i,))
-
-        return walk(self.root, ())
+    def nodes(self) -> Iterator[tuple[NodeId, Node, Event]]:
+        """Every (path, node, accumulated event) triple in depth-first
+        preorder, walked on an explicit stack. A node's children are built
+        only when the caller asks for the next triple, so a check on a node
+        runs before anything below it is touched."""
+        stack: list[tuple[NodeId, Node, Event]] = [((), self.root, self.root_event)]
+        while stack:
+            path, node, ev = top = stack.pop()
+            yield top
+            if isinstance(node, Decision):
+                for i in reversed(range(len(node.children))):
+                    stack.append((path + (i,), node.children[i], ev))
+            elif isinstance(node, Chance):
+                for i in reversed(range(len(node.branches))):
+                    event, child = node.branches[i]
+                    stack.append((path + (i,), child, ev & event))
 
     def paths(self) -> Iterator[NodeId]:
         """All node paths in depth-first preorder."""
-        return (path for path, _ in self.nodes())
+        return (path for path, _, _ in self.nodes())
 
     def node_counts(self) -> dict[str, int]:
         counts = {"decision": 0, "chance": 0, "leaf": 0}
-        for _, node in self.nodes():
+        for _, node, _ in self.nodes():
             counts[type(node).__name__.lower()] += 1
         return counts
 
     def leaf_rewards(self) -> tuple[str, ...]:
-        return tuple(sorted({n.reward for _, n in self.nodes() if isinstance(n, Leaf)}))
+        return tuple(
+            sorted({n.reward for _, n, _ in self.nodes() if isinstance(n, Leaf)})
+        )
 
 
 def _children_of(node: Node) -> Optional[tuple[Node, ...]]:
@@ -162,25 +170,13 @@ def validate(tree: DecisionTree) -> DecisionTree:
     Consistency requires every chance node's branch events to partition the
     space and every subtree's accumulated event to be non-empty.
     """
-    if tree.root_event.is_empty:
-        raise EmptySubtreeEvent(())
-
-    def walk(node: Node, path: NodeId, ev: Event) -> None:
+    for path, node, ev in tree.nodes():
         if ev.is_empty:
             raise EmptySubtreeEvent(path)
-        if isinstance(node, Chance):
-            events = [event for event, _ in node.branches]
-            if not is_partition(events):
-                raise NotAPartition(
-                    "chance branch events must partition the space", node_id=path
-                )
-            for i, (event, child) in enumerate(node.branches):
-                walk(child, path + (i,), ev & event)
-        elif isinstance(node, Decision):
-            for i, child in enumerate(node.children):
-                walk(child, path + (i,), ev)
-
-    walk(tree.root, (), tree.root_event)
+        if isinstance(node, Chance) and not is_partition([e for e, _ in node.branches]):
+            raise NotAPartition(
+                "chance branch events must partition the space", node_id=path
+            )
     return tree
 
 
@@ -411,39 +407,32 @@ def nfd(
     return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree, cap))
 
 
+def distinct(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+    """A `select` hook keeping one pair per distinct gamble."""
+    return list({values: (choices, values) for choices, values in candidates}.values())
+
+
 def gamb(tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP) -> GambleSet:
-    """The set of normal form gambles, by direct recursion on the tree.
-
-    Independent of `nfd`; the two routes are compared in the structural law
-    tests. Leaves give constants, chance roots combine branch sets over the
-    partition, decision roots take unions.
-    """
-    if nfd_count(tree) > cap:
-        raise EnumerationLimitExceeded(
-            f"tree has more than {cap} normal form decisions"
-        )
-
-    def build(node: Node) -> GambleSet:
-        if isinstance(node, Leaf):
-            return GambleSet([Gamble.constant(tree.space, node.reward)])
-        if isinstance(node, Decision):
-            out = GambleSet([])
-            for child in node.children:
-                out = out.union(build(child))
-            return out
-        partition = [event for event, _ in node.branches]
-        # map, not a comprehension: a tree level costs one frame
-        return gamble_set_sum(partition, list(map(build, (c for _, c in node.branches))))
-
-    return build(tree.root)
+    """The set of normal form gambles: the root pool of the enumeration
+    that keeps one strategy per distinct gamble at every node. The strategy
+    count is checked against `cap` up front, as in `nfd`."""
+    capped_nfd_count(tree, cap)
+    pairs = strategies(tree, cap, select=distinct)
+    return GambleSet(Gamble(tree.space, values) for _, values in pairs)
 
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    """Strategic-equivalence outcome; truthiness follows gamble-set equality."""
+    """Strategic-equivalence outcome: both trees' gamble sets and whether
+    their conditioning events agree; truthiness follows gamble-set equality."""
 
-    gambles_equal: bool
+    first: GambleSet
+    second: GambleSet
     ev_equal: bool
+
+    @property
+    def gambles_equal(self) -> bool:
+        return self.first == self.second
 
     def __bool__(self) -> bool:
         return self.gambles_equal
@@ -457,10 +446,7 @@ def strategically_equivalent(
         raise SpaceMismatch("trees over different possibility spaces")
     validate(t1)
     validate(t2)
-    return EquivalenceVerdict(
-        gambles_equal=gamb(t1, cap) == gamb(t2, cap),
-        ev_equal=t1.root_event == t2.root_event,
-    )
+    return EquivalenceVerdict(gamb(t1, cap), gamb(t2, cap), t1.root_event == t2.root_event)
 
 
 def restrict_solution(

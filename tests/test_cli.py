@@ -277,6 +277,52 @@ def test_equiv_same_space_different_gambles(capsys, tmp_path):
     assert payload["only_first"]
 
 
+def test_equiv_builds_each_gamble_set_once(capsys, tmp_path, monkeypatch):
+    from treechoice import cli, trees
+
+    variant = tmp_path / "variant.tree"
+    variant.write_text(
+        "omega a1 a2\nreward m1 = -1\nreward z = 0\nevent A = a1\nevent Ac = a2\n"
+        "tree = decision(chance(A: leaf(z), Ac: leaf(m1)), leaf(m1))\n"
+    )
+    built = []
+
+    def counted_gamb(tree, *args):
+        built.append(tree)
+        return gamb(tree, *args)
+
+    gamb = trees.gamb
+    monkeypatch.setattr(trees, "gamb", counted_gamb)
+    monkeypatch.setattr(cli, "gamb", counted_gamb, raising=False)
+    code, out = run(capsys, "equiv", "--tree", INCOMP, "--tree2", str(variant))
+    assert code == 1 and len(built) == 2
+    expected = {
+        "command": "equiv",
+        "equivalent": False,
+        "ev_equal": True,
+        "only_first": [["m2", "p2"], ["z", "z"]],
+        "only_second": [["z", "m1"]],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_a_partition_error_names_its_node(capsys, tmp_path):
+    overlap = tmp_path / "overlap.tree"
+    overlap.write_text(
+        "omega a b\nreward x = 0\nreward y = 1\nevent A = a\nevent AB = a b\n"
+        "tree = chance(A: leaf(x), AB: leaf(y))\n"
+    )
+    code, payload = run_json(
+        capsys, "solve", "--tree", str(overlap), "--rule", "pointwise_dominance"
+    )
+    assert code == 2
+    assert payload == {
+        "command": "solve",
+        "error": "chance branch events must partition the space at node []",
+        "type": "NotAPartition",
+    }
+
+
 def test_export_dot(capsys):
     code, out = run(capsys, "export-dot", "--tree", LAKE)
     assert code == 0

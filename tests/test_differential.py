@@ -37,6 +37,15 @@ literals back into rationals, re-validates every generated instance and
 sums masses as fractions. The library collects each gamble's rewards on
 the event in one pass, keeps rationals until the pool is spelled out,
 leaves validation to `check_property_instance` and sums integer numerators.
+
+The literal node walks are the recursions the tree readers were written
+as: a recursive preorder generator, consistency checked by recursion with
+the accumulated event passed down, reachability passed down to extract an
+extensive form, event names handed out by a recursive visit, and the gamble
+set built by its own recursion (constants at leaves, unions at decision
+nodes, partition set sums at chance nodes). The library reads one
+iterative walk, `DecisionTree.nodes`, and takes the gamble set as the root
+pool of the enumerator's `distinct` hook.
 """
 
 import itertools
@@ -50,9 +59,11 @@ import pytest
 from treechoice import generate, laws, props, rules, solve
 from treechoice.errors import (
     EmptyEvent,
+    EmptySubtreeEvent,
     EnumerationLimitExceeded,
     GenerationRetryExhausted,
     MalformedInstance,
+    NotAPartition,
     SpaceMismatch,
     TreechoiceError,
 )
@@ -77,6 +88,8 @@ from treechoice.model import (
     RewardTable,
     check_a_consistency,
     combine_on_partition,
+    gamble_set_sum,
+    is_partition,
 )
 from treechoice.props import (
     INSTANCE_SHAPES,
@@ -108,8 +121,11 @@ from treechoice.solve import (
 from treechoice.trees import (
     Chance,
     Decision,
+    DecisionTree,
     Leaf,
     NormalFormDecision,
+    chance,
+    decision,
     gamb,
     nfd,
     nfd_count,
@@ -117,6 +133,7 @@ from treechoice.trees import (
     validate,
 )
 from treechoice.textio import (
+    TreeDocument,
     document_for,
     event_json,
     gamble_json,
@@ -462,6 +479,10 @@ def test_enumeration_caps_keep_their_messages(lake_doc, lake_eu):
     full = extract_extensive(tree, nfd(tree))
     with pytest.raises(EnumerationLimitExceeded, match=" strategies exceed the cap of 1$"):
         nfd_of_extensive(full, cap=1)
+    with pytest.raises(
+        EnumerationLimitExceeded, match="^6 normal form decisions exceed the cap of 5$"
+    ):
+        gamb(tree, cap=5)
     assert induced_gambles(nfd(tree, cap=6)) == gamb(tree)
 
 
@@ -1045,3 +1066,252 @@ def test_trees_read_without_a_reward_table_match_the_twice_parsed_tables(accepta
         ), literal
     # the fixtures' names are bad literals, the corpus's rewards good ones
     assert outcomes[True] == len(fixture_trees) >= 4 and outcomes[False] == 200, outcomes
+
+
+# ---------------------------------------------------------------------------
+# One iterative node walk, against the recursions it replaced
+
+
+def literal_children(node):
+    if isinstance(node, Decision):
+        return node.children
+    if isinstance(node, Chance):
+        return tuple(child for _, child in node.branches)
+    return ()
+
+
+def literal_nodes(tree):
+    """All (path, node) pairs in depth-first preorder, by recursion."""
+
+    def walk(node, path):
+        yield path, node
+        for i, child in enumerate(literal_children(node)):
+            yield from walk(child, path + (i,))
+
+    return walk(tree.root, ())
+
+
+def literal_validate(tree):
+    """Consistency by recursion, the accumulated event passed down: the
+    first offending node in preorder raises."""
+    if tree.root_event.is_empty:
+        raise EmptySubtreeEvent(())
+
+    def walk(node, path, ev):
+        if ev.is_empty:
+            raise EmptySubtreeEvent(path)
+        if isinstance(node, Chance):
+            if not is_partition([event for event, _ in node.branches]):
+                raise NotAPartition(
+                    "chance branch events must partition the space", node_id=path
+                )
+            for i, (event, child) in enumerate(node.branches):
+                walk(child, path + (i,), ev & event)
+        elif isinstance(node, Decision):
+            for i, child in enumerate(node.children):
+                walk(child, path + (i,), ev)
+
+    walk(tree.root, (), tree.root_event)
+    return tree
+
+
+def literal_gamb(tree, cap=10**5):
+    """The gamble set by its own recursion on the tree: constants at
+    leaves, unions at decision nodes, partition set sums at chance nodes."""
+    if nfd_count(tree) > cap:
+        raise EnumerationLimitExceeded(f"tree has more than {cap} normal form decisions")
+
+    def build(node):
+        if isinstance(node, Leaf):
+            return GambleSet([Gamble.constant(tree.space, node.reward)])
+        if isinstance(node, Decision):
+            out = GambleSet([])
+            for child in node.children:
+                out = out.union(build(child))
+            return out
+        partition = [event for event, _ in node.branches]
+        return gamble_set_sum(partition, [build(child) for _, child in node.branches])
+
+    return build(tree.root)
+
+
+def literal_extensive_arcs(tree, solution):
+    """(kept, pruned, unreachable) arc paths, reachability passed down."""
+    kept = {arc for member in solution for arc in member.arc_paths()}
+    pruned, unreachable = set(), set()
+
+    def walk(node, path, reachable):
+        if not reachable and path:
+            unreachable.add(path)
+        if isinstance(node, Decision):
+            for i, child in enumerate(node.children):
+                arc = path + (i,)
+                if reachable and arc not in kept:
+                    pruned.add(arc)
+                walk(child, arc, reachable and arc in kept)
+        elif isinstance(node, Chance):
+            for i, (_, child) in enumerate(node.branches):
+                walk(child, path + (i,), reachable)
+
+    walk(tree.root, (), True)
+    return kept, pruned, unreachable
+
+
+def literal_document_for(tree, rewards=None):
+    """`document_for` with branch events named by a recursive visit."""
+    table = rewards if rewards is not None else RewardTable.from_literals(tree.leaf_rewards())
+    names, order = {}, []
+
+    def name(event):
+        if event.bits not in names:
+            names[event.bits] = f"e{len(names) + 1}"
+            order.append((names[event.bits], event))
+        return names[event.bits]
+
+    def visit(node):
+        if isinstance(node, Chance):
+            for event, _ in node.branches:
+                name(event)
+        for child in literal_children(node):
+            visit(child)
+
+    visit(tree.root)
+    root_name = None if tree.root_event.is_omega else name(tree.root_event)
+    return TreeDocument(
+        space=tree.space,
+        rewards=table,
+        reward_order=tuple(table.symbols()),
+        events=tuple(order),
+        root_event_name=root_name,
+        tree=tree,
+    )
+
+
+def node_walk_cases(acceptance_corpus):
+    """Every fixture and corpus tree, each with every one of its subtrees,
+    and the reward table its documents are written with."""
+    docs = [parse_tree_file(path.read_text()) for path in sorted(FIXTURES.glob("*.tree"))]
+    trees = [(doc.tree, doc.rewards) for doc in docs]
+    trees += [(tree, None) for tree in acceptance_corpus]
+    return [(tree.subtree_at(path), rewards) for tree, rewards in trees for path in tree.paths()]
+
+
+def test_node_walk_matches_the_literal_recursions(acceptance_corpus):
+    cases = node_walk_cases(acceptance_corpus)
+    solutions = 0
+    for index, (tree, rewards) in enumerate(cases):
+        expected = [(path, node, tree.event_at(path)) for path, node in literal_nodes(tree)]
+        assert list(tree.nodes()) == expected, index
+        assert list(tree.paths()) == [path for path, _, _ in expected], index
+        assert validate(tree) is literal_validate(tree) is tree
+        assert gamb(tree) == literal_gamb(tree), index
+        document = document_for(tree, rewards)
+        literal = literal_document_for(tree, rewards)
+        assert (document.events, document.root_event_name) == (
+            literal.events,
+            literal.root_event_name,
+        ), index
+        assert document.serialize() == literal.serialize(), index
+        members = nfd(tree)
+        for solution in (members, members[:1], members[-1:], members[::2]):
+            extensive = extract_extensive(tree, solution)
+            assert (
+                extensive.kept_arcs,
+                extensive.pruned_arcs,
+                extensive.unreachable,
+            ) == literal_extensive_arcs(tree, solution), index
+            solutions += 1
+    assert len(cases) == 3768 and solutions == 4 * len(cases), (len(cases), solutions)
+
+
+def inconsistent_trees():
+    """Labelled trees over {a, b, c} that `validate` rejects, and one it
+    accepts."""
+    abc, uv = PossibilitySpace(("a", "b", "c")), PossibilitySpace(("u", "v"))
+    x, y, z = Leaf("x"), Leaf("y"), Leaf("z")
+    a, b, c, ab, bc = (abc.event(labels) for labels in ("a", "b", "c", "ab", "bc"))
+    u, v = uv.event("u"), uv.event("v")
+    return {
+        "overlapping events at the root": DecisionTree.over(
+            abc, chance((ab, x), (bc, y))
+        ),
+        "overlapping events deep": DecisionTree.over(
+            abc, decision(x, decision(y, chance((ab, x), (b, y), (c, z))))
+        ),
+        "events that miss a state": DecisionTree.over(abc, chance((a, x), (b, y))),
+        "an empty branch event": DecisionTree.over(
+            abc, chance((abc.empty_event, x), (abc.omega, y))
+        ),
+        "an empty root event": DecisionTree(abc, decision(x, y), abc.empty_event),
+        "an empty root event over a broken chance node": DecisionTree(
+            abc, chance((a, x), (a, y)), abc.empty_event
+        ),
+        "an empty accumulated event deep": DecisionTree.over(
+            abc,
+            chance((a, decision(x, chance((a, y), (bc, decision(z, x))))), (bc, z)),
+        ),
+        "an empty accumulated event under a narrow root event": DecisionTree(
+            abc, decision(x, chance((a, y), (bc, z))), b
+        ),
+        "events over another space": DecisionTree.over(abc, chance((u, x), (v, y))),
+        "events over another space deep": DecisionTree.over(
+            abc, chance((a, x), (bc, decision(y, chance((u, x), (v, z)))))
+        ),
+        "events over two spaces at one node": DecisionTree.over(
+            abc, chance((a, x), (v, y))
+        ),
+        "the first of two faults in preorder": DecisionTree.over(
+            abc,
+            decision(
+                chance((a, chance((b, x), (ab, y))), (bc, z)),
+                chance((a, x), (a, y)),
+            ),
+        ),
+        "a consistent tree": DecisionTree.over(
+            abc, decision(x, chance((a, y), (bc, z)))
+        ),
+    }
+
+
+INCONSISTENT_TREES = inconsistent_trees()
+
+
+def validation_outcome(check, tree):
+    try:
+        assert check(tree) is tree
+    except TreechoiceError as exc:
+        return type(exc), getattr(exc, "node_id", None), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("label", sorted(INCONSISTENT_TREES))
+def test_validate_matches_the_literal_recursion_on_crafted_trees(label):
+    tree = INCONSISTENT_TREES[label]
+    outcome = validation_outcome(validate, tree)
+    assert outcome == validation_outcome(literal_validate, tree)
+    assert (outcome is None) == (label == "a consistent tree"), outcome
+
+
+def broken_variants(tree):
+    """Inconsistent variants of a consistent tree: every chance event taken
+    as the root event, and each chance node's first branch event widened to
+    the whole space or narrowed to nothing."""
+    for path, node, _ in tree.nodes():
+        if isinstance(node, Chance):
+            for event, _ in node.branches:
+                yield DecisionTree(tree.space, tree.root, event)
+            _, first = node.branches[0]
+            for event in (tree.space.omega, tree.space.empty_event):
+                broken = Chance(((event, first),) + node.branches[1:])
+                root = generate._replace_node(tree.root, path, broken)
+                yield DecisionTree(tree.space, root, tree.root_event)
+
+
+def test_validate_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_corpus):
+    outcomes = Counter()
+    for index, tree in enumerate(acceptance_corpus[:60]):
+        for variant in broken_variants(tree):
+            outcome = validation_outcome(validate, variant)
+            assert outcome == validation_outcome(literal_validate, variant), index
+            outcomes[outcome and outcome[0].__name__] += 1
+    assert outcomes["EmptySubtreeEvent"] > 50 and outcomes["NotAPartition"] > 50, outcomes

@@ -6,12 +6,21 @@ from treechoice.errors import (
     NotAPartition,
     UnknownNode,
 )
-from treechoice.model import Gamble, GambleSet, PossibilitySpace, check_a_consistency
+from treechoice.model import (
+    Gamble,
+    GambleSet,
+    PossibilitySpace,
+    check_a_consistency,
+    require_partition,
+)
+from treechoice.solve import extract_extensive
+from treechoice.textio import document_for
 from treechoice.trees import (
     Chance,
     Decision,
     DecisionTree,
     Leaf,
+    NormalFormDecision,
     consistent_tree_for,
     gamb,
     is_consistent,
@@ -50,6 +59,22 @@ def test_duplicate_branch_event_is_not_a_partition():
     with pytest.raises(NotAPartition) as err:
         validate(tree)
     assert err.value.node_id == ()
+    assert str(err.value) == "chance branch events must partition the space at node []"
+
+
+def test_a_partition_error_names_its_node_when_it_has_one():
+    broken = Chance(((A, Leaf("x")), (A, Leaf("y"))))
+    tree = DecisionTree.over(W2, Decision((Leaf("z"), broken)))
+    with pytest.raises(NotAPartition) as err:
+        gamb(tree)  # the enumerator's own check, no validate first
+    assert err.value.node_id == (1,)
+    assert str(err.value) == (
+        "events must be non-empty, disjoint, and cover the space at node [1]"
+    )
+    with pytest.raises(NotAPartition) as err:
+        require_partition([A, A])  # a model-level check has no node
+    assert err.value.node_id is None
+    assert str(err.value) == "events must be non-empty, disjoint, and cover the space"
 
 
 def test_empty_history_rejected_with_node():
@@ -263,3 +288,24 @@ def test_a_consistency_characterizations_agree_on_batch():
         assert is_consistent(tree)
         assert tree.root_event == inst.given
         assert gamb(tree) == inst.gambles
+
+
+def test_every_tree_reader_walks_a_5000_deep_chain():
+    # each level: a decision between a leaf and the next level
+    depth = 5000
+    node = Leaf("1")
+    for _ in range(depth):
+        node = Decision((Leaf("0"), node))
+    tree = DecisionTree.over(W2, node)
+    assert validate(tree) is tree
+    for count, path in enumerate(tree.paths(), 1):
+        pass
+    assert count == 2 * depth + 1 and path == (1,) * depth
+    assert tree.node_counts() == {"decision": depth, "chance": 0, "leaf": depth + 1}
+    assert tree.leaf_rewards() == ("0", "1")
+    document = document_for(tree)
+    assert document.events == () and document.reward_order == ("0", "1")
+    # take the leaf at the root: everything below the other arc is unreachable
+    extensive = extract_extensive(tree, [NormalFormDecision.of(tree, {(): 0})])
+    assert (extensive.kept_arcs, extensive.pruned_arcs) == ({(0,)}, {(1,)})
+    assert len(extensive.unreachable) == 2 * depth - 1
