@@ -39,7 +39,6 @@ from .trees import (
     nfd_count,
     restrict_solution,
     strategically_equivalent,
-    subtree_at,
     validate,
 )
 from .solve import (

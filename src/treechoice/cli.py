@@ -42,10 +42,6 @@ def _load_document(path: str) -> TreeDocument:
 
 
 def _build_rule(name: str, doc: TreeDocument, context_path: Optional[str]) -> ChoiceRule:
-    if name not in RULES:
-        raise TreechoiceError(
-            f"unknown rule {name!r}; known: {', '.join(sorted(RULES))}"
-        )
     if context_path is None:
         context = ChoiceContext(utilities=doc.rewards)
     else:

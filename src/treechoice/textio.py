@@ -32,20 +32,23 @@ from .errors import (
 from .model import Event, Gamble, GambleSet, PossibilitySpace, RewardTable
 from .props import InstanceShape
 from .rules import ChoiceContext, ChoiceRule, MassFunction
-from .solve import ExtensiveSolution, extract_extensive
+from .solve import extract_extensive
 from .trees import (
     Chance,
     Decision,
     DecisionTree,
     Leaf,
     Node,
+    NodeId,
     NormalFormDecision,
     validate,
 )
 
 RESERVED = set("(),:=#")
 
-# The deepest decision/chance nest every command handles (CPython 3.10-3.13).
+# The deepest decision/chance nest a tree document may hold. The parser is
+# the only reader that recurses, two frames a level where it builds the
+# nodes: from the CLI, one level deeper exceeds the default recursion limit.
 MAX_TREE_DEPTH = 493
 
 
@@ -77,24 +80,22 @@ class TreeDocument:
         names: dict[int, str] = {}
         for name, event in self.events:  # first declaration wins for aliases
             names.setdefault(event.bits, name)
-        lines.append(f"tree = {_serialize_expr(self.tree.root, names)}")
+
+        def named(node: Node, path: NodeId) -> None:
+            if isinstance(node, Chance):
+                for event, _ in node.branches:
+                    if event.bits not in names:
+                        raise UnknownReference(f"unnamed event {event!r}")
+
+        def expr(node: Node, path: NodeId, below: list[str]) -> str:
+            if isinstance(node, Decision):
+                return f"decision({', '.join(below)})"
+            parts = (f"{names[e.bits]}: {b}" for (e, _), b in zip(node.branches, below))
+            return f"chance({', '.join(parts)})"
+
+        root = self.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
+        lines.append(f"tree = {root}")
         return "\n".join(lines) + "\n"
-
-
-def _serialize_expr(node: Node, event_names: dict[int, str]) -> str:
-    if isinstance(node, Leaf):
-        return f"leaf({node.reward})"
-    if isinstance(node, Decision):
-        inner = ", ".join(_serialize_expr(c, event_names) for c in node.children)
-        return f"decision({inner})"
-    parts = []
-    for event, child in node.branches:
-        try:
-            name = event_names[event.bits]
-        except KeyError:
-            raise UnknownReference(f"unnamed event {event!r}") from None
-        parts.append(f"{name}: {_serialize_expr(child, event_names)}")
-    return f"chance({', '.join(parts)})"
 
 
 def _strip_comment(line: str) -> str:
@@ -298,28 +299,18 @@ def document_for(
     """Wrap a tree as a document, naming branch events e1, e2, ... in first
     preorder occurrence; rewards default to literal-valued symbols."""
     table = rewards if rewards is not None else RewardTable.from_literals(tree.leaf_rewards())
-    names: dict[int, str] = {}
-    order: list[tuple[str, Event]] = []
-
-    for _, node, _ in tree.nodes():
-        if isinstance(node, Chance):
-            for event, _ in node.branches:
-                if event.bits not in names:
-                    names[event.bits] = name = f"e{len(names) + 1}"
-                    order.append((name, event))
-    root_name = None
+    events = [e for _, n, _ in tree.nodes() if isinstance(n, Chance) for e, _ in n.branches]
     if not tree.root_event.is_omega:
-        if tree.root_event.bits not in names:
-            name = f"e{len(names) + 1}"
-            names[tree.root_event.bits] = name
-            order.append((name, tree.root_event))
-        root_name = names[tree.root_event.bits]
+        events.append(tree.root_event)
+    names: dict[int, tuple[str, Event]] = {}  # by bits, in order of first occurrence
+    for event in events:
+        names.setdefault(event.bits, (f"e{len(names) + 1}", event))
     return TreeDocument(
         space=tree.space,
         rewards=table,
         reward_order=tuple(table.symbols()),
-        events=tuple(order),
-        root_event_name=root_name,
+        events=tuple(names.values()),
+        root_event_name=None if tree.root_event.is_omega else names[tree.root_event.bits][0],
         tree=tree,
     )
 
@@ -493,10 +484,7 @@ def export_dot(
     leaves labeled with reward and utility; decision arcs pruned by the
     solution (when given) are dashed."""
     validate(tree)
-    extensive: Optional[ExtensiveSolution] = None
-    if solution is not None:
-        extensive = extract_extensive(tree, solution)
-
+    pruned = frozenset() if solution is None else extract_extensive(tree, solution).pruned_arcs
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
 
     def node_id(path) -> str:
@@ -512,28 +500,22 @@ def export_dot(
                 return f"{reward} = {utility}"
         return reward
 
-    def visit(node: Node, path) -> None:
+    parents: dict[NodeId, tuple[Node, str]] = {}  # inner nodes so far, with their ids
+    for path, node, _ in tree.nodes():
         me = node_id(path)
+        if path:  # the arc from the parent, then the node
+            parent, parent_id = parents[path[:-1]]
+            i = path[-1]
+            if isinstance(parent, Decision):
+                label = f'"{i + 1}"' + (", style=dashed" if path in pruned else "")
+            else:
+                label = quoted("{" + ",".join(parent.branches[i][0].labels()) + "}")
+            lines.append(f"  {parent_id} -> {me} [label={label}];")
         if isinstance(node, Leaf):
             lines.append(f"  {me} [shape=plaintext, label={quoted(leaf_label(node.reward))}];")
-            return
-        if isinstance(node, Decision):
-            lines.append(f'  {me} [shape=box, label=""];')
-            for i, child in enumerate(node.children):
-                arc = path + (i,)
-                style = ""
-                if extensive is not None and arc in extensive.pruned_arcs:
-                    style = ", style=dashed"
-                lines.append(f'  {me} -> {node_id(arc)} [label="{i + 1}"{style}];')
-                visit(child, arc)
-            return
-        lines.append(f'  {me} [shape=circle, label=""];')
-        for i, (event, child) in enumerate(node.branches):
-            arc = path + (i,)
-            label = quoted("{" + ",".join(event.labels()) + "}")
-            lines.append(f"  {me} -> {node_id(arc)} [label={label}];")
-            visit(child, arc)
-
-    visit(tree.root, ())
+        else:
+            parents[path] = (node, me)
+            shape = "box" if isinstance(node, Decision) else "circle"
+            lines.append(f'  {me} [shape={shape}, label=""];')
     lines.append("}")
     return "\n".join(lines) + "\n"

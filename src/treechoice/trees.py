@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .errors import (
     EmptySubtreeEvent,
@@ -34,6 +34,8 @@ NodeId = tuple[int, ...]
 Strategy = tuple[tuple[tuple[NodeId, int], ...], tuple[str, ...]]  # (choices, values)
 
 DEFAULT_ENUMERATION_CAP = 100_000
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -92,36 +94,31 @@ class DecisionTree:
     ) -> DecisionTree:
         return cls(space, root, space.omega if root_event is None else root_event)
 
-    def node_at(self, path: NodeId) -> Node:
+    def _descend(self, path: NodeId, ev: Optional[Event] = None) -> tuple[Node, Optional[Event]]:
+        """The node at `path`, and `ev` narrowed by each chance arc on the way."""
         node = self.root
         for step, index in enumerate(path):
-            children = _children_of(node)
-            if children is None or index >= len(children):
+            if isinstance(node, Decision) and index < len(node.children):
+                node = node.children[index]
+            elif isinstance(node, Chance) and index < len(node.branches):
+                event, node = node.branches[index]
+                if ev is not None:
+                    ev = ev & event
+            else:
                 raise UnknownNode(f"no node at path {list(path[: step + 1])}")
-            node = children[index]
-        return node
+        return node, ev
+
+    def node_at(self, path: NodeId) -> Node:
+        return self._descend(path)[0]
 
     def event_at(self, path: NodeId) -> Event:
         """The accumulated event for the subtree at `path`: root_event
         intersected with every chance-arc event along the way."""
-        node = self.root
-        ev = self.root_event
-        for step, index in enumerate(path):
-            if isinstance(node, Chance):
-                if index >= len(node.branches):
-                    raise UnknownNode(f"no node at path {list(path[: step + 1])}")
-                ev = ev & node.branches[index][0]
-                node = node.branches[index][1]
-            elif isinstance(node, Decision):
-                if index >= len(node.children):
-                    raise UnknownNode(f"no node at path {list(path[: step + 1])}")
-                node = node.children[index]
-            else:
-                raise UnknownNode(f"no node at path {list(path[: step + 1])}")
-        return ev
+        return self._descend(path, self.root_event)[1]
 
     def subtree_at(self, path: NodeId) -> DecisionTree:
-        return DecisionTree(self.space, self.node_at(path), self.event_at(path))
+        """The subtree rooted at `path`, carrying its accumulated event."""
+        return DecisionTree(self.space, *self._descend(path, self.root_event))
 
     def nodes(self) -> Iterator[tuple[NodeId, Node, Event]]:
         """Every (path, node, accumulated event) triple in depth-first
@@ -140,6 +137,50 @@ class DecisionTree:
                     event, child = node.branches[i]
                     stack.append((path + (i,), child, ev & event))
 
+    def fold(
+        self,
+        leaf: Callable[[Leaf], T],
+        inner: Callable[[Node, NodeId, list], T],
+        children: Optional[Callable[[Node, NodeId], Optional[Sequence]]] = None,
+    ) -> T:
+        """Fold bottom-up on an explicit stack: `leaf(node)` at each leaf,
+        `inner(node, path, below)` at each other node once its children are
+        done, `below` holding their results in child order. `children(node,
+        path)` may raise before a node's children are walked; it returns the
+        children to walk, None in place of each skipped one (its result is
+        None), or None to walk them all."""
+
+        def opened(node: Node) -> tuple:
+            kids = None if children is None else children(node, tuple(trail))
+            if kids is None:
+                kids = [c for _, c in node.branches] if isinstance(node, Chance) else node.children
+            return node, enumerate(kids), []
+
+        if isinstance(self.root, Leaf):
+            return leaf(self.root)
+        trail: list[int] = []  # the current node's path; a frame keeps none
+        frame = opened(self.root)
+        stack: list[tuple] = []  # the frames of the current node's ancestors
+        while True:
+            node, kids, below = frame
+            for i, child in kids:
+                if isinstance(child, Leaf):
+                    below.append(leaf(child))
+                elif child is None:
+                    below.append(None)
+                else:
+                    stack.append(frame)
+                    trail.append(i)
+                    frame = opened(child)
+                    break
+            else:
+                result = inner(node, tuple(trail), below)
+                if not stack:
+                    return result
+                trail.pop()
+                frame = stack.pop()
+                frame[2].append(result)
+
     def paths(self) -> Iterator[NodeId]:
         """All node paths in depth-first preorder."""
         return (path for path, _, _ in self.nodes())
@@ -156,14 +197,6 @@ class DecisionTree:
         )
 
 
-def _children_of(node: Node) -> Optional[tuple[Node, ...]]:
-    if isinstance(node, Decision):
-        return node.children
-    if isinstance(node, Chance):
-        return tuple(child for _, child in node.branches)
-    return None
-
-
 def validate(tree: DecisionTree) -> DecisionTree:
     """Accept a consistent tree; reject with the first offending node.
 
@@ -178,11 +211,6 @@ def validate(tree: DecisionTree) -> DecisionTree:
                 "chance branch events must partition the space", node_id=path
             )
     return tree
-
-
-def subtree_at(tree: DecisionTree, path: NodeId) -> DecisionTree:
-    """The subtree rooted at `path`, carrying its accumulated event."""
-    return tree.subtree_at(path)
 
 
 def is_consistent(tree: DecisionTree) -> bool:
@@ -203,46 +231,43 @@ def prune_impossible_branches(tree: DecisionTree) -> DecisionTree:
     """
     if tree.root_event.is_empty:
         raise EmptySubtreeEvent(())
+    events = {(): tree.root_event}  # the accumulated events of inner nodes to walk
 
-    def walk(node: Node, ev: Event) -> Node:
-        if isinstance(node, Leaf):
-            return node
+    def possible(node: Node, path: NodeId) -> list[Optional[Node]]:
+        ev = events.pop(path)
         if isinstance(node, Decision):
-            return Decision(tuple(walk(c, ev) for c in node.children))
-        kept = [(event, child) for event, child in node.branches if not (ev & event).is_empty]
-        dropped_bits = 0
-        for event, _ in node.branches:
-            if (ev & event).is_empty:
-                dropped_bits |= event.bits
+            arcs = [(ev, child) for child in node.children]
+        else:
+            arcs = [(ev & event, child) for event, child in node.branches]
+        for i, (sub, child) in enumerate(arcs):
+            if not (sub.is_empty or isinstance(child, Leaf)):
+                events[path + (i,)] = sub
+        return [None if sub.is_empty else child for sub, child in arcs]
+
+    def rebuild(node: Node, path: NodeId, below: list) -> Node:
+        if isinstance(node, Decision):
+            return Decision(tuple(below))
+        kept = [(e, child) for (e, _), child in zip(node.branches, below) if child is not None]
         # fold the impossible mass into the first surviving branch so the
         # branch events still partition the whole space
-        first_event, first_child = kept[0]
-        widened = Event(tree.space, first_event.bits | dropped_bits)
-        rebuilt = [(widened, walk(first_child, ev & first_event))]
-        rebuilt.extend((event, walk(child, ev & event)) for event, child in kept[1:])
-        return Chance(tuple(rebuilt))
+        bits = kept[0][0].bits
+        for (event, _), child in zip(node.branches, below):
+            if child is None:
+                bits |= event.bits
+        kept[0] = (Event(tree.space, bits), kept[0][1])
+        return Chance(tuple(kept))
 
-    return validate(DecisionTree(tree.space, walk(tree.root, tree.root_event), tree.root_event))
+    root = tree.fold(lambda node: node, rebuild, possible)
+    return validate(DecisionTree(tree.space, root, tree.root_event))
 
 
 def nfd_count(tree: DecisionTree) -> int:
     """Number of normal form decisions: products at chance nodes, sums at
     decision nodes."""
-
-    def count(node: Node) -> int:
-        if isinstance(node, Leaf):
-            return 1
-        if isinstance(node, Chance):
-            total = 1
-            for _, child in node.branches:
-                total *= count(child)
-            return total
-        total = 0  # a loop, not sum() over a generator: one frame per level
-        for child in node.children:
-            total += count(child)
-        return total
-
-    return count(tree.root)
+    return tree.fold(
+        lambda _: 1,
+        lambda node, path, below: sum(below) if isinstance(node, Decision) else math.prod(below),
+    )
 
 
 def capped_nfd_count(tree: DecisionTree, cap: int) -> int:
@@ -307,20 +332,19 @@ class NormalFormDecision:
     def as_tree(self) -> DecisionTree:
         """Materialize the strategy as a tree whose decision nodes are unary."""
 
-        def build(node: Node, path: NodeId) -> Node:
-            if isinstance(node, Leaf):
-                return node
+        def chosen(node: Node, path: NodeId) -> Optional[list[Optional[Node]]]:
             if isinstance(node, Decision):
                 index = self.choice_map[path]
-                return Decision((build(node.children[index], path + (index,)),))
-            return Chance(
-                tuple(
-                    (event, build(child, path + (i,)))
-                    for i, (event, child) in enumerate(node.branches)
-                )
-            )
+                return [None] * index + [node.children[index]]
+            return None
 
-        return DecisionTree(self.tree.space, build(self.tree.root, ()), self.tree.root_event)
+        def build(node: Node, path: NodeId, below: list[Node]) -> Node:
+            if isinstance(node, Decision):
+                return Decision((below[-1],))
+            return Chance(tuple((event, b) for (event, _), b in zip(node.branches, below)))
+
+        root = self.tree.fold(lambda node: node, build, chosen)
+        return DecisionTree(self.tree.space, root, self.tree.root_event)
 
     def __hash__(self) -> int:
         # the members of a solution share one tree: hashing it would walk
@@ -362,28 +386,24 @@ def strategies(
     size = tree.space.size
     noun = "strategies" if select is None else "glued candidates"
 
-    def walk(node: Node, path: NodeId) -> list[Strategy]:
-        if isinstance(node, Leaf):
-            return [((), (node.reward,) * size)]
-        # the recursive calls sit in loops, not comprehensions, so that each
-        # tree level costs one frame of the recursion limit
+    def walked(node: Node, path: NodeId) -> Optional[list[Optional[Node]]]:
+        if isinstance(node, Chance):
+            require_partition([event for event, _ in node.branches], node_id=path)
+        elif keep_arc is not None:
+            return [c if keep_arc(path + (i,)) else None for i, c in enumerate(node.children)]
+        return None
+
+    def combine(node: Node, path: NodeId, below: list) -> list[Strategy]:
         if isinstance(node, Decision):
-            candidates = []
-            for i, child in enumerate(node.children):
-                if keep_arc is None or keep_arc(path + (i,)):
-                    below = walk(child, path + (i,))
-                    candidates += [(((path, i),) + c, v) for c, v in below]
+            candidates = [
+                (((path, i),) + c, v) for i, pairs in enumerate(below) if pairs for c, v in pairs
+            ]
         else:
-            events = [event for event, _ in node.branches]
-            require_partition(events, node_id=path)
             owner = [0] * size
-            for b, event in enumerate(events):
+            for b, (event, _) in enumerate(node.branches):
                 for i in event.indices():
                     owner[i] = b
-            per_branch = []
-            for b, (_, child) in enumerate(node.branches):
-                per_branch.append(walk(child, path + (b,)))
-            count = math.prod(map(len, per_branch))
+            count = math.prod(map(len, below))
             if count > cap:
                 raise EnumerationLimitExceeded(
                     f"{count} {noun} exceed the cap of {cap}"
@@ -393,11 +413,11 @@ def strategies(
                     tuple(itertools.chain.from_iterable(c for c, _ in combo)),
                     tuple([combo[b][1][i] for i, b in enumerate(owner)]),
                 )
-                for combo in itertools.product(*per_branch)
+                for combo in itertools.product(*below)
             ]
         return candidates if select is None else select(path, candidates)
 
-    return walk(tree.root, ())
+    return tree.fold(lambda node: [((), (node.reward,) * size)], combine, walked)
 
 
 def nfd(
@@ -412,12 +432,17 @@ def distinct(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
     return list({values: (choices, values) for choices, values in candidates}.values())
 
 
+def _values(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+    """A `select` hook keeping one choice-free pair per distinct gamble."""
+    return [((), values) for values in dict.fromkeys(values for _, values in candidates)]
+
+
 def gamb(tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP) -> GambleSet:
     """The set of normal form gambles: the root pool of the enumeration
-    that keeps one strategy per distinct gamble at every node. The strategy
-    count is checked against `cap` up front, as in `nfd`."""
+    that keeps one choice-free pair per distinct gamble at every node. The
+    strategy count is checked against `cap` up front, as in `nfd`."""
     capped_nfd_count(tree, cap)
-    pairs = strategies(tree, cap, select=distinct)
+    pairs = strategies(tree, cap, select=_values)
     return GambleSet(Gamble(tree.space, values) for _, values in pairs)
 
 
@@ -454,10 +479,8 @@ def restrict_solution(
 ) -> frozenset[NormalFormDecision]:
     """Subtrees-at-`path` of exactly those members passing through it;
     may be empty."""
-    members = list(solution)
-    if members:
-        members[0].tree.node_at(path)  # raises UnknownNode for bad paths
-    return frozenset(m.restrict(path) for m in members if m.contains_node(path))
+    # contains_node raises UnknownNode for a path not in the tree
+    return frozenset(m.restrict(path) for m in solution if m.contains_node(path))
 
 
 def chance_expansion(gamble: Gamble) -> Chance:
@@ -483,15 +506,15 @@ def same_up_to_chance_order(t1: DecisionTree, t2: DecisionTree) -> bool:
     """Structural equality treating each chance node's branches as unordered."""
     if (t1.space, t1.root_event) != (t2.space, t2.root_event):
         return False
+    ids: dict[tuple, int] = {}  # canonical form -> id, shared by both trees
 
-    def canon(node: Node):
+    def canon(node: Node, path: NodeId = (), below: Sequence[int] = ()) -> int:
         if isinstance(node, Leaf):
-            return ("leaf", node.reward)
-        if isinstance(node, Decision):
-            return ("decision", tuple(canon(c) for c in node.children))
-        items = sorted(
-            ((event.bits, canon(child)) for event, child in node.branches),
-        )
-        return ("chance", tuple(items))
+            key: tuple = ("leaf", node.reward)
+        elif isinstance(node, Decision):
+            key = ("decision", tuple(below))
+        else:
+            key = ("chance", tuple(sorted(zip((e.bits for e, _ in node.branches), below))))
+        return ids.setdefault(key, len(ids))
 
-    return canon(t1.root) == canon(t2.root)
+    return t1.fold(canon, canon) == t2.fold(canon, canon)

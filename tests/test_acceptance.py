@@ -28,7 +28,7 @@ from treechoice.solve import (
     induced_gambles,
     norm_opt,
 )
-from treechoice.trees import gamb, nfd, restrict_solution, subtree_at
+from treechoice.trees import gamb, nfd, restrict_solution
 
 P = PropertyId
 SEED = 20110916
@@ -72,7 +72,7 @@ def test_counterexample_reproduction(incomparable_doc, incomparable_dominance):
     assert {g.values for g in root_report.induced} == {y, z}
 
     node_n = (0,)
-    sub_report = norm_opt(subtree_at(tree, node_n), incomparable_dominance)
+    sub_report = norm_opt(tree.subtree_at(node_n), incomparable_dominance)
     assert {g.values for g in sub_report.induced} == {x, y}
 
     restricted = restrict_solution(root_report.solution, node_n)

@@ -350,6 +350,14 @@ def test_usage_error_exit_2(capsys):
     assert run_command(["not-a-command"]) == 2
 
 
+def test_an_unknown_rule_is_a_usage_error(capsys):
+    for command in ("solve", "check-perfect", "compare-backward", "export-dot"):
+        assert run_command([command, "--tree", INCOMP, "--rule", "nope"]) == 2
+        assert "argument --rule: invalid choice: 'nope'" in capsys.readouterr().err
+    assert run_command(["check-properties", "--rule", "nope", "--props", "P1"]) == 2
+    assert "argument --rule: invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     code, payload = run_json(
         capsys, "solve", "--tree", "/no/such/file", "--rule", "eu_max"

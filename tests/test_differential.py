@@ -46,12 +46,21 @@ set built by its own recursion (constants at leaves, unions at decision
 nodes, partition set sums at chance nodes). The library reads one
 iterative walk, `DecisionTree.nodes`, and takes the gamble set as the root
 pool of the enumerator's `distinct` hook.
+
+The literal folds are the recursions the bottom-up builders were written
+as: the strategy count, the enumerator (partition check before a chance
+node's branches, cap and `select` after them), a strategy as a tree, the
+pruning repair with the accumulated event passed down, canonical nested
+tuples for equality up to chance order, the tree expression of a document
+and the DOT text. The library folds on one explicit stack,
+`DecisionTree.fold`, and draws DOT from the preorder walk.
 """
 
 import itertools
 import json
+import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -66,9 +75,11 @@ from treechoice.errors import (
     NotAPartition,
     SpaceMismatch,
     TreechoiceError,
+    UnknownReference,
 )
 from treechoice.generate import (
     GenConfig,
+    equivalent_rewrite,
     random_consistent_tree,
     random_gamble_instance,
     reward_table_for_instance,
@@ -90,6 +101,7 @@ from treechoice.model import (
     combine_on_partition,
     gamble_set_sum,
     is_partition,
+    require_partition,
 )
 from treechoice.props import (
     INSTANCE_SHAPES,
@@ -119,6 +131,7 @@ from treechoice.solve import (
     norm_opt,
 )
 from treechoice.trees import (
+    DEFAULT_ENUMERATION_CAP,
     Chance,
     Decision,
     DecisionTree,
@@ -126,9 +139,12 @@ from treechoice.trees import (
     NormalFormDecision,
     chance,
     decision,
+    distinct,
     gamb,
     nfd,
     nfd_count,
+    prune_impossible_branches,
+    same_up_to_chance_order,
     strategies,
     validate,
 )
@@ -136,6 +152,7 @@ from treechoice.textio import (
     TreeDocument,
     document_for,
     event_json,
+    export_dot,
     gamble_json,
     gamble_set_json,
     instance_json,
@@ -211,7 +228,7 @@ def oracle_dominance_solution(tree, members, utilities):
 
 def literal_nfd(tree, cap=10**5):
     """All strategies, enumerated as merged choice dicts and sorted."""
-    if nfd_count(tree) > cap:
+    if literal_nfd_count(tree) > cap:
         raise EnumerationLimitExceeded(f"more than {cap} strategies")
 
     def enumerate_node(node, path):
@@ -1118,7 +1135,7 @@ def literal_validate(tree):
 def literal_gamb(tree, cap=10**5):
     """The gamble set by its own recursion on the tree: constants at
     leaves, unions at decision nodes, partition set sums at chance nodes."""
-    if nfd_count(tree) > cap:
+    if literal_nfd_count(tree) > cap:
         raise EnumerationLimitExceeded(f"tree has more than {cap} normal form decisions")
 
     def build(node):
@@ -1315,3 +1332,277 @@ def test_validate_matches_the_literal_recursion_on_broken_corpus_trees(acceptanc
             assert outcome == validation_outcome(literal_validate, variant), index
             outcomes[outcome and outcome[0].__name__] += 1
     assert outcomes["EmptySubtreeEvent"] > 50 and outcomes["NotAPartition"] > 50, outcomes
+
+
+# ---------------------------------------------------------------------------
+# One post-order fold, against the recursions it replaced
+
+
+def literal_nfd_count(tree):
+    """Products at chance nodes, sums at decision nodes, by recursion."""
+
+    def count(node):
+        if isinstance(node, Leaf):
+            return 1
+        if isinstance(node, Chance):
+            total = 1
+            for _, child in node.branches:
+                total *= count(child)
+            return total
+        return sum(count(child) for child in node.children)
+
+    return count(tree.root)
+
+
+def literal_strategies(tree, cap=DEFAULT_ENUMERATION_CAP, keep_arc=None, select=None):
+    """(choices, values) pairs by recursion: the partition check at each
+    chance node before its branches, the cap and `select` after them."""
+    if keep_arc is None and select is None:
+        literal_capped_count(tree, cap)
+    size = tree.space.size
+    noun = "strategies" if select is None else "glued candidates"
+
+    def walk(node, path):
+        if isinstance(node, Leaf):
+            return [((), (node.reward,) * size)]
+        if isinstance(node, Decision):
+            candidates = []
+            for i, child in enumerate(node.children):
+                if keep_arc is None or keep_arc(path + (i,)):
+                    below = walk(child, path + (i,))
+                    candidates += [(((path, i),) + c, v) for c, v in below]
+        else:
+            events = [event for event, _ in node.branches]
+            require_partition(events, node_id=path)
+            owner = [0] * size
+            for b, event in enumerate(events):
+                for i in event.indices():
+                    owner[i] = b
+            per_branch = [walk(child, path + (b,)) for b, (_, child) in enumerate(node.branches)]
+            count = math.prod(map(len, per_branch))
+            if count > cap:
+                raise EnumerationLimitExceeded(f"{count} {noun} exceed the cap of {cap}")
+            candidates = [
+                (
+                    tuple(itertools.chain.from_iterable(c for c, _ in combo)),
+                    tuple([combo[b][1][i] for i, b in enumerate(owner)]),
+                )
+                for combo in itertools.product(*per_branch)
+            ]
+        return candidates if select is None else select(path, candidates)
+
+    return walk(tree.root, ())
+
+
+def literal_capped_count(tree, cap):
+    total = literal_nfd_count(tree)
+    if total > cap:
+        raise EnumerationLimitExceeded(f"{total} normal form decisions exceed the cap of {cap}")
+
+
+def literal_enumerator_gamb(tree, cap=DEFAULT_ENUMERATION_CAP):
+    """The gamble set as the root pool of the recursive enumerator."""
+    literal_capped_count(tree, cap)
+    pairs = literal_strategies(tree, cap, select=distinct)
+    return GambleSet(Gamble(tree.space, values) for _, values in pairs)
+
+
+def literal_as_tree(member):
+    """The strategy as a tree with unary decision nodes, by recursion."""
+
+    def build(node, path):
+        if isinstance(node, Leaf):
+            return node
+        if isinstance(node, Decision):
+            index = member.choice_map[path]
+            return Decision((build(node.children[index], path + (index,)),))
+        return Chance(
+            tuple(
+                (event, build(child, path + (i,)))
+                for i, (event, child) in enumerate(node.branches)
+            )
+        )
+
+    tree = member.tree
+    return DecisionTree(tree.space, build(tree.root, ()), tree.root_event)
+
+
+def literal_prune_impossible_branches(tree):
+    """Impossible branches dropped by recursion, the accumulated event
+    passed down; the freed mass widens the first surviving branch."""
+    if tree.root_event.is_empty:
+        raise EmptySubtreeEvent(())
+
+    def walk(node, ev):
+        if isinstance(node, Leaf):
+            return node
+        if isinstance(node, Decision):
+            return Decision(tuple(walk(c, ev) for c in node.children))
+        kept = [(event, child) for event, child in node.branches if not (ev & event).is_empty]
+        dropped_bits = 0
+        for event, _ in node.branches:
+            if (ev & event).is_empty:
+                dropped_bits |= event.bits
+        first_event, first_child = kept[0]
+        widened = Event(tree.space, first_event.bits | dropped_bits)
+        rebuilt = [(widened, walk(first_child, ev & first_event))]
+        rebuilt.extend((event, walk(child, ev & event)) for event, child in kept[1:])
+        return Chance(tuple(rebuilt))
+
+    return validate(DecisionTree(tree.space, walk(tree.root, tree.root_event), tree.root_event))
+
+
+def literal_same_up_to_chance_order(t1, t2):
+    """Equal canonical nested tuples, each chance node's branches sorted."""
+    if (t1.space, t1.root_event) != (t2.space, t2.root_event):
+        return False
+
+    def canon(node):
+        if isinstance(node, Leaf):
+            return ("leaf", node.reward)
+        if isinstance(node, Decision):
+            return ("decision", tuple(canon(c) for c in node.children))
+        items = sorted((event.bits, canon(child)) for event, child in node.branches)
+        return ("chance", tuple(items))
+
+    return canon(t1.root) == canon(t2.root)
+
+
+def literal_serialize(document):
+    """A tree document's text, the tree expression written by recursion."""
+    names = {}
+    for name, event in document.events:
+        names.setdefault(event.bits, name)
+
+    def expr(node):
+        if isinstance(node, Leaf):
+            return f"leaf({node.reward})"
+        if isinstance(node, Decision):
+            return f"decision({', '.join(expr(c) for c in node.children)})"
+        parts = []
+        for event, child in node.branches:
+            if event.bits not in names:
+                raise UnknownReference(f"unnamed event {event!r}")
+            parts.append(f"{names[event.bits]}: {expr(child)}")
+        return f"chance({', '.join(parts)})"
+
+    lines = [f"omega {' '.join(document.space.states)}"]
+    lines += [f"reward {n} = {document.rewards.utility(n)}" for n in document.reward_order]
+    lines += [f"event {n} = {' '.join(e.labels())}" for n, e in document.events]
+    if document.root_event_name is not None:
+        lines.append(f"root_event {document.root_event_name}")
+    lines.append(f"tree = {expr(document.tree.root)}")
+    return "\n".join(lines) + "\n"
+
+
+def literal_export_dot(tree, rewards=None, solution=None):
+    """Graphviz text written by a recursive visit: each node's line, then
+    for each child the arc's line and the child's own lines."""
+    validate(tree)
+    pruned = frozenset() if solution is None else extract_extensive(tree, solution).pruned_arcs
+    lines = ["digraph decision_tree {", "  rankdir=LR;"]
+
+    def node_id(path):
+        return "n" + "_".join(str(i) for i in path) if path else "n"
+
+    def quoted(label):
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    def leaf_label(reward):
+        if rewards is not None and reward in rewards:
+            utility = rewards.utility(reward)
+            if str(utility) != reward:
+                return f"{reward} = {utility}"
+        return reward
+
+    def visit(node, path):
+        me = node_id(path)
+        if isinstance(node, Leaf):
+            lines.append(f"  {me} [shape=plaintext, label={quoted(leaf_label(node.reward))}];")
+        elif isinstance(node, Decision):
+            lines.append(f'  {me} [shape=box, label=""];')
+            for i, child in enumerate(node.children):
+                arc = path + (i,)
+                style = ", style=dashed" if arc in pruned else ""
+                lines.append(f'  {me} -> {node_id(arc)} [label="{i + 1}"{style}];')
+                visit(child, arc)
+        else:
+            lines.append(f'  {me} [shape=circle, label=""];')
+            for i, (event, child) in enumerate(node.branches):
+                arc = path + (i,)
+                label = quoted("{" + ",".join(event.labels()) + "}")
+                lines.append(f"  {me} -> {node_id(arc)} [label={label}];")
+                visit(child, arc)
+
+    visit(tree.root, ())
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(call, *args, **kwargs):
+    """A call's result, or the type, node and message of its error."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), getattr(exc, "node_id", None), str(exc)
+
+
+def test_fold_matches_the_literal_recursions(acceptance_corpus):
+    members_seen, unnamed_seen = 0, 0
+    for index, tree in enumerate(acceptance_corpus):
+        assert nfd_count(tree) == literal_nfd_count(tree), index
+        members = nfd(tree)
+        arcs = frozenset(arc for m in members[::2] for arc in m.arc_paths())
+        for hooks in ({}, {"select": distinct}, {"keep_arc": arcs.__contains__}):
+            assert strategies(tree, **hooks) == literal_strategies(tree, **hooks), index
+        document = document_for(tree, reward_table_for_tree(tree))
+        assert document.serialize() == literal_serialize(document), index
+        unnamed = replace(document, events=document.events[1:])  # e1 loses its name
+        assert outcome(unnamed.serialize) == outcome(literal_serialize, unnamed), index
+        unnamed_seen += bool(document.events)
+        for solution in (None, members, members[:1], members[-1:], members[::2]):
+            assert export_dot(tree, document.rewards, solution) == literal_export_dot(
+                tree, document.rewards, solution
+            ), index
+        for member in members:
+            assert member.as_tree() == literal_as_tree(member), index
+            members_seen += 1
+    assert members_seen == sum(map(literal_nfd_count, acceptance_corpus))
+    assert unnamed_seen > 100, unnamed_seen
+
+
+def test_prune_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_corpus):
+    outcomes = Counter()
+    for index, tree in enumerate(acceptance_corpus):
+        for variant in broken_variants(tree):
+            pruned = outcome(prune_impossible_branches, variant)
+            assert pruned == outcome(literal_prune_impossible_branches, variant), index
+            outcomes[pruned[0].__name__ if isinstance(pruned, tuple) else "pruned"] += 1
+    assert outcomes["pruned"] > 500 and outcomes["NotAPartition"] > 500, outcomes
+
+
+def test_same_up_to_chance_order_matches_the_literal_recursion(acceptance_corpus):
+    verdicts = Counter()
+    for index, tree in enumerate(acceptance_corpus):
+        other = acceptance_corpus[index - 1]
+        rewrites = [
+            equivalent_rewrite(tree, subseed("canon", index, k), k % 2 + 1) for k in range(6)
+        ]
+        pairs = [(tree, other)] + [(tree, r) for r in rewrites] + [(r, tree) for r in rewrites]
+        for first, second in pairs:
+            same = same_up_to_chance_order(first, second)
+            assert same == literal_same_up_to_chance_order(first, second), index
+            verdicts[same] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+@pytest.mark.parametrize("label", sorted(INCONSISTENT_TREES))
+def test_the_enumerator_fails_as_the_literal_recursion_on_crafted_trees(label):
+    tree = INCONSISTENT_TREES[label]
+    literal_members = outcome(literal_strategies, tree)
+    if isinstance(literal_members, list):
+        literal_members = tuple(NormalFormDecision(tree, c) for c, _ in literal_members)
+    assert outcome(nfd, tree) == literal_members
+    assert outcome(gamb, tree) == outcome(literal_enumerator_gamb, tree)
+    for hooks in ({"select": distinct}, {"keep_arc": lambda arc: arc[-1] == 0}):
+        assert outcome(strategies, tree, **hooks) == outcome(literal_strategies, tree, **hooks)

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 
 from treechoice.errors import (
@@ -14,7 +17,7 @@ from treechoice.model import (
     require_partition,
 )
 from treechoice.solve import extract_extensive
-from treechoice.textio import document_for
+from treechoice.textio import document_for, export_dot
 from treechoice.trees import (
     Chance,
     Decision,
@@ -30,7 +33,6 @@ from treechoice.trees import (
     restrict_solution,
     same_up_to_chance_order,
     strategically_equivalent,
-    subtree_at,
     validate,
 )
 
@@ -103,29 +105,36 @@ def test_prune_impossible_branches_repairs():
 
 
 def test_subtree_at_root_is_identity(incomparable_doc):
-    assert subtree_at(incomparable_doc.tree, ()) == incomparable_doc.tree
+    assert incomparable_doc.tree.subtree_at(()) == incomparable_doc.tree
 
 
 def test_subtree_at_lake_newspaper_branch(lake_doc):
     # the subtree after the first signal branch carries ev = S1
-    sub = subtree_at(lake_doc.tree, (0, 0))
+    sub = lake_doc.tree.subtree_at((0, 0))
     assert sub.root_event == lake_doc.event_named("S1")
     assert isinstance(sub.root, Decision) and len(sub.root.children) == 2
 
 
 def test_subtree_at_incomparable_node_n(incomparable_doc):
-    sub = subtree_at(incomparable_doc.tree, (0,))
+    sub = incomparable_doc.tree.subtree_at((0,))
     assert {g.values for g in gamb(sub)} == {("m1", "m1"), ("m2", "p2")}
 
 
 def test_subtree_unknown_node(incomparable_doc):
-    with pytest.raises(UnknownNode):
-        subtree_at(incomparable_doc.tree, (5,))
+    tree = incomparable_doc.tree
+    # the root has no child 5; the node at (0, 0) is a leaf
+    for path in ((5,), (0, 0, 0)):
+        message = re.escape(f"no node at path {list(path)}")
+        for lookup in (tree.node_at, tree.event_at, tree.subtree_at):
+            with pytest.raises(UnknownNode, match=message):
+                lookup(path)
+        with pytest.raises(UnknownNode, match=message):
+            restrict_solution(nfd(tree), path)
 
 
 def test_subtree_composes(lake_doc):
-    outer = subtree_at(lake_doc.tree, (0,))
-    assert subtree_at(outer, (0,)) == subtree_at(lake_doc.tree, (0, 0))
+    outer = lake_doc.tree.subtree_at((0,))
+    assert outer.subtree_at((0,)) == lake_doc.tree.subtree_at((0, 0))
 
 
 def test_nfd_leaf(leaf_doc):
@@ -252,7 +261,7 @@ def test_consistency_is_hereditary():
     for i in range(30):
         tree = random_consistent_tree(GenConfig(max_depth=3), seed=subseed("her", i))
         for path in tree.paths():
-            assert is_consistent(subtree_at(tree, path))
+            assert is_consistent(tree.subtree_at(path))
 
 
 def test_nfd_cardinality_recursion_oracle():
@@ -290,13 +299,17 @@ def test_a_consistency_characterizations_agree_on_batch():
         assert gamb(tree) == inst.gambles
 
 
+def deep_chain(depth, level, bottom):
+    node = bottom
+    for _ in range(depth):
+        node = level(node)
+    return DecisionTree.over(W2, node)
+
+
 def test_every_tree_reader_walks_a_5000_deep_chain():
     # each level: a decision between a leaf and the next level
     depth = 5000
-    node = Leaf("1")
-    for _ in range(depth):
-        node = Decision((Leaf("0"), node))
-    tree = DecisionTree.over(W2, node)
+    tree = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("1"))
     assert validate(tree) is tree
     for count, path in enumerate(tree.paths(), 1):
         pass
@@ -305,7 +318,57 @@ def test_every_tree_reader_walks_a_5000_deep_chain():
     assert tree.leaf_rewards() == ("0", "1")
     document = document_for(tree)
     assert document.events == () and document.reward_order == ("0", "1")
+    assert document.serialize().endswith(
+        "tree = " + "decision(leaf(0), " * depth + "leaf(1)" + ")" * depth + "\n"
+    )
     # take the leaf at the root: everything below the other arc is unreachable
-    extensive = extract_extensive(tree, [NormalFormDecision.of(tree, {(): 0})])
+    leaf_first = NormalFormDecision.of(tree, {(): 0})
+    extensive = extract_extensive(tree, [leaf_first])
     assert (extensive.kept_arcs, extensive.pruned_arcs) == ({(0,)}, {(1,)})
     assert len(extensive.unreachable) == 2 * depth - 1
+    assert leaf_first.as_tree().root == Decision((Leaf("0"),))
+    assert nfd_count(tree) == depth + 1
+    assert {g.values for g in gamb(tree)} == {("0", "0"), ("1", "1")}
+    assert same_up_to_chance_order(prune_impossible_branches(tree), tree)
+    other = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("2"))
+    assert not same_up_to_chance_order(tree, other)
+
+
+def test_the_strategy_readers_walk_a_5000_deep_chance_chain():
+    # each level: a chance node with one branch over the whole space, so
+    # the one strategy has no choices to carry down the chain
+    depth = 5000
+    split = Chance(((A, Leaf("x")), (AC, Leaf("y"))))
+    tree = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), split)
+    (member,) = nfd(tree)
+    assert member.choices == () and member.gamble.values == ("x", "y")
+    assert same_up_to_chance_order(member.as_tree(), tree)
+    assert {g.values for g in gamb(tree)} == {("x", "y")}
+    swapped = Chance(((AC, Leaf("y")), (A, Leaf("x"))))
+    reordered = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), swapped)
+    assert same_up_to_chance_order(tree, reordered)
+    # narrowing the root event empties the A branch at the bottom
+    pruned = prune_impossible_branches(DecisionTree(W2, tree.root, AC))
+    bottom = Chance(((W2.omega, Leaf("y")),))
+    expected = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), bottom)
+    assert same_up_to_chance_order(pruned, DecisionTree(W2, expected.root, AC))
+
+
+def test_export_dot_draws_a_chain_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 1
+    tree = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("1"))
+    lines = export_dot(tree).splitlines()
+    # a node line for each of the 2 * depth + 1 nodes, an edge line for each
+    # but the root, and the three framing lines
+    assert len(lines) == 4 * depth + 4
+    assert lines[2:5] == [
+        '  n [shape=box, label=""];',
+        '  n -> n0 [label="1"];',
+        '  n0 [shape=plaintext, label="0"];',
+    ]
+    deepest = "n" + "_".join(["1"] * depth)
+    assert lines[-3:] == [
+        f'  {deepest[:-2]} -> {deepest} [label="2"];',
+        f"  {deepest} [shape=plaintext, label=\"1\"];",
+        "}",
+    ]
