@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import GenerationRetryExhausted
@@ -100,21 +101,30 @@ class GenConfig:
             raise ValueError("ceiling exceeds the enumeration cap")
 
 
-def _random_value(rng: random.Random, config: GenConfig) -> Fraction:
-    num = rng.randint(*config.value_range)
-    den = rng.randint(1, config.max_denominator)
-    return Fraction(num, den)
-
-
 def _reward_pool(rng: random.Random, config: GenConfig) -> list[str]:
-    """Distinct random rationals in increasing order, spelled as literals."""
-    pool = {_random_value(rng, config) for _ in range(config.reward_pool_size)}
-    return [str(value) for value in sorted(pool)]
+    """Distinct random rationals in increasing order, spelled as literals:
+    `p/q` in lowest terms, integers bare."""
+    pool = set()
+    for _ in range(config.reward_pool_size):
+        num = rng.randint(*config.value_range)
+        den = rng.randint(1, config.max_denominator)
+        common = gcd(num, den)
+        pool.add((num // common, den // common))
+    scale = lcm(*(den for _, den in pool))  # exact sort keys: num / den * scale
+    return [
+        f"{num}/{den}" if den > 1 else str(num)
+        for num, den in sorted(pool, key=lambda pair: pair[0] * (scale // pair[1]))
+    ]
+
+
+@lru_cache(maxsize=64)
+def _space_of_size(size: int) -> PossibilitySpace:
+    return PossibilitySpace(tuple(f"w{i + 1}" for i in range(size)))
 
 
 def _random_space(rng: random.Random, config: GenConfig) -> PossibilitySpace:
-    size = rng.randint(*config.omega_range)
-    return PossibilitySpace(tuple(f"w{i + 1}" for i in range(size)))
+    """States `w1`..`wn`; one shared space per size."""
+    return _space_of_size(rng.randint(*config.omega_range))
 
 
 def _random_partition(
@@ -183,19 +193,24 @@ def tree_corpus(config: GenConfig, seed: int, count: int) -> list[DecisionTree]:
 
 
 def _replace_node(root: Node, path: NodeId, new: Node) -> Node:
-    if not path:
-        return new
-    index, rest = path[0], path[1:]
-    if isinstance(root, Decision):
-        children = list(root.children)
-        children[index] = _replace_node(children[index], rest, new)
-        return Decision(tuple(children))
-    if isinstance(root, Chance):
-        branches = list(root.branches)
-        event, child = branches[index]
-        branches[index] = (event, _replace_node(child, rest, new))
-        return Chance(tuple(branches))
-    raise ValueError("path walks through a leaf")
+    """`root` with the node at `path` replaced by `new`: walk down the path,
+    then rebuild each node on it from the bottom up."""
+    above: list[tuple[Node, int]] = []
+    for index in path:
+        if isinstance(root, Leaf):
+            raise ValueError("path walks through a leaf")
+        above.append((root, index))
+        root = root.children[index] if isinstance(root, Decision) else root.branches[index][1]
+    for parent, index in reversed(above):
+        if isinstance(parent, Decision):
+            children = list(parent.children)
+            children[index] = new
+            new = Decision(tuple(children))
+        else:
+            branches = list(parent.branches)
+            branches[index] = (branches[index][0], new)
+            new = Chance(tuple(branches))
+    return new
 
 
 def _rewrite_candidates(tree: DecisionTree) -> list[tuple[str, NodeId, Optional[int]]]:

@@ -188,19 +188,16 @@ def _check_backward_conditioning(
     inside = inst.part & inst.given
     complement = inst.part.complement()
     sel_inside = rule.select(inst.gambles, inside)
-    big = GambleSet(
-        combine_on_partition([(inst.part, x), (complement, z)])
+    continued = {
+        x: [combine_on_partition([(inst.part, x), (complement, z)]) for z in inst.others]
         for x in inst.gambles
-        for z in inst.others
+    }
+    sel_big = rule.select(
+        GambleSet(g for row in continued.values() for g in row), inst.given
     )
-    sel_big = rule.select(big, inst.given)
     premise_fired = False
     for x in sel_inside:
-        anchored = any(
-            combine_on_partition([(inst.part, x), (complement, z)]) in sel_big
-            for z in inst.others
-        )
-        if not anchored:
+        if not any(g in sel_big for g in continued[x]):
             continue
         for y in inst.gambles:
             if x != y and x.equal_on(y, inst.part):

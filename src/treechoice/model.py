@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -148,6 +149,11 @@ def require_partition(events: Sequence[Event], node_id=None) -> None:
         )
 
 
+# Parses each literal once per process: a falsifier's instances draw their
+# rewards from a few dozen literals. Bounded, and a bad literal raises anew.
+_rational_literal = lru_cache(maxsize=1024)(Fraction)
+
+
 class RewardTable:
     """Maps reward symbols to exact rational utilities."""
 
@@ -165,7 +171,7 @@ class RewardTable:
     def from_literals(cls, symbols: Iterable[str]) -> RewardTable:
         """Build a table for symbols that are themselves rational literals
         (e.g. "9", "-3/2"), each valued at the rational it spells."""
-        return cls({s: Fraction(s) for s in set(symbols)})
+        return cls({s: _rational_literal(s) for s in set(symbols)})
 
     def utility(self, symbol: str) -> Fraction:
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import MalformedInstance
@@ -179,6 +180,11 @@ class FamilyInstance(InstanceShape):
     given: Event
 
     def union(self) -> GambleSet:
+        """Every part's gambles; built once per instance."""
+        return self._union
+
+    @cached_property
+    def _union(self) -> GambleSet:
         return GambleSet(g for part in self.parts for g in part)
 
     def validate(self) -> None:
@@ -293,8 +299,8 @@ INSTANCE_SHAPES: dict[PropertyId, type] = {
 
 def _field_gambles(instance: Instance) -> Iterator[Gamble]:
     """The gambles of the instance's fields, in field order (repeats kept)."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
+    for name in instance.__match_args__:  # a dataclass's field names, in order
+        value = getattr(instance, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, GambleSet):
                 yield from item

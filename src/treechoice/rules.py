@@ -42,7 +42,7 @@ class MassFunction:
     def __post_init__(self):
         if len(self.masses) != self.space.size:
             raise ValueError("one mass per state required")
-        if any(m <= 0 for m in self.masses):
+        if any(m.numerator <= 0 for m in self.masses):
             raise ValueError("all state masses must be strictly positive")
         common = lcm(*(m.denominator for m in self.masses))
         if sum(m.numerator * (common // m.denominator) for m in self.masses) != common:
@@ -153,15 +153,27 @@ class ChoiceRule:
                 raise MissingContext(f"rule {self.name!r} needs {requirement}")
         self.context = context
         self.scores: Optional[dict] = None  # see `with_scores`
+        self.selections: Optional[dict] = None
 
     def with_scores(self) -> ChoiceRule:
-        """A copy of this rule whose `select` calls share one fresh score
-        table: each (gamble, event) is scored once over the copy's life."""
+        """A copy of this rule whose `select` calls share one fresh table:
+        over the copy's life each (gamble, event) is scored once, and each
+        (gamble set, event) is checked and selected from once."""
         scored = copy(self)
-        scored.scores = {}
+        scored.scores, scored.selections = {}, {}
         return scored
 
     def select(self, gambles: GambleSet, given: Event) -> GambleSet:
+        if self.selections is not None:
+            # a frozenset caches its hash; equal sets are equal GambleSets
+            key = (gambles._lookup, given)
+            chosen = self.selections.get(key)
+            if chosen is None:
+                chosen = self.selections[key] = self._checked_select(gambles, given)
+            return chosen
+        return self._checked_select(gambles, given)
+
+    def _checked_select(self, gambles: GambleSet, given: Event) -> GambleSet:
         if len(gambles) == 0:
             raise EmptySet("cannot select from an empty gamble set")
         if given.is_empty:

@@ -81,20 +81,29 @@ class TreeDocument:
         for name, event in self.events:  # first declaration wins for aliases
             names.setdefault(event.bits, name)
 
-        def named(node: Node, path: NodeId) -> None:
-            if isinstance(node, Chance):
-                for event, _ in node.branches:
-                    if event.bits not in names:
-                        raise UnknownReference(f"unnamed event {event!r}")
-
-        def expr(node: Node, path: NodeId, below: list[str]) -> str:
-            if isinstance(node, Decision):
-                return f"decision({', '.join(below)})"
-            parts = (f"{names[e.bits]}: {b}" for (e, _), b in zip(node.branches, below))
-            return f"chance({', '.join(parts)})"
-
-        root = self.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
-        lines.append(f"tree = {root}")
+        pieces: list[str] = []
+        todo: list = [self.tree.root]  # popped in order: nodes, and text between them
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+            elif isinstance(item, Leaf):
+                pieces.append(f"leaf({item.reward})")
+            else:
+                if isinstance(item, Decision):
+                    pieces.append("decision(")
+                    parts = [("", child) for child in item.children]
+                else:
+                    for event, _ in item.branches:
+                        if event.bits not in names:
+                            raise UnknownReference(f"unnamed event {event!r}")
+                    pieces.append("chance(")
+                    parts = [(f"{names[e.bits]}: ", child) for e, child in item.branches]
+                then: list = []
+                for i, (label, child) in enumerate(parts):
+                    then += [", " if i else "", label, child]
+                todo += [")"] + then[::-1]
+        lines.append(f"tree = {''.join(pieces)}")
         return "\n".join(lines) + "\n"
 
 

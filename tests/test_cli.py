@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -373,6 +374,41 @@ def test_reports_are_deterministic(capsys):
         capsys, "solve", "--tree", LAKE, "--rule", "eu_max", "--context", LAKE_PROB
     )
     assert first == second
+
+
+ALL_PROPS = "P1,P2,P3,P4,P5,P6,P7,P8,P9,P10,P11,L"
+
+# sha256 of the whole stdout of `check-properties --rule <rule> --budget 30
+# --seed 2011 --props <all twelve>`, recorded before the falsifier shared
+# selections, literals and spaces; the exit code is 1 where a witness is found
+CHECK_PROPERTIES_STDOUT = {
+    "eu_max": (0, "a057604b253172a3654281657a0b1422ab98043e6cd60f3820acfce6c21b66c0"),
+    "pointwise_dominance": (
+        1,
+        "3c1a9b7cdef4372cdce3b302be4061e3b8430ae4718b49f3b3a38eb431737b3f",
+    ),
+    "maximality": (1, "fa449a8cd9e8d41a73fe5020cda1ce8766ababc5d945e890ab9bb98e96c935e8"),
+    "e_admissibility": (
+        1,
+        "da7b322ac26eb33d15bf0c8f0776d28c0be8cd3fbfcc490a9ccb7b9b2383fba0",
+    ),
+    "gamma_maximin": (1, "915e23225937f01081294bf22612385cf32549d7aee8ceca2cba6bc6601f321d"),
+    "interval_dominance": (
+        1,
+        "1fbb8296e0978c00296342ad477a9523b63af2250eacf0291c344f402f59df88",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CHECK_PROPERTIES_STDOUT))
+def test_check_properties_stdout_is_pinned_and_repeats_in_one_process(capsys, rule):
+    argv = ("check-properties", "--rule", rule, "--budget", "30", "--seed", "2011")
+    first = run(capsys, *argv, "--props", ALL_PROPS)
+    # the literal cache and the shared spaces are warm for the second run
+    second = run(capsys, *argv, "--props", ALL_PROPS)
+    assert first == second
+    code, out = first
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CHECK_PROPERTIES_STDOUT[rule]
 
 
 def cli_process(*argv):

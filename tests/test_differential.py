@@ -28,15 +28,24 @@ restriction per shape, and gamble listing and witness JSON as `isinstance`
 chains. The library reads each shape's dataclass fields instead
 (`props.InstanceShape`).
 
+The plain-`select` oracle runs the contract checks and `_select` on a
+copy of the rule with no tables, for every `select` of a scored check.
+The library keeps each (gamble set, event)'s selection in the check's
+table and answers a repeat from it.
+
 The literal reward table parses each literal twice: once to a rational,
-then again in the table's constructor. The library parses it once.
+then again in the table's constructor. The fields-walk table lists an
+instance's gambles through `dataclasses.fields` and parses every literal
+afresh. The library parses each literal once per process (a bounded
+cache) and reads each shape's field names.
 
 The literal falsifier instance path checks A-consistency through one
 preimage event per attained reward, sorts each reward pool by parsing its
 literals back into rationals, re-validates every generated instance and
-sums masses as fractions. The library collects each gamble's rewards on
-the event in one pass, keeps rationals until the pool is spelled out,
-leaves validation to `check_property_instance` and sums integer numerators.
+sums masses as fractions. The rational pool builds a `Fraction` per draw,
+sorts them and spells each with `str`. The library collects each gamble's
+rewards on the event in one pass, spells reduced integer pairs, leaves
+validation to `check_property_instance` and sums integer numerators.
 
 The literal node walks are the recursions the tree readers were written
 as: a recursive preorder generator, consistency checked by recursion with
@@ -53,7 +62,11 @@ node's branches, cap and `select` after them), a strategy as a tree, the
 pruning repair with the accumulated event passed down, canonical nested
 tuples for equality up to chance order, the tree expression of a document
 and the DOT text. The library folds on one explicit stack,
-`DecisionTree.fold`, and draws DOT from the preorder walk.
+`DecisionTree.fold`, and draws DOT from the preorder walk. The
+nested-string fold writes a document's tree expression by copying each
+child's text into its parent's; the library writes the pieces into one
+list. The rewrite generator's path replacement is checked against the
+recursion it was written as.
 """
 
 import itertools
@@ -68,9 +81,11 @@ import pytest
 from treechoice import generate, laws, props, rules, solve
 from treechoice.errors import (
     EmptyEvent,
+    EmptySet,
     EmptySubtreeEvent,
     EnumerationLimitExceeded,
     GenerationRetryExhausted,
+    InconsistentSet,
     MalformedInstance,
     NotAPartition,
     SpaceMismatch,
@@ -830,6 +845,15 @@ def literal_reward_pool(rng, config):
     return sorted(pool, key=Fraction)
 
 
+def rational_reward_pool(rng, config):
+    """The pool as rationals, sorted, then spelled with `str`."""
+    pool = {
+        Fraction(rng.randint(*config.value_range), rng.randint(1, config.max_denominator))
+        for _ in range(config.reward_pool_size)
+    }
+    return [str(value) for value in sorted(pool)]
+
+
 def literal_random_gamble_instance(prop, config, seed):
     """Instances built from literal pools (`generate._reward_pool` must be
     patched to `literal_reward_pool`), each validated before release."""
@@ -849,6 +873,18 @@ def literal_reward_table_for_instance(instance):
     for g in instance_gambles(instance):
         symbols.update(g.values)
     return RewardTable.from_literals(symbols)
+
+
+def fields_reward_table_for_instance(instance):
+    """Symbols gathered through `dataclasses.fields`, each parsed afresh."""
+    symbols = set()
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, (Gamble, GambleSet)):
+                for g in [item] if isinstance(item, Gamble) else item:
+                    symbols.update(g.values)
+    return RewardTable({s: Fraction(s) for s in symbols})
 
 
 def with_shrink_candidates(rule, instance):
@@ -949,13 +985,20 @@ def test_a_consistency_matches_literal_on_crafted_cases(rows, labels, witness):
 
 @pytest.mark.parametrize(
     "config",
-    [GenConfig(), GenConfig(value_range=(-30, 30), max_denominator=12, reward_pool_size=9)],
+    [
+        GenConfig(),
+        GenConfig(value_range=(-30, 30), max_denominator=12, reward_pool_size=9),
+        GenConfig(value_range=(0, 0), max_denominator=5),
+        GenConfig(value_range=(-2, 3), max_denominator=1, reward_pool_size=8),
+    ],
 )
 def test_reward_pools_match_literal_pools(config):
     for seed in range(200):
-        rng, literal_rng = rng_for("diff-pool", seed), rng_for("diff-pool", seed)
-        assert generate._reward_pool(rng, config) == literal_reward_pool(literal_rng, config)
-        assert rng.getstate() == literal_rng.getstate()
+        rngs = [rng_for("diff-pool", seed) for _ in range(3)]
+        pool = generate._reward_pool(rngs[0], config)
+        assert pool == literal_reward_pool(rngs[1], config)
+        assert pool == rational_reward_pool(rngs[2], config)
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
 
 
 @pytest.mark.parametrize("prop", list(PropertyId), ids=lambda p: p.value)
@@ -968,9 +1011,12 @@ def test_generated_instances_match_literal_generator(prop, monkeypatch):
     for instance, literal in zip(instances, expected):
         # as text, so the order of every list counts
         assert json.dumps(instance_json(instance)) == json.dumps(instance_json(literal))
-        assert reward_table_for_instance(instance) == literal_reward_table_for_instance(
-            literal
-        )
+        table = reward_table_for_instance(instance)
+        assert table == literal_reward_table_for_instance(literal)
+        parsed = fields_reward_table_for_instance(literal)
+        assert [(s, v, type(v)) for s, v in table.items()] == [
+            (s, v, type(v)) for s, v in parsed.items()
+        ]
 
 
 def test_mass_sum_check_matches_fraction_sum():
@@ -1034,6 +1080,63 @@ def test_score_table_keeps_every_instance_check(name):
                 assert candidate_rule.scores is None  # the table is the check's own
                 verdicts[check.holds, check.vacuous] += 1
     assert verdicts[True, False] > 100 and verdicts[True, True] > 10, verdicts
+
+
+def unmemoized_select(rule, gambles, given):
+    """`select` before checks kept their selections: the contract checks and
+    `_select`, on a copy of the rule with no tables."""
+    fresh = rule.rebind(rule.context)
+    if len(gambles) == 0:
+        raise EmptySet("cannot select from an empty gamble set")
+    if given.is_empty:
+        raise EmptyEvent("cannot select conditional on the empty event")
+    verdict = check_a_consistency(gambles, given)
+    if not verdict:
+        raise InconsistentSet(
+            "gamble set is not consistent with the conditioning event",
+            witness=verdict.witness,
+        )
+    chosen = GambleSet(fresh._select(gambles, given))
+    assert 0 < len(chosen) and chosen.issubset(gambles)
+    return chosen
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_every_scored_select_equals_a_fresh_unscored_select(name, monkeypatch):
+    answers = {}  # scored rule -> {(gamble set, event): its first answer}
+    calls = Counter()
+    memoized = rules.ChoiceRule.select
+
+    def compared(self, gambles, given):
+        chosen = memoized(self, gambles, given)
+        if self.selections is not None:
+            assert chosen == unmemoized_select(self, gambles, given), (gambles, given)
+            first = answers.setdefault(self, {}).setdefault((gambles, given), chosen)
+            assert first is chosen  # a repeat is answered from the table
+            assert len(self.selections) == len(answers[self])  # one entry per pair
+            calls[prop] += 1
+        return chosen
+
+    monkeypatch.setattr(rules.ChoiceRule, "select", compared)
+    policy = seeded_rule_policy(name)
+    for prop in PropertyId:
+        for index in range(20):
+            instance = random_gamble_instance(
+                prop, GenConfig(), seed=subseed("diff-memo", prop.value, index)
+            )
+            rule = policy(
+                instance.space,
+                reward_table_for_instance(instance),
+                rng_for("diff-memo", name, prop.value, index),
+            )
+            for candidate_rule, candidate in with_shrink_candidates(rule, instance):
+                try:
+                    check_property_instance(prop, candidate_rule, candidate)
+                except MalformedInstance:
+                    pass
+    assert set(calls) == set(PropertyId), calls
+    kept = sum(len(table) for table in answers.values())
+    assert sum(calls.values()) - kept > 100, (sum(calls.values()), kept)
 
 
 def literal_from_literals(symbols):
@@ -1486,13 +1589,41 @@ def literal_serialize(document):
             parts.append(f"{names[event.bits]}: {expr(child)}")
         return f"chance({', '.join(parts)})"
 
+    return document_text(document, expr(document.tree.root))
+
+
+def document_text(document, tree_expression):
     lines = [f"omega {' '.join(document.space.states)}"]
     lines += [f"reward {n} = {document.rewards.utility(n)}" for n in document.reward_order]
     lines += [f"event {n} = {' '.join(e.labels())}" for n, e in document.events]
     if document.root_event_name is not None:
         lines.append(f"root_event {document.root_event_name}")
-    lines.append(f"tree = {expr(document.tree.root)}")
+    lines.append(f"tree = {tree_expression}")
     return "\n".join(lines) + "\n"
+
+
+def nested_fold_serialize(document):
+    """A document's text, the tree expression folded bottom-up: each node's
+    text holds a copy of each child's."""
+    names = {}
+    for name, event in document.events:
+        names.setdefault(event.bits, name)
+
+    def named(node, path):
+        if isinstance(node, Chance):
+            for event, _ in node.branches:
+                if event.bits not in names:
+                    raise UnknownReference(f"unnamed event {event!r}")
+
+    def expr(node, path, below):
+        if isinstance(node, Decision):
+            return f"decision({', '.join(below)})"
+        parts = (f"{names[e.bits]}: {b}" for (e, _), b in zip(node.branches, below))
+        return f"chance({', '.join(parts)})"
+
+    return document_text(
+        document, document.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
+    )
 
 
 def literal_export_dot(tree, rewards=None, solution=None):
@@ -1569,6 +1700,55 @@ def test_fold_matches_the_literal_recursions(acceptance_corpus):
             members_seen += 1
     assert members_seen == sum(map(literal_nfd_count, acceptance_corpus))
     assert unnamed_seen > 100, unnamed_seen
+
+
+def test_serialize_matches_the_nested_string_fold(acceptance_corpus):
+    documents = [parse_tree_file(path.read_text()) for path in sorted(FIXTURES.glob("*.tree"))]
+    for tree in acceptance_corpus:
+        document = document_for(tree, reward_table_for_tree(tree))
+        documents += [document, replace(document, events=document.events[1:])]
+    node = Leaf("1")
+    for _ in range(10_000):
+        node = Decision((Leaf("0"), node))
+    documents.append(document_for(DecisionTree.over(PossibilitySpace(("a", "b")), node)))
+    unnamed = 0
+    for index, document in enumerate(documents):
+        text = outcome(document.serialize)
+        assert text == outcome(nested_fold_serialize, document), index
+        unnamed += isinstance(text, tuple)
+    assert unnamed > 100 and len(documents[-1].serialize()) == 190_051, unnamed
+
+
+def literal_replace_node(root, path, new):
+    if not path:
+        return new
+    index, rest = path[0], path[1:]
+    if isinstance(root, Decision):
+        children = list(root.children)
+        children[index] = literal_replace_node(children[index], rest, new)
+        return Decision(tuple(children))
+    if isinstance(root, Chance):
+        branches = list(root.branches)
+        event, child = branches[index]
+        branches[index] = (event, literal_replace_node(child, rest, new))
+        return Chance(tuple(branches))
+    raise ValueError("path walks through a leaf")
+
+
+def test_replace_node_matches_the_literal_recursion(acceptance_corpus):
+    outcomes = Counter()
+    for index, tree in enumerate(acceptance_corpus):
+        for path, node, _ in tree.nodes():
+            for where in (path, path + (0,), path + (5,)):
+                got = outcome(generate._replace_node, tree.root, where, Leaf("z"))
+                expected = outcome(literal_replace_node, tree.root, where, Leaf("z"))
+                if isinstance(got, tuple):
+                    # an error: compare types only, as an index error's
+                    # message names the kind of sequence it indexed
+                    got, expected = got[0], expected[0]
+                assert got == expected, index
+                outcomes[got.__name__ if isinstance(got, type) else "replaced"] += 1
+    assert min(outcomes[k] for k in ("replaced", "IndexError", "ValueError")) > 500, outcomes
 
 
 def test_prune_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_corpus):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+from treechoice import generate
 from treechoice.generate import (
     GenConfig,
     equivalent_rewrite,
@@ -14,7 +16,7 @@ from treechoice.generate import (
     tree_corpus,
     rng_for,
 )
-from treechoice.model import check_a_consistency
+from treechoice.model import PossibilitySpace, check_a_consistency
 from treechoice.props import (
     INSTANCE_SHAPES,
     FamilyInstance,
@@ -25,7 +27,16 @@ from treechoice.props import (
     reward_table_for_instance,
 )
 from treechoice.textio import instance_json
-from treechoice.trees import Leaf, gamb, is_consistent, nfd_count, validate
+from treechoice.trees import (
+    Decision,
+    DecisionTree,
+    Leaf,
+    gamb,
+    is_consistent,
+    nfd_count,
+    same_up_to_chance_order,
+    validate,
+)
 
 SMALL = GenConfig(max_depth=3, omega_range=(2, 5), nfd_ceiling=200)
 
@@ -73,6 +84,28 @@ def test_rewrite_chain_preserves_gambles(lake_doc):
         assert is_consistent(current)
         assert current.root_event == tree.root_event
         assert gamb(current) == reference
+
+
+def test_rewrites_walk_a_chain_deeper_than_the_recursion_limit():
+    # each level: a decision between a leaf and the next level
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    space = PossibilitySpace(("a", "b"))
+
+    def chain(bottom):
+        node = bottom
+        for _ in range(depth):
+            node = Decision((Leaf("0"), node))
+        return DecisionTree.over(space, node)
+
+    tree = chain(Leaf("1"))
+    replaced = generate._replace_node(tree.root, (1,) * depth, Leaf("2"))
+    assert same_up_to_chance_order(DecisionTree.over(space, replaced), chain(Leaf("2")))
+    with pytest.raises(ValueError, match="path walks through a leaf"):
+        generate._replace_node(tree.root, (1,) * depth + (0,), Leaf("2"))
+    rewritten = equivalent_rewrite(tree, seed=subseed("deep"), steps=3)
+    assert not same_up_to_chance_order(rewritten, tree)
+    assert rewritten.root_event == tree.root_event and gamb(rewritten) == gamb(tree)
 
 
 @pytest.mark.parametrize("seed", range(25))

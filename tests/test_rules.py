@@ -294,3 +294,29 @@ def test_a_score_table_keeps_events_apart(name):
     # one dict of rows per event, one row per gamble
     assert [len(rows) for rows in scored.scores.values()] == [2, 2]
     assert rule.scores is None
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_a_scored_rule_selects_from_each_set_once_per_event(monkeypatch, name):
+    x = Gamble(W4, ("9", "0", "0", "0"))
+    y = Gamble(W4, ("1", "5", "5", "5"))
+    context = ChoiceContext(NUMERIC, probability=UNIFORM4, credal=(UNIFORM4, UNIFORM4))
+    rule = make_rule(name, context)
+    runs = []
+    select = type(rule)._select
+    monkeypatch.setattr(
+        type(rule), "_select", lambda self, *args: runs.append(args) or select(self, *args)
+    )
+    scored = rule.with_scores()
+    first = scored.select(GambleSet([x, y]), W4.omega)
+    # an equal set built anew is the same key; the earlier answer comes back
+    assert scored.select(GambleSet([y, x]), W4.omega) is first
+    inner = W4.event(["w1", "w2"])
+    assert scored.select(GambleSet([x, y]), inner) == rule.select(GambleSet([x, y]), inner)
+    assert len(runs) == 3  # twice for the scored copy, once for the rule
+    assert rule.select(GambleSet([x, y]), W4.omega) == first and len(runs) == 4
+    # a failed contract check is not kept: it fails again
+    for _ in range(2):
+        with pytest.raises(InconsistentSet):
+            scored.select(GambleSet([x]), W4.event(["w2", "w3"]))
+    assert len(scored.selections) == 2 and rule.selections is None
