@@ -34,7 +34,6 @@ from .trees import (
     NormalFormDecision,
     consistent_tree_for,
     gamb,
-    is_consistent,
     nfd,
     nfd_count,
     restrict_solution,
@@ -55,7 +54,6 @@ from .laws import (
     LawReport,
     check_property_instance,
     check_subtree_perfectness,
-    check_weak_subtree_perfectness,
     divergence_tree_for_mixture_witness,
     falsify_property,
 )

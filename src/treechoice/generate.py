@@ -38,7 +38,6 @@ from .trees import (
     Node,
     NodeId,
     nfd_count,
-    validate,
 )
 
 __all__ = [
@@ -179,7 +178,7 @@ def random_consistent_tree(config: GenConfig, seed: int) -> DecisionTree:
 
         tree = DecisionTree.over(space, build(0, space.omega))
         if nfd_count(tree) <= config.nfd_ceiling:
-            return validate(tree)
+            return tree
     raise GenerationRetryExhausted(
         f"no tree within the ceiling after {config.retries} attempts"
     )
@@ -261,7 +260,7 @@ def equivalent_rewrite(tree: DecisionTree, seed: int, steps: int = 1) -> Decisio
         current = DecisionTree(
             current.space, _replace_node(current.root, path, new), current.root_event
         )
-    return validate(current)
+    return current
 
 
 def _consistent_gamble(

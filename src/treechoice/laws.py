@@ -36,7 +36,6 @@ from .trees import (
     NormalFormDecision,
     chance_expansion,
     restrict_solution,
-    validate,
 )
 
 CORROBORATED = "corroborated"
@@ -456,7 +455,7 @@ def divergence_tree_for_mixture_witness(instance: MixtureInstance) -> DecisionTr
             (instance.part.complement(), chance_expansion(instance.other)),
         )
     )
-    return validate(DecisionTree(instance.space, root, instance.given))
+    return DecisionTree(instance.space, root, instance.given)
 
 
 @dataclass(frozen=True)
@@ -484,14 +483,6 @@ class PerfectionReport:
         return tuple(c for c in self.comparisons if not c.ok)
 
 
-def check_weak_subtree_perfectness(
-    tree: DecisionTree, rule: ChoiceRule, cap: int = DEFAULT_ENUMERATION_CAP
-) -> PerfectionReport:
-    """Inclusion-only variant: every restriction of the root solution must
-    sit inside the subtree's own solution."""
-    return check_subtree_perfectness(tree, rule, weak=True, cap=cap)
-
-
 def check_subtree_perfectness(
     tree: DecisionTree,
     rule: ChoiceRule,
@@ -504,9 +495,9 @@ def check_subtree_perfectness(
     root_report = norm_opt(tree, rule, cap)
     comparisons = []
     for path in tree.paths():
-        if not any(m.contains_node(path) for m in root_report.solution):
-            continue
         restricted = restrict_solution(root_report.solution, path)
+        if not restricted:  # no member reaches the node
+            continue
         if path:
             subtree_solution = norm_opt(tree.subtree_at(path), rule, cap).solution
         else:

@@ -141,12 +141,9 @@ def is_partition(events: Sequence[Event], of: Optional[Event] = None) -> bool:
     return seen == target.bits
 
 
-def require_partition(events: Sequence[Event], node_id=None) -> None:
+def require_partition(events: Sequence[Event]) -> None:
     if not is_partition(events):
-        raise NotAPartition(
-            "events must be non-empty, disjoint, and cover the space",
-            node_id=node_id,
-        )
+        raise NotAPartition("events must be non-empty, disjoint, and cover the space")
 
 
 # Parses each literal once per process: a falsifier's instances draw their

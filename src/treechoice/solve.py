@@ -21,7 +21,6 @@ from .trees import (
     capped_nfd_count,
     distinct,
     strategies,
-    validate,
 )
 
 Solution = frozenset[NormalFormDecision]
@@ -66,10 +65,9 @@ def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
     on the states routed to their node: those in every chance-arc event on
     the path. Elsewhere a node's values never reach the root, where the
     routed states are all states and the test is exact membership."""
-    unconditioned = DecisionTree.over(tree.space, tree.root)
 
     def keep(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
-        on_routed = itemgetter(*unconditioned.event_at(path).indices())
+        on_routed = itemgetter(*tree._descend(path, tree.space.omega)[1].indices())
         wanted = {on_routed(values) for values in chosen}
         return [pair for pair in candidates if on_routed(pair[1]) in wanted]
 
@@ -86,7 +84,6 @@ def norm_opt(
     the gamble set; the rule selects from it; a second walk expands only
     the strategies of the chosen gambles. When every strategy has its own
     gamble, the first walk kept them all and the second is skipped."""
-    validate(tree)
     total = capped_nfd_count(tree, cap)
     pool_pairs = strategies(tree, cap, select=distinct)
     pool, chosen, kept = _optimal(tree, rule, pool_pairs, ())
@@ -112,7 +109,6 @@ def back_opt(
 ) -> SolveReport:
     """Backward induction: solve every subtree, glue the survivors, and
     re-apply the rule at each node on the glued candidates' gambles."""
-    validate(tree)
     stages: list[dict] = []
 
     def keep_optimal(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:

@@ -41,7 +41,6 @@ from .trees import (
     Node,
     NodeId,
     NormalFormDecision,
-    validate,
 )
 
 RESERVED = set("(),:=#")
@@ -291,7 +290,6 @@ def parse_tree_file(text: str) -> TreeDocument:
 
     root_event = space.omega if root_event_name is None else lookup_event(root_event_name)
     tree = DecisionTree(space, build(tree_expr), root_event)
-    validate(tree)
     return TreeDocument(
         space=space,
         rewards=table,
@@ -492,7 +490,6 @@ def export_dot(
     """Graphviz text: decision nodes as boxes, chance nodes as circles,
     leaves labeled with reward and utility; decision arcs pruned by the
     solution (when given) are dashed."""
-    validate(tree)
     pruned = frozenset() if solution is None else extract_extensive(tree, solution).pruned_arcs
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
 

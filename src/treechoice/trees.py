@@ -3,7 +3,8 @@
 A tree is a chance/decision/leaf structure over one possibility space, plus a
 root event recording the intersection of all chance-arc events that preceded
 it (the conditioning event for its solutions). Nodes are addressed by the
-path of child indices from the root.
+path of child indices from the root. A `DecisionTree` is consistent by
+construction, so nothing that reads one checks it again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .model import (
     GambleSet,
     PossibilitySpace,
     is_partition,
-    require_partition,
 )
 
 NodeId = tuple[int, ...]
@@ -78,7 +78,11 @@ def chance(*branches: tuple[Event, Node]) -> Chance:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """A decision tree over `space`, conditioned on `root_event`."""
+    """A consistent decision tree over `space`, conditioned on `root_event`.
+
+    Construction runs `validate`, so no inconsistent tree exists: every
+    accumulated event is non-empty and every chance node's branch events
+    partition the space."""
 
     space: PossibilitySpace
     root: Node
@@ -87,6 +91,18 @@ class DecisionTree:
     def __post_init__(self):
         if self.root_event.space != self.space:
             raise SpaceMismatch("root event lives on a different space")
+        validate(self)
+
+    @classmethod
+    def _unchecked(
+        cls, space: PossibilitySpace, root: Node, root_event: Event
+    ) -> DecisionTree:
+        """A tree built without the consistency walk: for a part of a
+        consistent tree, whose nodes keep the events they had there, and
+        for the parts `prune_impossible_branches` walks to repair them."""
+        tree = object.__new__(cls)
+        tree.__dict__.update(space=space, root=root, root_event=root_event)
+        return tree
 
     @classmethod
     def over(
@@ -118,7 +134,7 @@ class DecisionTree:
 
     def subtree_at(self, path: NodeId) -> DecisionTree:
         """The subtree rooted at `path`, carrying its accumulated event."""
-        return DecisionTree(self.space, *self._descend(path, self.root_event))
+        return DecisionTree._unchecked(self.space, *self._descend(path, self.root_event))
 
     def nodes(self) -> Iterator[tuple[NodeId, Node, Event]]:
         """Every (path, node, accumulated event) triple in depth-first
@@ -198,7 +214,8 @@ class DecisionTree:
 
 
 def validate(tree: DecisionTree) -> DecisionTree:
-    """Accept a consistent tree; reject with the first offending node.
+    """Accept a consistent tree; reject with the first offending node in
+    preorder. `DecisionTree` runs it on construction.
 
     Consistency requires every chance node's branch events to partition the
     space and every subtree's accumulated event to be non-empty.
@@ -213,25 +230,21 @@ def validate(tree: DecisionTree) -> DecisionTree:
     return tree
 
 
-def is_consistent(tree: DecisionTree) -> bool:
-    try:
-        validate(tree)
-    except (NotAPartition, EmptySubtreeEvent):
-        return False
-    return True
-
-
-def prune_impossible_branches(tree: DecisionTree) -> DecisionTree:
-    """Drop chance branches that conflict with the accumulated history event.
+def prune_impossible_branches(
+    space: PossibilitySpace, root: Node, root_event: Event
+) -> DecisionTree:
+    """The tree of these parts with every chance branch that conflicts with
+    its accumulated history event dropped.
 
     The freed event mass is folded into the first surviving sibling so every
     chance node still carries a partition of the space; the result is
-    consistent whenever the root event is non-empty. Opt-in repair for trees
-    rejected by `validate`; `validate` itself never prunes.
+    consistent whenever the root event is non-empty and the branch events
+    partition the space. Opt-in repair for parts the `DecisionTree`
+    constructor rejects; construction itself never prunes.
     """
-    if tree.root_event.is_empty:
+    if root_event.is_empty:
         raise EmptySubtreeEvent(())
-    events = {(): tree.root_event}  # the accumulated events of inner nodes to walk
+    events = {(): root_event}  # the accumulated events of inner nodes to walk
 
     def possible(node: Node, path: NodeId) -> list[Optional[Node]]:
         ev = events.pop(path)
@@ -254,11 +267,11 @@ def prune_impossible_branches(tree: DecisionTree) -> DecisionTree:
         for (event, _), child in zip(node.branches, below):
             if child is None:
                 bits |= event.bits
-        kept[0] = (Event(tree.space, bits), kept[0][1])
+        kept[0] = (Event(space, bits), kept[0][1])
         return Chance(tuple(kept))
 
-    root = tree.fold(lambda node: node, rebuild, possible)
-    return validate(DecisionTree(tree.space, root, tree.root_event))
+    parts = DecisionTree._unchecked(space, root, root_event)
+    return DecisionTree(space, parts.fold(lambda node: node, rebuild, possible), root_event)
 
 
 def nfd_count(tree: DecisionTree) -> int:
@@ -308,18 +321,6 @@ class NormalFormDecision:
             if prefix in chosen and chosen[prefix] != path[cut]:
                 return False
         return True
-
-    def restrict(self, path: NodeId) -> NormalFormDecision:
-        """The induced strategy on the subtree at `path` (which must survive)."""
-        if not self.contains_node(path):
-            raise UnknownNode(f"strategy does not pass through {list(path)}")
-        sub = self.tree.subtree_at(path)
-        kept = {
-            q[len(path):]: i
-            for q, i in self.choices
-            if q[: len(path)] == path and len(q) >= len(path)
-        }
-        return NormalFormDecision.of(sub, kept)
 
     @cached_property
     def gamble(self) -> Gamble:
@@ -386,10 +387,8 @@ def strategies(
     size = tree.space.size
     noun = "strategies" if select is None else "glued candidates"
 
-    def walked(node: Node, path: NodeId) -> Optional[list[Optional[Node]]]:
-        if isinstance(node, Chance):
-            require_partition([event for event, _ in node.branches], node_id=path)
-        elif keep_arc is not None:
+    def kept(node: Node, path: NodeId) -> Optional[list[Optional[Node]]]:
+        if isinstance(node, Decision):
             return [c if keep_arc(path + (i,)) else None for i, c in enumerate(node.children)]
         return None
 
@@ -417,7 +416,11 @@ def strategies(
             ]
         return candidates if select is None else select(path, candidates)
 
-    return tree.fold(lambda node: [((), (node.reward,) * size)], combine, walked)
+    return tree.fold(
+        lambda node: [((), (node.reward,) * size)],
+        combine,
+        None if keep_arc is None else kept,
+    )
 
 
 def nfd(
@@ -469,18 +472,26 @@ def strategically_equivalent(
     """Compare induced gamble sets (and, additionally, conditioning events)."""
     if t1.space != t2.space:
         raise SpaceMismatch("trees over different possibility spaces")
-    validate(t1)
-    validate(t2)
     return EquivalenceVerdict(gamb(t1, cap), gamb(t2, cap), t1.root_event == t2.root_event)
 
 
 def restrict_solution(
     solution: Iterable[NormalFormDecision], path: NodeId
 ) -> frozenset[NormalFormDecision]:
-    """Subtrees-at-`path` of exactly those members passing through it;
-    may be empty."""
+    """The induced strategies on the subtree at `path` of exactly those
+    members passing through it; may be empty. The members share one tree,
+    as a solution's do."""
     # contains_node raises UnknownNode for a path not in the tree
-    return frozenset(m.restrict(path) for m in solution if m.contains_node(path))
+    members = [m for m in solution if m.contains_node(path)]
+    if not members:
+        return frozenset()
+    sub = members[0].tree.subtree_at(path)
+    cut = len(path)
+    # the choices are sorted, so those below `path` stay sorted once cut
+    return frozenset(
+        NormalFormDecision(sub, tuple((q[cut:], i) for q, i in m.choices if q[:cut] == path))
+        for m in members
+    )
 
 
 def chance_expansion(gamble: Gamble) -> Chance:
@@ -499,7 +510,7 @@ def consistent_tree_for(gambles: GambleSet, event: Event) -> DecisionTree:
     representable: a decision over the members, each expanded as a chance
     node over its reward level sets."""
     root: Node = Decision(tuple(chance_expansion(g) for g in gambles))
-    return validate(DecisionTree(event.space, root, event))
+    return DecisionTree(event.space, root, event)
 
 
 def same_up_to_chance_order(t1: DecisionTree, t2: DecisionTree) -> bool:

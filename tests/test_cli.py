@@ -21,6 +21,7 @@ CROSS = str(FIXTURES / "cross.tree")
 LAKE_PROB = str(FIXTURES / "lake_uniform.prob")
 INCOMP_PROB = str(FIXTURES / "incomparable_uniform.prob")
 INCOMP_CREDAL = str(FIXTURES / "incomparable_credal.ctx")
+OVERLAPPING = str(FIXTURES / "rejected" / "overlapping_events.tree")
 
 
 def run(capsys, *argv):
@@ -322,6 +323,66 @@ def test_a_partition_error_names_its_node(capsys, tmp_path):
         "error": "chance branch events must partition the space at node []",
         "type": "NotAPartition",
     }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("solve", "--rule", "pointwise_dominance"),
+        ("solve", "--rule", "pointwise_dominance", "--method", "backward"),
+        ("check-perfect", "--rule", "pointwise_dominance"),
+        ("compare-backward", "--rule", "pointwise_dominance"),
+        ("export-dot", "--rule", "pointwise_dominance", "--solution"),
+        ("equiv", "--tree2", INCOMP),
+    ],
+)
+def test_every_command_rejects_a_tree_whose_branch_events_overlap(capsys, command):
+    code, payload = run_json(capsys, *command, "--tree", OVERLAPPING)
+    assert code == 2
+    assert payload == {
+        "command": command[0],
+        "error": "chance branch events must partition the space at node [1]",
+        "type": "NotAPartition",
+    }
+
+
+def test_the_consistency_check_is_not_an_assert():
+    # python -O strips assert statements, not the constructor's check
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["solve", "--tree", OVERLAPPING, "--rule", "pointwise_dominance"]
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "treechoice.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["type"] == "NotAPartition"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("solve", "--method", "normal"), ("solve", "--method", "backward"), ("check-perfect",)],
+)
+def test_each_job_walks_its_tree_for_consistency_once(capsys, monkeypatch, command):
+    from treechoice import generate, laws, solve, textio, trees
+
+    walked = []
+
+    def counted_validate(tree):
+        walked.append(tree)
+        return validate(tree)
+
+    validate = trees.validate
+    # every module binding, so that a call through any of them is counted
+    for module in (trees, textio, solve, laws, generate):
+        if getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted_validate)
+    code, _ = run(capsys, *command, "--tree", INCOMP, "--rule", "pointwise_dominance")
+    # check-perfect finds the fixture's violation at node [0]
+    assert code == (1 if command[0] == "check-perfect" else 0)
+    assert len(walked) == 1
 
 
 def test_export_dot(capsys):

@@ -57,16 +57,22 @@ iterative walk, `DecisionTree.nodes`, and takes the gamble set as the root
 pool of the enumerator's `distinct` hook.
 
 The literal folds are the recursions the bottom-up builders were written
-as: the strategy count, the enumerator (partition check before a chance
-node's branches, cap and `select` after them), a strategy as a tree, the
-pruning repair with the accumulated event passed down, canonical nested
-tuples for equality up to chance order, the tree expression of a document
-and the DOT text. The library folds on one explicit stack,
-`DecisionTree.fold`, and draws DOT from the preorder walk. The
-nested-string fold writes a document's tree expression by copying each
-child's text into its parent's; the library writes the pieces into one
+as: the strategy count, the enumerator (cap and `select` after a node's
+children), a strategy as a tree, the pruning repair with the accumulated
+event passed down, canonical nested tuples for equality up to chance order,
+the tree expression of a document and the DOT text. The library folds on
+one explicit stack, `DecisionTree.fold`, and draws DOT from the preorder
+walk. The nested-string fold writes a document's tree expression by copying
+each child's text into its parent's; the library writes the pieces into one
 list. The rewrite generator's path replacement is checked against the
 recursion it was written as.
+
+Consistency is checked by the `DecisionTree` constructor, so the literal
+consistency recursion reads a tree's parts, and the crafted and broken
+trees are (space, root, root_event) parts that construction must reject
+exactly as it does. The member-by-member restriction restricts each member
+of a solution on its own, with its own copy of the subtree; the library
+cuts the subtree once per call.
 """
 
 import itertools
@@ -75,6 +81,7 @@ import math
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,7 +123,6 @@ from treechoice.model import (
     combine_on_partition,
     gamble_set_sum,
     is_partition,
-    require_partition,
 )
 from treechoice.props import (
     INSTANCE_SHAPES,
@@ -159,6 +165,7 @@ from treechoice.trees import (
     nfd,
     nfd_count,
     prune_impossible_branches,
+    restrict_solution,
     same_up_to_chance_order,
     strategies,
     validate,
@@ -1345,96 +1352,135 @@ def test_node_walk_matches_the_literal_recursions(acceptance_corpus):
 
 
 def inconsistent_trees():
-    """Labelled trees over {a, b, c} that `validate` rejects, and one it
-    accepts."""
+    """Labelled (space, root, root_event) parts over {a, b, c} of trees that
+    `validate` rejects, and of one it accepts."""
     abc, uv = PossibilitySpace(("a", "b", "c")), PossibilitySpace(("u", "v"))
     x, y, z = Leaf("x"), Leaf("y"), Leaf("z")
     a, b, c, ab, bc = (abc.event(labels) for labels in ("a", "b", "c", "ab", "bc"))
     u, v = uv.event("u"), uv.event("v")
+    omega, nothing = abc.omega, abc.empty_event
     return {
-        "overlapping events at the root": DecisionTree.over(
-            abc, chance((ab, x), (bc, y))
+        "overlapping events at the root": (abc, chance((ab, x), (bc, y)), omega),
+        "overlapping events deep": (
+            abc, decision(x, decision(y, chance((ab, x), (b, y), (c, z)))), omega
         ),
-        "overlapping events deep": DecisionTree.over(
-            abc, decision(x, decision(y, chance((ab, x), (b, y), (c, z))))
+        "events that miss a state": (abc, chance((a, x), (b, y)), omega),
+        "an empty branch event": (abc, chance((nothing, x), (omega, y)), omega),
+        "an empty root event": (abc, decision(x, y), nothing),
+        "an empty root event over a broken chance node": (
+            abc, chance((a, x), (a, y)), nothing
         ),
-        "events that miss a state": DecisionTree.over(abc, chance((a, x), (b, y))),
-        "an empty branch event": DecisionTree.over(
-            abc, chance((abc.empty_event, x), (abc.omega, y))
-        ),
-        "an empty root event": DecisionTree(abc, decision(x, y), abc.empty_event),
-        "an empty root event over a broken chance node": DecisionTree(
-            abc, chance((a, x), (a, y)), abc.empty_event
-        ),
-        "an empty accumulated event deep": DecisionTree.over(
+        "an empty accumulated event deep": (
             abc,
             chance((a, decision(x, chance((a, y), (bc, decision(z, x))))), (bc, z)),
+            omega,
         ),
-        "an empty accumulated event under a narrow root event": DecisionTree(
+        "an empty accumulated event under a narrow root event": (
             abc, decision(x, chance((a, y), (bc, z))), b
         ),
-        "events over another space": DecisionTree.over(abc, chance((u, x), (v, y))),
-        "events over another space deep": DecisionTree.over(
-            abc, chance((a, x), (bc, decision(y, chance((u, x), (v, z)))))
+        "events over another space": (abc, chance((u, x), (v, y)), omega),
+        "events over another space deep": (
+            abc, chance((a, x), (bc, decision(y, chance((u, x), (v, z))))), omega
         ),
-        "events over two spaces at one node": DecisionTree.over(
-            abc, chance((a, x), (v, y))
-        ),
-        "the first of two faults in preorder": DecisionTree.over(
+        "events over two spaces at one node": (abc, chance((a, x), (v, y)), omega),
+        "the first of two faults in preorder": (
             abc,
             decision(
                 chance((a, chance((b, x), (ab, y))), (bc, z)),
                 chance((a, x), (a, y)),
             ),
+            omega,
         ),
-        "a consistent tree": DecisionTree.over(
-            abc, decision(x, chance((a, y), (bc, z)))
-        ),
+        "a consistent tree": (abc, decision(x, chance((a, y), (bc, z))), omega),
     }
 
 
 INCONSISTENT_TREES = inconsistent_trees()
 
 
-def validation_outcome(check, tree):
+def rejection(build, *parts):
+    """The type, node and message of the error `build(*parts)` raises, or
+    None when it raises none."""
     try:
-        assert check(tree) is tree
+        build(*parts)
     except TreechoiceError as exc:
         return type(exc), getattr(exc, "node_id", None), str(exc)
     return None
 
 
+def literal_validate_parts(space, root, root_event):
+    """`literal_validate` on a tree's parts, with no tree built from them."""
+    unchecked = SimpleNamespace(space=space, root=root, root_event=root_event)
+    assert literal_validate(unchecked) is unchecked
+
+
 @pytest.mark.parametrize("label", sorted(INCONSISTENT_TREES))
 def test_validate_matches_the_literal_recursion_on_crafted_trees(label):
-    tree = INCONSISTENT_TREES[label]
-    outcome = validation_outcome(validate, tree)
-    assert outcome == validation_outcome(literal_validate, tree)
+    parts = INCONSISTENT_TREES[label]
+    outcome = rejection(DecisionTree, *parts)
+    assert outcome == rejection(literal_validate_parts, *parts)
     assert (outcome is None) == (label == "a consistent tree"), outcome
 
 
 def broken_variants(tree):
-    """Inconsistent variants of a consistent tree: every chance event taken
-    as the root event, and each chance node's first branch event widened to
-    the whole space or narrowed to nothing."""
+    """The (space, root, root_event) parts of inconsistent variants of a
+    consistent tree: every chance event taken as the root event, and each
+    chance node's first branch event widened to the whole space or
+    narrowed to nothing."""
     for path, node, _ in tree.nodes():
         if isinstance(node, Chance):
             for event, _ in node.branches:
-                yield DecisionTree(tree.space, tree.root, event)
+                yield tree.space, tree.root, event
             _, first = node.branches[0]
             for event in (tree.space.omega, tree.space.empty_event):
                 broken = Chance(((event, first),) + node.branches[1:])
                 root = generate._replace_node(tree.root, path, broken)
-                yield DecisionTree(tree.space, root, tree.root_event)
+                yield tree.space, root, tree.root_event
 
 
 def test_validate_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_corpus):
     outcomes = Counter()
     for index, tree in enumerate(acceptance_corpus[:60]):
         for variant in broken_variants(tree):
-            outcome = validation_outcome(validate, variant)
-            assert outcome == validation_outcome(literal_validate, variant), index
+            outcome = rejection(DecisionTree, *variant)
+            assert outcome == rejection(literal_validate_parts, *variant), index
             outcomes[outcome and outcome[0].__name__] += 1
     assert outcomes["EmptySubtreeEvent"] > 50 and outcomes["NotAPartition"] > 50, outcomes
+
+
+def test_subtrees_equal_the_checked_trees_of_their_parts(acceptance_corpus):
+    subtrees = 0
+    for index, tree in enumerate(acceptance_corpus):
+        for path in tree.paths():
+            checked = DecisionTree(tree.space, tree.node_at(path), tree.event_at(path))
+            assert tree.subtree_at(path) == checked, (index, path)
+            subtrees += 1
+    assert subtrees > 2000, subtrees
+
+
+def literal_restrict_solution(solution, path):
+    """Each member through `path` restricted on its own: its own copy of
+    the subtree, its choices below `path` re-sorted."""
+    restricted = set()
+    for member in solution:
+        if member.contains_node(path):
+            sub = member.tree.subtree_at(path)
+            kept = {q[len(path):]: i for q, i in member.choices if q[: len(path)] == path}
+            restricted.add(NormalFormDecision.of(sub, kept))
+    return frozenset(restricted)
+
+
+def test_restrict_solution_matches_the_member_by_member_restriction(acceptance_corpus):
+    sizes = Counter()
+    for index, tree in enumerate(acceptance_corpus):
+        members = nfd(tree)
+        for solution in (members, members[::2], members[-1:]):
+            for path in tree.paths():
+                restricted = restrict_solution(solution, path)
+                # equal members have equal trees and equal sorted choices
+                assert restricted == literal_restrict_solution(solution, path), (index, path)
+                sizes[min(len(restricted), 2)] += 1
+    assert min(sizes.values()) > 1000, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -1458,8 +1504,8 @@ def literal_nfd_count(tree):
 
 
 def literal_strategies(tree, cap=DEFAULT_ENUMERATION_CAP, keep_arc=None, select=None):
-    """(choices, values) pairs by recursion: the partition check at each
-    chance node before its branches, the cap and `select` after them."""
+    """(choices, values) pairs by recursion: the cap and `select` at each
+    node after its children."""
     if keep_arc is None and select is None:
         literal_capped_count(tree, cap)
     size = tree.space.size
@@ -1476,7 +1522,6 @@ def literal_strategies(tree, cap=DEFAULT_ENUMERATION_CAP, keep_arc=None, select=
                     candidates += [(((path, i),) + c, v) for c, v in below]
         else:
             events = [event for event, _ in node.branches]
-            require_partition(events, node_id=path)
             owner = [0] * size
             for b, event in enumerate(events):
                 for i in event.indices():
@@ -1530,10 +1575,10 @@ def literal_as_tree(member):
     return DecisionTree(tree.space, build(tree.root, ()), tree.root_event)
 
 
-def literal_prune_impossible_branches(tree):
+def literal_prune_impossible_branches(space, root, root_event):
     """Impossible branches dropped by recursion, the accumulated event
     passed down; the freed mass widens the first surviving branch."""
-    if tree.root_event.is_empty:
+    if root_event.is_empty:
         raise EmptySubtreeEvent(())
 
     def walk(node, ev):
@@ -1547,12 +1592,12 @@ def literal_prune_impossible_branches(tree):
             if (ev & event).is_empty:
                 dropped_bits |= event.bits
         first_event, first_child = kept[0]
-        widened = Event(tree.space, first_event.bits | dropped_bits)
+        widened = Event(space, first_event.bits | dropped_bits)
         rebuilt = [(widened, walk(first_child, ev & first_event))]
         rebuilt.extend((event, walk(child, ev & event)) for event, child in kept[1:])
         return Chance(tuple(rebuilt))
 
-    return validate(DecisionTree(tree.space, walk(tree.root, tree.root_event), tree.root_event))
+    return DecisionTree(space, walk(root, root_event), root_event)
 
 
 def literal_same_up_to_chance_order(t1, t2):
@@ -1755,8 +1800,8 @@ def test_prune_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_c
     outcomes = Counter()
     for index, tree in enumerate(acceptance_corpus):
         for variant in broken_variants(tree):
-            pruned = outcome(prune_impossible_branches, variant)
-            assert pruned == outcome(literal_prune_impossible_branches, variant), index
+            pruned = outcome(prune_impossible_branches, *variant)
+            assert pruned == outcome(literal_prune_impossible_branches, *variant), index
             outcomes[pruned[0].__name__ if isinstance(pruned, tuple) else "pruned"] += 1
     assert outcomes["pruned"] > 500 and outcomes["NotAPartition"] > 500, outcomes
 
@@ -1776,13 +1821,19 @@ def test_same_up_to_chance_order_matches_the_literal_recursion(acceptance_corpus
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
-@pytest.mark.parametrize("label", sorted(INCONSISTENT_TREES))
+@pytest.mark.parametrize(
+    "label",
+    # an inconsistent tree cannot be built, so the enumerator never sees one
+    [
+        label
+        for label, parts in INCONSISTENT_TREES.items()
+        if rejection(DecisionTree, *parts) is None
+    ],
+)
 def test_the_enumerator_fails_as_the_literal_recursion_on_crafted_trees(label):
-    tree = INCONSISTENT_TREES[label]
-    literal_members = outcome(literal_strategies, tree)
-    if isinstance(literal_members, list):
-        literal_members = tuple(NormalFormDecision(tree, c) for c, _ in literal_members)
-    assert outcome(nfd, tree) == literal_members
-    assert outcome(gamb, tree) == outcome(literal_enumerator_gamb, tree)
+    tree = DecisionTree(*INCONSISTENT_TREES[label])
+    literal_members = tuple(NormalFormDecision(tree, c) for c, _ in literal_strategies(tree))
+    assert nfd(tree) == literal_members
+    assert gamb(tree) == literal_enumerator_gamb(tree)
     for hooks in ({"select": distinct}, {"keep_arc": lambda arc: arc[-1] == 0}):
-        assert outcome(strategies, tree, **hooks) == outcome(literal_strategies, tree, **hooks)
+        assert strategies(tree, **hooks) == literal_strategies(tree, **hooks)

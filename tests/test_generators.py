@@ -32,7 +32,6 @@ from treechoice.trees import (
     DecisionTree,
     Leaf,
     gamb,
-    is_consistent,
     nfd_count,
     same_up_to_chance_order,
     validate,
@@ -81,7 +80,7 @@ def test_rewrite_chain_preserves_gambles(lake_doc):
     current = tree
     for step in range(10):
         current = equivalent_rewrite(current, seed=subseed("chain", step))
-        assert is_consistent(current)
+        assert validate(current) is current
         assert current.root_event == tree.root_event
         assert gamb(current) == reference
 

@@ -343,7 +343,7 @@ def test_subtree_perfectness_single_leaf(leaf_doc):
 
 def test_weak_subtree_perfectness_incomparable(incomparable_doc, incomparable_dominance):
     report = check_subtree_perfectness(incomparable_doc.tree, incomparable_dominance, weak=True)
-    assert report.perfect  # {Y} inside {X, Y}
+    assert report.weak and report.perfect  # {Y} inside {X, Y}
 
 
 def test_strong_perfect_implies_weak(lake_doc, lake_eu):
@@ -379,13 +379,6 @@ def test_mixture_instance_full_part_rejected(incomparable_doc, incomparable_domi
     )
     with pytest.raises(MalformedInstance):
         check_property_instance(P.P3_mixture, incomparable_dominance, inst)
-
-
-def test_weak_perfectness_named_wrapper(incomparable_doc, incomparable_dominance):
-    from treechoice.laws import check_weak_subtree_perfectness
-
-    report = check_weak_subtree_perfectness(incomparable_doc.tree, incomparable_dominance)
-    assert report.weak and report.perfect
 
 
 def test_shrink_needs_violation(incomparable_doc, incomparable_eu):

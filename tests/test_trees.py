@@ -26,7 +26,6 @@ from treechoice.trees import (
     NormalFormDecision,
     consistent_tree_for,
     gamb,
-    is_consistent,
     nfd,
     nfd_count,
     prune_impossible_branches,
@@ -53,26 +52,22 @@ def test_validate_fixtures(incomparable_doc, lake_doc, cross_doc, leaf_doc):
 
 def test_single_leaf_is_consistent():
     tree = DecisionTree.over(W2, Leaf("z"))
-    assert is_consistent(tree)
+    assert validate(tree) is tree
 
 
 def test_duplicate_branch_event_is_not_a_partition():
-    tree = DecisionTree.over(W2, Chance(((A, Leaf("x")), (A, Leaf("y")))))
     with pytest.raises(NotAPartition) as err:
-        validate(tree)
+        DecisionTree.over(W2, Chance(((A, Leaf("x")), (A, Leaf("y")))))
     assert err.value.node_id == ()
     assert str(err.value) == "chance branch events must partition the space at node []"
 
 
 def test_a_partition_error_names_its_node_when_it_has_one():
     broken = Chance(((A, Leaf("x")), (A, Leaf("y"))))
-    tree = DecisionTree.over(W2, Decision((Leaf("z"), broken)))
     with pytest.raises(NotAPartition) as err:
-        gamb(tree)  # the enumerator's own check, no validate first
+        DecisionTree.over(W2, Decision((Leaf("z"), broken)))
     assert err.value.node_id == (1,)
-    assert str(err.value) == (
-        "events must be non-empty, disjoint, and cover the space at node [1]"
-    )
+    assert str(err.value) == "chance branch events must partition the space at node [1]"
     with pytest.raises(NotAPartition) as err:
         require_partition([A, A])  # a model-level check has no node
     assert err.value.node_id is None
@@ -82,23 +77,23 @@ def test_a_partition_error_names_its_node_when_it_has_one():
 def test_empty_history_rejected_with_node():
     # the A-branch then an inner chance node reachable only on AC
     inner = Chance(((A, Leaf("x")), (AC, Leaf("y"))))
-    tree = DecisionTree(W2, Chance(((A, inner), (AC, Leaf("z")))), W2.omega)
     with pytest.raises(EmptySubtreeEvent) as err:
-        validate(tree)
+        DecisionTree(W2, Chance(((A, inner), (AC, Leaf("z")))), W2.omega)
     assert err.value.node_id == (0, 1)  # AC-branch under the A-branch
 
 
 def test_empty_root_event_rejected():
-    tree = DecisionTree(W2, Leaf("z"), W2.empty_event)
     with pytest.raises(EmptySubtreeEvent):
-        validate(tree)
+        DecisionTree(W2, Leaf("z"), W2.empty_event)
 
 
 def test_prune_impossible_branches_repairs():
     inner = Chance(((A, Leaf("x")), (AC, Leaf("y"))))
-    tree = DecisionTree(W2, Chance(((A, inner), (AC, Leaf("z")))), W2.omega)
-    repaired = prune_impossible_branches(tree)
-    assert is_consistent(repaired)
+    root = Chance(((A, inner), (AC, Leaf("z"))))
+    with pytest.raises(EmptySubtreeEvent):
+        DecisionTree(W2, root, W2.omega)
+    repaired = prune_impossible_branches(W2, root, W2.omega)
+    assert validate(repaired) is repaired
     assert gamb(repaired) == GambleSet(
         [Gamble(W2, ("x", "z")), ]
     )
@@ -235,7 +230,7 @@ def test_consistency_characterizations_agree():
     )
     assert check_a_consistency(good, a)
     tree = consistent_tree_for(good, a)
-    assert is_consistent(tree)
+    assert validate(tree) is tree
     assert tree.root_event == a
     assert gamb(tree) == good
 
@@ -261,7 +256,8 @@ def test_consistency_is_hereditary():
     for i in range(30):
         tree = random_consistent_tree(GenConfig(max_depth=3), seed=subseed("her", i))
         for path in tree.paths():
-            assert is_consistent(tree.subtree_at(path))
+            sub = tree.subtree_at(path)
+            assert validate(sub) is sub
 
 
 def test_nfd_cardinality_recursion_oracle():
@@ -294,7 +290,7 @@ def test_a_consistency_characterizations_agree_on_batch():
         )
         assert check_a_consistency(inst.gambles, inst.given)
         tree = consistent_tree_for(inst.gambles, inst.given)
-        assert is_consistent(tree)
+        assert validate(tree) is tree
         assert tree.root_event == inst.given
         assert gamb(tree) == inst.gambles
 
@@ -329,7 +325,8 @@ def test_every_tree_reader_walks_a_5000_deep_chain():
     assert leaf_first.as_tree().root == Decision((Leaf("0"),))
     assert nfd_count(tree) == depth + 1
     assert {g.values for g in gamb(tree)} == {("0", "0"), ("1", "1")}
-    assert same_up_to_chance_order(prune_impossible_branches(tree), tree)
+    pruned = prune_impossible_branches(tree.space, tree.root, tree.root_event)
+    assert same_up_to_chance_order(pruned, tree)
     other = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("2"))
     assert not same_up_to_chance_order(tree, other)
 
@@ -348,7 +345,7 @@ def test_the_strategy_readers_walk_a_5000_deep_chance_chain():
     reordered = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), swapped)
     assert same_up_to_chance_order(tree, reordered)
     # narrowing the root event empties the A branch at the bottom
-    pruned = prune_impossible_branches(DecisionTree(W2, tree.root, AC))
+    pruned = prune_impossible_branches(W2, tree.root, AC)
     bottom = Chance(((W2.omega, Leaf("y")),))
     expected = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), bottom)
     assert same_up_to_chance_order(pruned, DecisionTree(W2, expected.root, AC))
