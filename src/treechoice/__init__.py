@@ -11,7 +11,6 @@ from .model import (
     Event,
     Gamble,
     GambleSet,
-    PartialGamble,
     PossibilitySpace,
     RewardTable,
     check_a_consistency,

@@ -21,10 +21,6 @@ class NotAPartition(TreechoiceError):
         self.node_id = node_id
 
 
-class DomainMismatch(TreechoiceError):
-    """A partial gamble's domain differs from the event it was paired with."""
-
-
 class EmptyInputSet(TreechoiceError):
     """A gamble-set operation received an empty set."""
 

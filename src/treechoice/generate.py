@@ -36,7 +36,7 @@ from .trees import (
     DecisionTree,
     Leaf,
     Node,
-    NodeId,
+    Path,
     nfd_count,
 )
 
@@ -191,7 +191,7 @@ def tree_corpus(config: GenConfig, seed: int, count: int) -> list[DecisionTree]:
     ]
 
 
-def _replace_node(root: Node, path: NodeId, new: Node) -> Node:
+def _replace_node(root: Node, path: Path, new: Node) -> Node:
     """`root` with the node at `path` replaced by `new`: walk down the path,
     then rebuild each node on it from the bottom up."""
     above: list[tuple[Node, int]] = []
@@ -212,20 +212,21 @@ def _replace_node(root: Node, path: NodeId, new: Node) -> Node:
     return new
 
 
-def _rewrite_candidates(tree: DecisionTree) -> list[tuple[str, NodeId, Optional[int]]]:
-    out: list[tuple[str, NodeId, Optional[int]]] = []
-    for path, node, _ in tree.nodes():
-        out.append(("wrap", path, None))
+def _rewrite_candidates(tree: DecisionTree) -> list[tuple[str, int, Optional[int]]]:
+    """(kind, node id, child index) for every rewrite the tree allows."""
+    out: list[tuple[str, int, Optional[int]]] = []
+    for v, node in tree.nodes():
+        out.append(("wrap", v, None))
         if isinstance(node, Decision):
             if len(node.children) >= 2:
-                out.append(("permute_decision", path, None))
+                out.append(("permute_decision", v, None))
             if len(node.children) == 1:
-                out.append(("unwrap", path, None))
+                out.append(("unwrap", v, None))
             for i, child in enumerate(node.children):
                 if isinstance(child, Decision):
-                    out.append(("flatten", path, i))
+                    out.append(("flatten", v, i))
         if isinstance(node, Chance) and len(node.branches) >= 2:
-            out.append(("permute_chance", path, None))
+            out.append(("permute_chance", v, None))
     return out
 
 
@@ -237,8 +238,8 @@ def equivalent_rewrite(tree: DecisionTree, seed: int, steps: int = 1) -> Decisio
     current = tree
     rng = rng_for("rewrite", seed)
     for _ in range(steps):
-        kind, path, extra = rng.choice(_rewrite_candidates(current))
-        node = current.node_at(path)
+        kind, v, extra = rng.choice(_rewrite_candidates(current))
+        node = current.index.nodes[v]
         if kind == "wrap":
             new: Node = Decision((node,))
         elif kind == "unwrap":
@@ -258,7 +259,7 @@ def equivalent_rewrite(tree: DecisionTree, seed: int, steps: int = 1) -> Decisio
             )
             new = Decision(spliced)
         current = DecisionTree(
-            current.space, _replace_node(current.root, path, new), current.root_event
+            current.space, _replace_node(current.root, current.path_of(v), new), current.root_event
         )
     return current
 

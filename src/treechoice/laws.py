@@ -32,8 +32,8 @@ from .trees import (
     Chance,
     Decision,
     DecisionTree,
-    NodeId,
     NormalFormDecision,
+    Path,
     chance_expansion,
     restrict_solution,
 )
@@ -463,7 +463,7 @@ class NodeComparison:
     """One node's verdict: the subtree's own solution vs the restriction of
     the root solution to that node."""
 
-    node: NodeId
+    node: Path
     ok: bool
     subtree_solution: frozenset[NormalFormDecision]
     restricted: frozenset[NormalFormDecision]
@@ -494,12 +494,13 @@ def check_subtree_perfectness(
     the weak variant only inclusion of the restriction."""
     root_report = norm_opt(tree, rule, cap)
     comparisons = []
-    for path in tree.paths():
+    for v, _ in tree.nodes():
+        path = tree.path_of(v)
         restricted = restrict_solution(root_report.solution, path)
         if not restricted:  # no member reaches the node
             continue
-        if path:
-            subtree_solution = norm_opt(tree.subtree_at(path), rule, cap).solution
+        if v:  # solved on the restricted members' own copy of the subtree
+            subtree_solution = norm_opt(next(iter(restricted)).tree, rule, cap).solution
         else:
             subtree_solution = root_report.solution
         ok = (

@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
-    DomainMismatch,
     DuplicateDefinition,
     EmptyEvent,
     EmptyInputSet,
@@ -125,20 +124,19 @@ class Event:
         return f"Event({{{', '.join(self.labels())}}})"
 
 
-def is_partition(events: Sequence[Event], of: Optional[Event] = None) -> bool:
-    """True iff the events are non-empty, pairwise disjoint, and cover `of`
-    (the whole space when `of` is omitted)."""
+def is_partition(events: Sequence[Event]) -> bool:
+    """True iff the events are non-empty, pairwise disjoint, and cover the
+    whole space."""
     if not events:
         return False
     space = events[0].space
-    target = space.omega if of is None else of
     seen = 0
     for e in events:
         _same_space(space, e.space)
         if e.bits == 0 or seen & e.bits:
             return False
         seen |= e.bits
-    return seen == target.bits
+    return seen == space.omega.bits
 
 
 def require_partition(events: Sequence[Event]) -> None:
@@ -240,60 +238,21 @@ class Gamble:
         return f"Gamble({', '.join(self.values)})"
 
 
-@dataclass(frozen=True)
-class PartialGamble:
-    """A reward map defined exactly on its domain event (None elsewhere)."""
+def combine_on_partition(parts: Sequence[tuple[Event, Gamble]]) -> Gamble:
+    """Patch gambles together over a partition of the space.
 
-    space: PossibilitySpace
-    domain: Event
-    values: tuple[Optional[str], ...]
-
-    def __post_init__(self):
-        _same_space(self.space, self.domain.space)
-        for i in range(self.space.size):
-            defined = self.values[i] is not None
-            if defined != self.domain.contains_index(i):
-                raise DomainMismatch(
-                    "partial gamble must be defined exactly on its domain"
-                )
-
-    @classmethod
-    def constant(cls, event: Event, reward: str) -> PartialGamble:
-        vals = tuple(
-            reward if event.contains_index(i) else None
-            for i in range(event.space.size)
-        )
-        return cls(event.space, event, vals)
-
-
-PartLike = Union[Gamble, PartialGamble]
-
-
-def combine_on_partition(parts: Sequence[tuple[Event, PartLike]]) -> Gamble:
-    """Patch partial gambles together over a partition of the space.
-
-    Each part is an (event, gamble) pair: a total gamble is restricted to its
-    event implicitly; a partial gamble must have the event as its exact
-    domain. Returns the unique total gamble agreeing with every part.
+    Each part is an (event, gamble) pair, the gamble restricted to its
+    event. Returns the unique total gamble agreeing with every part.
     """
     if not parts:
         raise EmptyInputSet("combine_on_partition needs at least one part")
     space = parts[0][0].space
     require_partition([event for event, _ in parts])
     values: list[Optional[str]] = [None] * space.size
-    for event, part in parts:
-        if isinstance(part, PartialGamble):
-            _same_space(space, part.space)
-            if part.domain != event:
-                raise DomainMismatch(
-                    f"part domain {part.domain!r} differs from its event {event!r}"
-                )
-            source = part.values
-        else:
-            _same_space(space, part.space)
-            source = part.values
+    for event, gamble in parts:
+        _same_space(space, gamble.space)
         for i in event.indices():
-            values[i] = source[i]
+            values[i] = gamble.values[i]
     return Gamble(space, tuple(values))
 
 

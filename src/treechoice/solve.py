@@ -8,14 +8,12 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import EmptySolution
-from .model import Gamble, GambleSet, PossibilitySpace
+from .model import Event, Gamble, GambleSet, PossibilitySpace
 from .rules import ChoiceRule
 from .trees import (
     DEFAULT_ENUMERATION_CAP,
-    Chance,
     Decision,
     DecisionTree,
-    NodeId,
     NormalFormDecision,
     Strategy,
     capped_nfd_count,
@@ -36,12 +34,12 @@ def _gamble_set(space: PossibilitySpace, pairs: Iterable[Strategy]) -> GambleSet
 
 
 def _optimal(
-    tree: DecisionTree, rule: ChoiceRule, pairs: list[Strategy], path: NodeId
+    tree: DecisionTree, rule: ChoiceRule, pairs: list[Strategy], v: int
 ) -> tuple[GambleSet, GambleSet, list[Strategy]]:
-    """The candidate pool at `path`, the rule's choice from it given the
+    """The candidate pool at node `v`, the rule's choice from it given the
     node's event, and the pairs whose gamble was chosen."""
     pool = _gamble_set(tree.space, pairs)
-    chosen = rule.select(pool, tree.event_at(path))
+    chosen = rule.select(pool, tree.event_of(v))
     values = {g.values for g in chosen}
     return pool, chosen, [pair for pair in pairs if pair[1] in values]
 
@@ -62,12 +60,14 @@ class SolveReport:
 
 def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
     """A `select` hook keeping the pairs that agree with some chosen gamble
-    on the states routed to their node: those in every chance-arc event on
-    the path. Elsewhere a node's values never reach the root, where the
-    routed states are all states and the test is exact membership."""
+    on the states routed to their node (`NodeIndex.routed`): elsewhere a
+    node's values never reach the root. At the root every state counts, and
+    the test is exact membership."""
+    routed = tree.index.routed
 
-    def keep(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
-        on_routed = itemgetter(*tree._descend(path, tree.space.omega)[1].indices())
+    def keep(v: int, candidates: list[Strategy]) -> list[Strategy]:
+        states = Event(tree.space, routed[v]) if v else tree.space.omega
+        on_routed = itemgetter(*states.indices())
         wanted = {on_routed(values) for values in chosen}
         return [pair for pair in candidates if on_routed(pair[1]) in wanted]
 
@@ -86,7 +86,7 @@ def norm_opt(
     gamble, the first walk kept them all and the second is skipped."""
     total = capped_nfd_count(tree, cap)
     pool_pairs = strategies(tree, cap, select=distinct)
-    pool, chosen, kept = _optimal(tree, rule, pool_pairs, ())
+    pool, chosen, kept = _optimal(tree, rule, pool_pairs, 0)
     if len(pool_pairs) < total:
         kept = strategies(tree, cap, select=_agreeing(tree, {g.values for g in chosen}))
     solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
@@ -111,10 +111,10 @@ def back_opt(
     re-apply the rule at each node on the glued candidates' gambles."""
     stages: list[dict] = []
 
-    def keep_optimal(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
-        _, _, kept = _optimal(tree, rule, candidates, path)
+    def keep_optimal(v: int, candidates: list[Strategy]) -> list[Strategy]:
+        _, _, kept = _optimal(tree, rule, candidates, v)
         stages.append(
-            {"node": list(path), "candidates": len(candidates), "kept": len(kept)}
+            {"node": list(tree.path_of(v)), "candidates": len(candidates), "kept": len(kept)}
         )
         return kept
 
@@ -136,15 +136,15 @@ def back_opt(
 class ExtensiveSolution:
     """The source tree with a kept/pruned mark on every decision arc.
 
-    Arcs are identified by the child node's path. Regions below pruned arcs
-    are retained in the tree but flagged unreachable, so node addressing
-    stays stable.
+    Arcs and nodes are sets of node ids, an arc identified by its child's
+    id. Regions below pruned arcs are retained in the tree but flagged
+    unreachable, so node ids stay stable.
     """
 
     tree: DecisionTree
-    kept_arcs: frozenset[NodeId]
-    pruned_arcs: frozenset[NodeId]
-    unreachable: frozenset[NodeId]
+    kept_arcs: frozenset[int]
+    pruned_arcs: frozenset[int]
+    unreachable: frozenset[int]
 
 
 def extract_extensive(
@@ -155,28 +155,18 @@ def extract_extensive(
     members = list(solution)
     if not members:
         raise EmptySolution("cannot extract an extensive form from no members")
-    kept: set[NodeId] = set()
-    for member in members:
-        kept.update(member.arc_paths())
-
-    pruned: set[NodeId] = set()
-    unreachable: set[NodeId] = set()
-    reachable: set[NodeId] = {()}
-    for path, node, _ in tree.nodes():
-        if path not in reachable:
-            unreachable.add(path)
-        elif isinstance(node, Decision):
-            for i in range(len(node.children)):
-                arc = path + (i,)
-                (reachable if arc in kept else pruned).add(arc)
-        elif isinstance(node, Chance):
-            reachable.update(path + (i,) for i in range(len(node.branches)))
-    return ExtensiveSolution(
-        tree=tree,
-        kept_arcs=frozenset(kept),
-        pruned_arcs=frozenset(pruned),
-        unreachable=frozenset(unreachable),
-    )
+    # ids gather in dicts, not sets: a set grown one id at a time may
+    # reserve four times its size, a frozenset copied from a dict is sized once
+    kept = frozenset(dict.fromkeys(arc for member in members for arc in member.arcs()))
+    nodes, parent = tree.index.nodes, tree.index.parent
+    pruned, unreachable = {}, {}
+    for v in range(1, len(nodes)):  # parents before children
+        u = parent[v]
+        if u in unreachable:
+            unreachable[v] = None
+        elif isinstance(nodes[u], Decision) and v not in kept:
+            pruned[v] = unreachable[v] = None
+    return ExtensiveSolution(tree, kept, frozenset(pruned), frozenset(unreachable))
 
 
 def nfd_of_extensive(

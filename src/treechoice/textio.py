@@ -39,7 +39,6 @@ from .trees import (
     DecisionTree,
     Leaf,
     Node,
-    NodeId,
     NormalFormDecision,
 )
 
@@ -306,7 +305,7 @@ def document_for(
     """Wrap a tree as a document, naming branch events e1, e2, ... in first
     preorder occurrence; rewards default to literal-valued symbols."""
     table = rewards if rewards is not None else RewardTable.from_literals(tree.leaf_rewards())
-    events = [e for _, n, _ in tree.nodes() if isinstance(n, Chance) for e, _ in n.branches]
+    events = [e for _, n in tree.nodes() if isinstance(n, Chance) for e, _ in n.branches]
     if not tree.root_event.is_omega:
         events.append(tree.root_event)
     names: dict[int, tuple[str, Event]] = {}  # by bits, in order of first occurrence
@@ -421,7 +420,8 @@ def event_json(e: Event) -> list[str]:
 
 
 def member_json(member: NormalFormDecision) -> list[list[int]]:
-    return [list(arc) for arc in member.arc_paths()]
+    """The member's kept decision arcs, each as the path of its child."""
+    return [[*member.tree.path_of(v), i] for v, i in member.choices]
 
 
 def solution_json(solution: Iterable[NormalFormDecision]) -> list[list[list[int]]]:
@@ -493,8 +493,8 @@ def export_dot(
     pruned = frozenset() if solution is None else extract_extensive(tree, solution).pruned_arcs
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
 
-    def node_id(path) -> str:
-        return "n" + "_".join(str(i) for i in path) if path else "n"
+    def node_name(v: int) -> str:
+        return "n" + "_".join(str(i) for i in tree.path_of(v))
 
     def quoted(label: str) -> str:
         return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -506,21 +506,19 @@ def export_dot(
                 return f"{reward} = {utility}"
         return reward
 
-    parents: dict[NodeId, tuple[Node, str]] = {}  # inner nodes so far, with their ids
-    for path, node, _ in tree.nodes():
-        me = node_id(path)
-        if path:  # the arc from the parent, then the node
-            parent, parent_id = parents[path[:-1]]
-            i = path[-1]
+    for v, node in tree.nodes():
+        me = node_name(v)
+        if v:  # the arc from the parent, then the node
+            u, i = tree.index.parent[v], tree.index.position[v]
+            parent = tree.index.nodes[u]
             if isinstance(parent, Decision):
-                label = f'"{i + 1}"' + (", style=dashed" if path in pruned else "")
+                label = f'"{i + 1}"' + (", style=dashed" if v in pruned else "")
             else:
                 label = quoted("{" + ",".join(parent.branches[i][0].labels()) + "}")
-            lines.append(f"  {parent_id} -> {me} [label={label}];")
+            lines.append(f"  {node_name(u)} -> {me} [label={label}];")
         if isinstance(node, Leaf):
             lines.append(f"  {me} [shape=plaintext, label={quoted(leaf_label(node.reward))}];")
         else:
-            parents[path] = (node, me)
             shape = "box" if isinstance(node, Decision) else "circle"
             lines.append(f'  {me} [shape={shape}, label=""];')
     lines.append("}")

@@ -2,18 +2,33 @@
 
 A tree is a chance/decision/leaf structure over one possibility space, plus a
 root event recording the intersection of all chance-arc events that preceded
-it (the conditioning event for its solutions). Nodes are addressed by the
-path of child indices from the root. A `DecisionTree` is consistent by
-construction, so nothing that reads one checks it again.
+it (the conditioning event for its solutions). A `DecisionTree` is consistent
+by construction, so nothing that reads one checks it again.
+
+The construction also numbers the nodes in preorder (`NodeIndex`). A node's
+id is its position in that order, its subtree is the id interval [id, end),
+and id order is the lexicographic order of the nodes' paths, the child
+indices on the way from the root. The tree code works on ids; `id_of` reads
+a path where one comes in and `path_of` builds one where one goes out.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from .errors import (
     EmptySubtreeEvent,
@@ -30,8 +45,8 @@ from .model import (
     is_partition,
 )
 
-NodeId = tuple[int, ...]
-Strategy = tuple[tuple[tuple[NodeId, int], ...], tuple[str, ...]]  # (choices, values)
+Path = tuple[int, ...]
+Strategy = tuple[tuple[tuple[int, int], ...], tuple[str, ...]]  # (choices, values)
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -76,17 +91,59 @@ def chance(*branches: tuple[Event, Node]) -> Chance:
     return Chance(tuple(branches))
 
 
+class NodeIndex(NamedTuple):
+    """A tree's nodes in preorder, with four facts per node id."""
+
+    nodes: tuple[Node, ...]
+    parent: tuple[int, ...]  # -1 at the root
+    position: tuple[int, ...]  # the node's child index under its parent, 0 at the root
+    end: tuple[int, ...]  # one past the last id of the node's subtree
+    routed: tuple[int, ...]  # bits of the states in every chance-arc event above the node
+
+    @classmethod
+    def of(cls, space: PossibilitySpace, root: Node) -> NodeIndex:
+        """Number the nodes below `root` in preorder, on an explicit stack."""
+        rows = []  # (node, parent, position, routed) per id
+        stack = [(root, -1, 0, (1 << space.size) - 1)]
+        while stack:
+            row = node, _, _, bits = stack.pop()
+            v = len(rows)
+            rows.append(row)
+            if isinstance(node, Decision):
+                stack += [(c, v, i, bits) for i, c in enumerate(node.children)][::-1]
+            elif isinstance(node, Chance):
+                stack += [(c, v, i, bits & e.bits) for i, (e, c) in enumerate(node.branches)][::-1]
+        nodes, parent, position, routed = zip(*rows)
+        end = list(range(1, len(rows) + 1))
+        for v in reversed(range(1, len(rows))):  # descendants before ancestors
+            end[parent[v]] = max(end[parent[v]], end[v])
+        return cls(nodes, parent, position, tuple(end), routed)
+
+    def below(self, v: int) -> NodeIndex:
+        """The index of the subtree at `v`: the slice [v, end(v)) renumbered
+        from 0. Its `routed` bits still count the chance arcs above `v`."""
+        stop = self.end[v]
+        return NodeIndex(
+            self.nodes[v:stop],
+            (-1,) + tuple(u - v for u in self.parent[v + 1 : stop]),
+            (0,) + self.position[v + 1 : stop],
+            tuple(e - v for e in self.end[v:stop]),
+            self.routed[v:stop],
+        )
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     """A consistent decision tree over `space`, conditioned on `root_event`.
 
     Construction runs `validate`, so no inconsistent tree exists: every
     accumulated event is non-empty and every chance node's branch events
-    partition the space."""
+    partition the space. It also sets `index`, the nodes in preorder."""
 
     space: PossibilitySpace
     root: Node
     root_event: Event
+    index: NodeIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.root_event.space != self.space:
@@ -95,13 +152,13 @@ class DecisionTree:
 
     @classmethod
     def _unchecked(
-        cls, space: PossibilitySpace, root: Node, root_event: Event
+        cls, space: PossibilitySpace, root: Node, root_event: Event, index: NodeIndex
     ) -> DecisionTree:
-        """A tree built without the consistency walk: for a part of a
+        """A tree built without the consistency check: for a part of a
         consistent tree, whose nodes keep the events they had there, and
         for the parts `prune_impossible_branches` walks to repair them."""
         tree = object.__new__(cls)
-        tree.__dict__.update(space=space, root=root, root_event=root_event)
+        tree.__dict__.update(space=space, root=root, root_event=root_event, index=index)
         return tree
 
     @classmethod
@@ -110,123 +167,121 @@ class DecisionTree:
     ) -> DecisionTree:
         return cls(space, root, space.omega if root_event is None else root_event)
 
-    def _descend(self, path: NodeId, ev: Optional[Event] = None) -> tuple[Node, Optional[Event]]:
-        """The node at `path`, and `ev` narrowed by each chance arc on the way."""
-        node = self.root
-        for step, index in enumerate(path):
-            if isinstance(node, Decision) and index < len(node.children):
-                node = node.children[index]
-            elif isinstance(node, Chance) and index < len(node.branches):
-                event, node = node.branches[index]
-                if ev is not None:
-                    ev = ev & event
-            else:
+    def child(self, v: int, i: int) -> int:
+        """The id of child `i` of node `v`: the first child's id, moved past
+        one sibling's subtree per step; `end(v)` past the last child."""
+        end = self.index.end
+        c, stop = v + 1, end[v]
+        while i > 0 and c < stop:
+            c, i = end[c], i - 1
+        return c
+
+    def id_of(self, path: Path) -> int:
+        """The id of the node at `path`; `UnknownNode` when there is none."""
+        v = 0
+        for step, i in enumerate(path):
+            c = self.child(v, i)
+            if i < 0 or c >= self.index.end[v]:
                 raise UnknownNode(f"no node at path {list(path[: step + 1])}")
-        return node, ev
+            v = c
+        return v
 
-    def node_at(self, path: NodeId) -> Node:
-        return self._descend(path)[0]
+    def path_of(self, v: int) -> Path:
+        """The child indices on the way from the root to node `v`."""
+        parent, position = self.index.parent, self.index.position
+        steps = []
+        while v > 0:
+            steps.append(position[v])
+            v = parent[v]
+        return tuple(reversed(steps))
 
-    def event_at(self, path: NodeId) -> Event:
-        """The accumulated event for the subtree at `path`: root_event
-        intersected with every chance-arc event along the way."""
-        return self._descend(path, self.root_event)[1]
+    def event_of(self, v: int) -> Event:
+        """The accumulated event of node `v`: root_event intersected with
+        every chance-arc event above it."""
+        return Event(self.space, self.root_event.bits & self.index.routed[v])
 
-    def subtree_at(self, path: NodeId) -> DecisionTree:
-        """The subtree rooted at `path`, carrying its accumulated event."""
-        return DecisionTree._unchecked(self.space, *self._descend(path, self.root_event))
+    def subtree_of(self, v: int) -> DecisionTree:
+        """The subtree rooted at node `v`, carrying its accumulated event."""
+        root, index = self.index.nodes[v], self.index.below(v)
+        return DecisionTree._unchecked(self.space, root, self.event_of(v), index)
 
-    def nodes(self) -> Iterator[tuple[NodeId, Node, Event]]:
-        """Every (path, node, accumulated event) triple in depth-first
-        preorder, walked on an explicit stack. A node's children are built
-        only when the caller asks for the next triple, so a check on a node
-        runs before anything below it is touched."""
-        stack: list[tuple[NodeId, Node, Event]] = [((), self.root, self.root_event)]
-        while stack:
-            path, node, ev = top = stack.pop()
-            yield top
-            if isinstance(node, Decision):
-                for i in reversed(range(len(node.children))):
-                    stack.append((path + (i,), node.children[i], ev))
-            elif isinstance(node, Chance):
-                for i in reversed(range(len(node.branches))):
-                    event, child = node.branches[i]
-                    stack.append((path + (i,), child, ev & event))
+    def node_at(self, path: Path) -> Node:
+        return self.index.nodes[self.id_of(path)]
+
+    def event_at(self, path: Path) -> Event:
+        return self.event_of(self.id_of(path))
+
+    def subtree_at(self, path: Path) -> DecisionTree:
+        return self.subtree_of(self.id_of(path))
+
+    def nodes(self) -> Iterator[tuple[int, Node]]:
+        """Every (id, node) pair in preorder."""
+        return enumerate(self.index.nodes)
 
     def fold(
         self,
         leaf: Callable[[Leaf], T],
-        inner: Callable[[Node, NodeId, list], T],
-        children: Optional[Callable[[Node, NodeId], Optional[Sequence]]] = None,
+        inner: Callable[[Node, int, list], T],
+        walk: Optional[Callable[[int], bool]] = None,
     ) -> T:
-        """Fold bottom-up on an explicit stack: `leaf(node)` at each leaf,
-        `inner(node, path, below)` at each other node once its children are
-        done, `below` holding their results in child order. `children(node,
-        path)` may raise before a node's children are walked; it returns the
-        children to walk, None in place of each skipped one (its result is
-        None), or None to walk them all."""
-
-        def opened(node: Node) -> tuple:
-            kids = None if children is None else children(node, tuple(trail))
-            if kids is None:
-                kids = [c for _, c in node.branches] if isinstance(node, Chance) else node.children
-            return node, enumerate(kids), []
-
-        if isinstance(self.root, Leaf):
-            return leaf(self.root)
-        trail: list[int] = []  # the current node's path; a frame keeps none
-        frame = opened(self.root)
-        stack: list[tuple] = []  # the frames of the current node's ancestors
+        """Fold bottom-up along the preorder index: `leaf(node)` at each
+        leaf, `inner(node, id, below)` at each other node once its subtree
+        is done, `below` holding its children's results in child order.
+        Nodes are reached in preorder; `walk(id)`, asked of each one but the
+        root, may skip its subtree, whose result is then None."""
+        nodes, end = self.index.nodes, self.index.end
+        if isinstance(nodes[0], Leaf):
+            return leaf(nodes[0])
+        # the open inner nodes, innermost last, each with its children's results
+        stack: list[tuple[int, list]] = [(0, [])]
+        v = 1
         while True:
-            node, kids, below = frame
-            for i, child in kids:
-                if isinstance(child, Leaf):
-                    below.append(leaf(child))
-                elif child is None:
-                    below.append(None)
-                else:
-                    stack.append(frame)
-                    trail.append(i)
-                    frame = opened(child)
-                    break
-            else:
-                result = inner(node, tuple(trail), below)
+            while end[stack[-1][0]] <= v:  # the innermost open subtree is done
+                u, below = stack.pop()
+                result = inner(nodes[u], u, below)
                 if not stack:
                     return result
-                trail.pop()
-                frame = stack.pop()
-                frame[2].append(result)
-
-    def paths(self) -> Iterator[NodeId]:
-        """All node paths in depth-first preorder."""
-        return (path for path, _, _ in self.nodes())
+                stack[-1][1].append(result)
+            if walk is not None and not walk(v):
+                stack[-1][1].append(None)
+                v = end[v]
+                continue
+            if isinstance(nodes[v], Leaf):
+                stack[-1][1].append(leaf(nodes[v]))
+            else:
+                stack.append((v, []))
+            v += 1
 
     def node_counts(self) -> dict[str, int]:
         counts = {"decision": 0, "chance": 0, "leaf": 0}
-        for _, node, _ in self.nodes():
+        for node in self.index.nodes:
             counts[type(node).__name__.lower()] += 1
         return counts
 
     def leaf_rewards(self) -> tuple[str, ...]:
-        return tuple(
-            sorted({n.reward for _, n, _ in self.nodes() if isinstance(n, Leaf)})
-        )
+        return tuple(sorted({n.reward for n in self.index.nodes if isinstance(n, Leaf)}))
 
 
 def validate(tree: DecisionTree) -> DecisionTree:
-    """Accept a consistent tree; reject with the first offending node in
-    preorder. `DecisionTree` runs it on construction.
+    """Index the tree's nodes in preorder and accept a consistent tree;
+    reject with the first offending node in preorder. `DecisionTree` runs
+    it on construction.
 
     Consistency requires every chance node's branch events to partition the
     space and every subtree's accumulated event to be non-empty.
     """
-    for path, node, ev in tree.nodes():
-        if ev.is_empty:
-            raise EmptySubtreeEvent(path)
-        if isinstance(node, Chance) and not is_partition([e for e, _ in node.branches]):
-            raise NotAPartition(
-                "chance branch events must partition the space", node_id=path
-            )
+    index = NodeIndex.of(tree.space, tree.root)
+    object.__setattr__(tree, "index", index)
+    for v, node in enumerate(index.nodes):
+        if not tree.root_event.bits & index.routed[v]:
+            raise EmptySubtreeEvent(tree.path_of(v))
+        if isinstance(node, Chance):
+            events = [e for e, _ in node.branches]
+            if not is_partition(events):
+                raise NotAPartition(
+                    "chance branch events must partition the space", node_id=tree.path_of(v)
+                )
+            tree.root_event & events[0]  # SpaceMismatch for events over another space
     return tree
 
 
@@ -244,20 +299,9 @@ def prune_impossible_branches(
     """
     if root_event.is_empty:
         raise EmptySubtreeEvent(())
-    events = {(): root_event}  # the accumulated events of inner nodes to walk
+    parts = DecisionTree._unchecked(space, root, root_event, NodeIndex.of(space, root))
 
-    def possible(node: Node, path: NodeId) -> list[Optional[Node]]:
-        ev = events.pop(path)
-        if isinstance(node, Decision):
-            arcs = [(ev, child) for child in node.children]
-        else:
-            arcs = [(ev & event, child) for event, child in node.branches]
-        for i, (sub, child) in enumerate(arcs):
-            if not (sub.is_empty or isinstance(child, Leaf)):
-                events[path + (i,)] = sub
-        return [None if sub.is_empty else child for sub, child in arcs]
-
-    def rebuild(node: Node, path: NodeId, below: list) -> Node:
+    def rebuild(node: Node, v: int, below: list) -> Node:
         if isinstance(node, Decision):
             return Decision(tuple(below))
         kept = [(e, child) for (e, _), child in zip(node.branches, below) if child is not None]
@@ -270,7 +314,9 @@ def prune_impossible_branches(
         kept[0] = (Event(space, bits), kept[0][1])
         return Chance(tuple(kept))
 
-    parts = DecisionTree._unchecked(space, root, root_event)
+    def possible(v: int) -> bool:
+        return bool(root_event.bits & parts.index.routed[v])
+
     return DecisionTree(space, parts.fold(lambda node: node, rebuild, possible), root_event)
 
 
@@ -279,7 +325,7 @@ def nfd_count(tree: DecisionTree) -> int:
     decision nodes."""
     return tree.fold(
         lambda _: 1,
-        lambda node, path, below: sum(below) if isinstance(node, Decision) else math.prod(below),
+        lambda node, v, below: sum(below) if isinstance(node, Decision) else math.prod(below),
     )
 
 
@@ -297,51 +343,53 @@ def capped_nfd_count(tree: DecisionTree, cap: int) -> int:
 class NormalFormDecision:
     """A strategy: one kept arc at every reachable decision node of `tree`.
 
-    `choices` maps the path of each reachable decision node to the index of
-    its kept child; paths are in the source tree's coordinates.
+    `choices` pairs the id of each reachable decision node with the index of
+    its kept child, in id order.
     """
 
     tree: DecisionTree
-    choices: tuple[tuple[NodeId, int], ...]
+    choices: tuple[tuple[int, int], ...]
 
     @classmethod
-    def of(cls, tree: DecisionTree, choices: Mapping[NodeId, int]) -> NormalFormDecision:
-        return cls(tree, tuple(sorted(choices.items())))
+    def of(cls, tree: DecisionTree, choices: Mapping[Path, int]) -> NormalFormDecision:
+        """The strategy keeping child `choices[path]` of the node at each path."""
+        return cls(tree, tuple(sorted((tree.id_of(path), i) for path, i in choices.items())))
 
     @cached_property
-    def choice_map(self) -> dict[NodeId, int]:
+    def choice_map(self) -> dict[int, int]:
         return dict(self.choices)
 
-    def contains_node(self, path: NodeId) -> bool:
-        """True iff the node at `path` survives under this strategy's choices."""
-        self.tree.node_at(path)  # raises UnknownNode for bad paths
+    def contains_node(self, v: int) -> bool:
+        """True iff node `v` survives under this strategy's choices: every
+        decision node above it that chooses keeps the arc towards it."""
+        parent, position = self.tree.index.parent, self.tree.index.position
         chosen = self.choice_map
-        for cut in range(len(path)):
-            prefix = path[:cut]
-            if prefix in chosen and chosen[prefix] != path[cut]:
+        while v > 0:
+            u = parent[v]
+            if chosen.get(u, position[v]) != position[v]:
                 return False
+            v = u
         return True
 
     @cached_property
     def gamble(self) -> Gamble:
         """The normal form gamble this strategy induces: the one pair that
         `strategies` enumerates under this strategy's own arcs."""
-        arcs = frozenset(self.arc_paths())
+        arcs = frozenset(self.arcs())
         ((_, values),) = strategies(self.tree, keep_arc=arcs.__contains__)
         return Gamble(self.tree.space, values)
 
     def as_tree(self) -> DecisionTree:
         """Materialize the strategy as a tree whose decision nodes are unary."""
+        index, choice = self.tree.index, self.choice_map
 
-        def chosen(node: Node, path: NodeId) -> Optional[list[Optional[Node]]]:
-            if isinstance(node, Decision):
-                index = self.choice_map[path]
-                return [None] * index + [node.children[index]]
-            return None
+        def chosen(v: int) -> bool:
+            u = index.parent[v]
+            return not isinstance(index.nodes[u], Decision) or index.position[v] == choice[u]
 
-        def build(node: Node, path: NodeId, below: list[Node]) -> Node:
+        def build(node: Node, v: int, below: list[Optional[Node]]) -> Node:
             if isinstance(node, Decision):
-                return Decision((below[-1],))
+                return Decision((below[choice[v]],))
             return Chance(tuple((event, b) for (event, _), b in zip(node.branches, below)))
 
         root = self.tree.fold(lambda node: node, build, chosen)
@@ -352,32 +400,32 @@ class NormalFormDecision:
         # the whole tree once per member
         return hash(self.choices)
 
-    def arc_paths(self) -> tuple[NodeId, ...]:
-        """Kept decision arcs, each identified by the path of its child node."""
-        return tuple(sorted(q + (i,) for q, i in self.choices))
+    def arcs(self) -> tuple[int, ...]:
+        """Kept decision arcs, each identified by the id of its child node."""
+        return tuple(sorted(self.tree.child(v, i) for v, i in self.choices))
 
     def __repr__(self) -> str:
-        arcs = ["".join(f"[{i}]" for i in arc) for arc in self.arc_paths()]
+        arcs = ["".join(f"[{i}]" for i in self.tree.path_of(arc)) for arc in self.arcs()]
         return f"NormalFormDecision({' '.join(arcs) or 'trivial'})"
 
 
 def strategies(
     tree: DecisionTree,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    keep_arc: Optional[Callable[[NodeId], bool]] = None,
-    select: Optional[Callable[[NodeId, list[Strategy]], list[Strategy]]] = None,
+    keep_arc: Optional[Callable[[int], bool]] = None,
+    select: Optional[Callable[[int, list[Strategy]], list[Strategy]]] = None,
 ) -> list[Strategy]:
     """Every strategy of `tree` as a (choices, values) pair, built bottom-up.
 
-    `choices` is the canonical sorted tuple of (decision path, kept index)
+    `choices` is the canonical sorted tuple of (decision id, kept index)
     pairs, `values` the induced gamble's reward symbol per state. Decision
     nodes take the union of their children's pairs; chance nodes combine one
     pair per branch through a state-to-branch index built once per node. No
     strategy's choices are a prefix of another's, so the pairs come out in
     canonical choice order.
 
-    `keep_arc(arc)` drops the decision arcs (named by the child's path) it
-    rejects: extensive forms, single strategies. `select(path, candidates)`
+    `keep_arc(arc)` drops the decision arcs (named by the child's id) it
+    rejects: extensive forms, single strategies. `select(id, candidates)`
     keeps some candidates of every non-leaf node, children first: backward
     induction. Without hooks the count is checked against `cap` up front,
     otherwise at each chance node.
@@ -386,16 +434,18 @@ def strategies(
         capped_nfd_count(tree, cap)
     size = tree.space.size
     noun = "strategies" if select is None else "glued candidates"
+    nodes, parent = tree.index.nodes, tree.index.parent
 
-    def kept(node: Node, path: NodeId) -> Optional[list[Optional[Node]]]:
-        if isinstance(node, Decision):
-            return [c if keep_arc(path + (i,)) else None for i, c in enumerate(node.children)]
-        return None
+    def kept(v: int) -> bool:
+        return not isinstance(nodes[parent[v]], Decision) or keep_arc(v)
 
-    def combine(node: Node, path: NodeId, below: list) -> list[Strategy]:
+    def combine(node: Node, v: int, below: list) -> list[Strategy]:
         if isinstance(node, Decision):
             candidates = [
-                (((path, i),) + c, v) for i, pairs in enumerate(below) if pairs for c, v in pairs
+                (((v, i),) + c, values)
+                for i, pairs in enumerate(below)
+                if pairs
+                for c, values in pairs
             ]
         else:
             owner = [0] * size
@@ -414,7 +464,7 @@ def strategies(
                 )
                 for combo in itertools.product(*below)
             ]
-        return candidates if select is None else select(path, candidates)
+        return candidates if select is None else select(v, candidates)
 
     return tree.fold(
         lambda node: [((), (node.reward,) * size)],
@@ -430,12 +480,12 @@ def nfd(
     return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree, cap))
 
 
-def distinct(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+def distinct(v: int, candidates: list[Strategy]) -> list[Strategy]:
     """A `select` hook keeping one pair per distinct gamble."""
     return list({values: (choices, values) for choices, values in candidates}.values())
 
 
-def _values(path: NodeId, candidates: list[Strategy]) -> list[Strategy]:
+def _values(v: int, candidates: list[Strategy]) -> list[Strategy]:
     """A `select` hook keeping one choice-free pair per distinct gamble."""
     return [((), values) for values in dict.fromkeys(values for _, values in candidates)]
 
@@ -476,20 +526,23 @@ def strategically_equivalent(
 
 
 def restrict_solution(
-    solution: Iterable[NormalFormDecision], path: NodeId
+    solution: Iterable[NormalFormDecision], path: Path
 ) -> frozenset[NormalFormDecision]:
     """The induced strategies on the subtree at `path` of exactly those
     members passing through it; may be empty. The members share one tree,
     as a solution's do."""
-    # contains_node raises UnknownNode for a path not in the tree
-    members = [m for m in solution if m.contains_node(path)]
+    members = list(solution)
     if not members:
         return frozenset()
-    sub = members[0].tree.subtree_at(path)
-    cut = len(path)
-    # the choices are sorted, so those below `path` stay sorted once cut
+    tree = members[0].tree
+    v = tree.id_of(path)  # raises UnknownNode for a path not in the tree
+    members = [m for m in members if m.contains_node(v)]
+    if not members:
+        return frozenset()
+    sub, stop = tree.subtree_of(v), tree.index.end[v]
+    # the choices are in id order, and stay in order once renumbered
     return frozenset(
-        NormalFormDecision(sub, tuple((q[cut:], i) for q, i in m.choices if q[:cut] == path))
+        NormalFormDecision(sub, tuple((u - v, i) for u, i in m.choices if v <= u < stop))
         for m in members
     )
 
@@ -519,7 +572,7 @@ def same_up_to_chance_order(t1: DecisionTree, t2: DecisionTree) -> bool:
         return False
     ids: dict[tuple, int] = {}  # canonical form -> id, shared by both trees
 
-    def canon(node: Node, path: NodeId = (), below: Sequence[int] = ()) -> int:
+    def canon(node: Node, v: int = 0, below: Sequence[int] = ()) -> int:
         if isinstance(node, Leaf):
             key: tuple = ("leaf", node.reward)
         elif isinstance(node, Decision):

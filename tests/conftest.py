@@ -63,6 +63,11 @@ def gambles_by_values(gamble_set: GambleSet):
     return {g.values for g in gamble_set}
 
 
+def path_choices(member):
+    """A strategy's (decision node path, kept index) pairs, in id order."""
+    return tuple((member.tree.path_of(v), i) for v, i in member.choices)
+
+
 class FussyPairsRule(ChoiceRule):
     """Test-only pathological rule: full set normally, but on two-element
     sets keeps only the canonically first gamble. Violates preservation

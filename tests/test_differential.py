@@ -157,6 +157,7 @@ from treechoice.trees import (
     Decision,
     DecisionTree,
     Leaf,
+    NodeIndex,
     NormalFormDecision,
     chance,
     decision,
@@ -182,10 +183,25 @@ from treechoice.textio import (
     parse_tree_file,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, path_choices
 from test_acceptance import CORPUS_CONFIG, SEED, rule_for
 
 CONFIG = GenConfig(max_depth=4, omega_range=(2, 6), nfd_ceiling=250)
+
+
+def path_map(member):
+    """A strategy's kept child index per decision node path."""
+    return dict(path_choices(member))
+
+
+def arc_paths(member):
+    """A strategy's kept decision arcs, each as the path of its child."""
+    return sorted(q + (i,) for q, i in path_choices(member))
+
+
+def path_pairs(tree, pairs):
+    """Enumerated (choices, values) pairs with each decision id as its path."""
+    return [(tuple((tree.path_of(v), i) for v, i in c), values) for c, values in pairs]
 
 
 def play_out(tree, choices, state_index):
@@ -208,7 +224,7 @@ def play_out(tree, choices, state_index):
 
 def oracle_gamble(tree, member):
     return tuple(
-        play_out(tree, member.choice_map, i) for i in range(tree.space.size)
+        play_out(tree, path_map(member), i) for i in range(tree.space.size)
     )
 
 
@@ -275,18 +291,19 @@ def literal_nfd(tree, cap=10**5):
         return out
 
     decisions = [NormalFormDecision.of(tree, c) for c in enumerate_node(tree.root, ())]
-    return tuple(sorted(decisions, key=lambda d: d.choices))
+    return tuple(sorted(decisions, key=path_choices))
 
 
 def literal_gamble(member):
     """A strategy's gamble: follow its arcs, combine over each partition."""
     tree = member.tree
+    choices = path_map(member)
 
     def build(node, path):
         if isinstance(node, Leaf):
             return Gamble.constant(tree.space, node.reward)
         if isinstance(node, Decision):
-            index = member.choice_map[path]
+            index = choices[path]
             return build(node.children[index], path + (index,))
         return combine_on_partition(
             [
@@ -360,11 +377,8 @@ def literal_back_opt(tree, rule):
 
 def literal_nfd_of_extensive(extensive):
     """The strategies of the source tree whose every arc is kept."""
-    return frozenset(
-        m
-        for m in literal_nfd(extensive.tree)
-        if extensive.kept_arcs.issuperset(m.arc_paths())
-    )
+    kept = {extensive.tree.path_of(arc) for arc in extensive.kept_arcs}
+    return frozenset(m for m in literal_nfd(extensive.tree) if kept.issuperset(arc_paths(m)))
 
 
 class LiteralPointwiseDominance(PointwiseDominance):
@@ -488,9 +502,9 @@ def test_solvers_match_literal_oracle(acceptance_corpus, name, monkeypatch):
         rule = rule_for(tree, name, index)
         normal = check_normal_form(tree, rule, index)
         # the subtrees the perfectness check re-solves, under their own events
-        for path in tree.paths():
-            if path and any(m.contains_node(path) for m in normal.solution):
-                check_normal_form(tree.subtree_at(path), rule, (index, path))
+        for v, _ in tree.nodes():
+            if v and any(m.contains_node(v) for m in normal.solution):
+                check_normal_form(tree.subtree_of(v), rule, (index, v))
         backward = back_opt(tree, rule)
         assert (
             backward.solution,
@@ -1208,14 +1222,16 @@ def literal_children(node):
 
 
 def literal_nodes(tree):
-    """All (path, node) pairs in depth-first preorder, by recursion."""
+    """All (path, node, accumulated event) triples in depth-first
+    preorder, by recursion."""
 
-    def walk(node, path):
-        yield path, node
+    def walk(node, path, ev):
+        yield path, node, ev
         for i, child in enumerate(literal_children(node)):
-            yield from walk(child, path + (i,))
+            event = node.branches[i][0] if isinstance(node, Chance) else ev
+            yield from walk(child, path + (i,), ev & event)
 
-    return walk(tree.root, ())
+    return walk(tree.root, (), tree.root_event)
 
 
 def literal_validate(tree):
@@ -1264,7 +1280,7 @@ def literal_gamb(tree, cap=10**5):
 
 def literal_extensive_arcs(tree, solution):
     """(kept, pruned, unreachable) arc paths, reachability passed down."""
-    kept = {arc for member in solution for arc in member.arc_paths()}
+    kept = {arc for member in solution for arc in arc_paths(member)}
     pruned, unreachable = set(), set()
 
     def walk(node, path, reachable):
@@ -1320,16 +1336,15 @@ def node_walk_cases(acceptance_corpus):
     docs = [parse_tree_file(path.read_text()) for path in sorted(FIXTURES.glob("*.tree"))]
     trees = [(doc.tree, doc.rewards) for doc in docs]
     trees += [(tree, None) for tree in acceptance_corpus]
-    return [(tree.subtree_at(path), rewards) for tree, rewards in trees for path in tree.paths()]
+    return [(tree.subtree_of(v), rewards) for tree, rewards in trees for v, _ in tree.nodes()]
 
 
 def test_node_walk_matches_the_literal_recursions(acceptance_corpus):
     cases = node_walk_cases(acceptance_corpus)
     solutions = 0
     for index, (tree, rewards) in enumerate(cases):
-        expected = [(path, node, tree.event_at(path)) for path, node in literal_nodes(tree)]
-        assert list(tree.nodes()) == expected, index
-        assert list(tree.paths()) == [path for path, _, _ in expected], index
+        walked = [(tree.path_of(v), node, tree.event_of(v)) for v, node in tree.nodes()]
+        assert walked == list(literal_nodes(tree)), index
         assert validate(tree) is literal_validate(tree) is tree
         assert gamb(tree) == literal_gamb(tree), index
         document = document_for(tree, rewards)
@@ -1342,13 +1357,38 @@ def test_node_walk_matches_the_literal_recursions(acceptance_corpus):
         members = nfd(tree)
         for solution in (members, members[:1], members[-1:], members[::2]):
             extensive = extract_extensive(tree, solution)
-            assert (
-                extensive.kept_arcs,
-                extensive.pruned_arcs,
-                extensive.unreachable,
+            assert tuple(
+                {tree.path_of(v) for v in ids}
+                for ids in (extensive.kept_arcs, extensive.pruned_arcs, extensive.unreachable)
             ) == literal_extensive_arcs(tree, solution), index
             solutions += 1
     assert len(cases) == 3768 and solutions == 4 * len(cases), (len(cases), solutions)
+
+
+def test_node_ids_number_the_nodes_in_path_order(acceptance_corpus):
+    subtrees = 0
+    for index, tree in enumerate(acceptance_corpus):
+        ids = range(len(tree.index.nodes))
+        paths = [tree.path_of(v) for v in ids]
+        # ids are the preorder positions, and preorder is sorted path order
+        assert paths == [path for path, _, _ in literal_nodes(tree)] == sorted(paths), index
+        assert [tree.id_of(path) for path in paths] == list(ids), index
+        for v, path in enumerate(paths):
+            sub = tree.subtree_at(path)
+            stop = tree.index.end[v]
+            assert stop - v == len(list(literal_nodes(sub))), (index, path)
+            # the subtree's index is the tree's slice [v, end), shifted by v
+            shifted = [
+                (node, up - v, i, end - v, routed)
+                for node, up, i, end, routed in zip(*(column[v:stop] for column in tree.index))
+            ]
+            shifted[0] = (shifted[0][0], -1, 0) + shifted[0][3:]
+            assert list(zip(*sub.index)) == shifted, (index, path)
+            # and the numbering of a tree grown from the subtree's root
+            fresh = NodeIndex.of(tree.space, sub.root)
+            assert fresh[:4] == sub.index[:4], (index, path)
+            subtrees += 1
+    assert subtrees > 2000, subtrees
 
 
 def inconsistent_trees():
@@ -1427,14 +1467,14 @@ def broken_variants(tree):
     consistent tree: every chance event taken as the root event, and each
     chance node's first branch event widened to the whole space or
     narrowed to nothing."""
-    for path, node, _ in tree.nodes():
+    for v, node in tree.nodes():
         if isinstance(node, Chance):
             for event, _ in node.branches:
                 yield tree.space, tree.root, event
             _, first = node.branches[0]
             for event in (tree.space.omega, tree.space.empty_event):
                 broken = Chance(((event, first),) + node.branches[1:])
-                root = generate._replace_node(tree.root, path, broken)
+                root = generate._replace_node(tree.root, tree.path_of(v), broken)
                 yield tree.space, root, tree.root_event
 
 
@@ -1451,7 +1491,7 @@ def test_validate_matches_the_literal_recursion_on_broken_corpus_trees(acceptanc
 def test_subtrees_equal_the_checked_trees_of_their_parts(acceptance_corpus):
     subtrees = 0
     for index, tree in enumerate(acceptance_corpus):
-        for path in tree.paths():
+        for path in map(tree.path_of, range(len(tree.index.nodes))):
             checked = DecisionTree(tree.space, tree.node_at(path), tree.event_at(path))
             assert tree.subtree_at(path) == checked, (index, path)
             subtrees += 1
@@ -1463,9 +1503,10 @@ def literal_restrict_solution(solution, path):
     the subtree, its choices below `path` re-sorted."""
     restricted = set()
     for member in solution:
-        if member.contains_node(path):
+        choices = path_map(member)
+        if all(choices.get(path[:k], path[k]) == path[k] for k in range(len(path))):
             sub = member.tree.subtree_at(path)
-            kept = {q[len(path):]: i for q, i in member.choices if q[: len(path)] == path}
+            kept = {q[len(path):]: i for q, i in choices.items() if q[: len(path)] == path}
             restricted.add(NormalFormDecision.of(sub, kept))
     return frozenset(restricted)
 
@@ -1475,7 +1516,7 @@ def test_restrict_solution_matches_the_member_by_member_restriction(acceptance_c
     for index, tree in enumerate(acceptance_corpus):
         members = nfd(tree)
         for solution in (members, members[::2], members[-1:]):
-            for path in tree.paths():
+            for path in map(tree.path_of, range(len(tree.index.nodes))):
                 restricted = restrict_solution(solution, path)
                 # equal members have equal trees and equal sorted choices
                 assert restricted == literal_restrict_solution(solution, path), (index, path)
@@ -1562,7 +1603,7 @@ def literal_as_tree(member):
         if isinstance(node, Leaf):
             return node
         if isinstance(node, Decision):
-            index = member.choice_map[path]
+            index = choices[path]
             return Decision((build(node.children[index], path + (index,)),))
         return Chance(
             tuple(
@@ -1571,7 +1612,7 @@ def literal_as_tree(member):
             )
         )
 
-    tree = member.tree
+    tree, choices = member.tree, path_map(member)
     return DecisionTree(tree.space, build(tree.root, ()), tree.root_event)
 
 
@@ -1654,11 +1695,14 @@ def nested_fold_serialize(document):
     for name, event in document.events:
         names.setdefault(event.bits, name)
 
-    def named(node, path):
-        if isinstance(node, Chance):
-            for event, _ in node.branches:
+    nodes = document.tree.index.nodes
+
+    def named(v):
+        if isinstance(nodes[v], Chance):
+            for event, _ in nodes[v].branches:
                 if event.bits not in names:
                     raise UnknownReference(f"unnamed event {event!r}")
+        return True
 
     def expr(node, path, below):
         if isinstance(node, Decision):
@@ -1666,6 +1710,7 @@ def nested_fold_serialize(document):
         parts = (f"{names[e.bits]}: {b}" for (e, _), b in zip(node.branches, below))
         return f"chance({', '.join(parts)})"
 
+    named(0)  # the fold asks its hook of every node but the root
     return document_text(
         document, document.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
     )
@@ -1675,7 +1720,9 @@ def literal_export_dot(tree, rewards=None, solution=None):
     """Graphviz text written by a recursive visit: each node's line, then
     for each child the arc's line and the child's own lines."""
     validate(tree)
-    pruned = frozenset() if solution is None else extract_extensive(tree, solution).pruned_arcs
+    pruned = set()
+    if solution is not None:
+        pruned = {tree.path_of(v) for v in extract_extensive(tree, solution).pruned_arcs}
     lines = ["digraph decision_tree {", "  rankdir=LR;"]
 
     def node_id(path):
@@ -1728,9 +1775,15 @@ def test_fold_matches_the_literal_recursions(acceptance_corpus):
     for index, tree in enumerate(acceptance_corpus):
         assert nfd_count(tree) == literal_nfd_count(tree), index
         members = nfd(tree)
-        arcs = frozenset(arc for m in members[::2] for arc in m.arc_paths())
-        for hooks in ({}, {"select": distinct}, {"keep_arc": arcs.__contains__}):
-            assert strategies(tree, **hooks) == literal_strategies(tree, **hooks), index
+        arcs = frozenset(arc for m in members[::2] for arc in m.arcs())
+        paths = frozenset(map(tree.path_of, arcs))
+        for hooks, literal_hooks in (
+            ({}, {}),
+            ({"select": distinct}, {"select": distinct}),
+            ({"keep_arc": arcs.__contains__}, {"keep_arc": paths.__contains__}),
+        ):
+            pairs = path_pairs(tree, strategies(tree, **hooks))
+            assert pairs == literal_strategies(tree, **literal_hooks), index
         document = document_for(tree, reward_table_for_tree(tree))
         assert document.serialize() == literal_serialize(document), index
         unnamed = replace(document, events=document.events[1:])  # e1 loses its name
@@ -1783,7 +1836,7 @@ def literal_replace_node(root, path, new):
 def test_replace_node_matches_the_literal_recursion(acceptance_corpus):
     outcomes = Counter()
     for index, tree in enumerate(acceptance_corpus):
-        for path, node, _ in tree.nodes():
+        for path in map(tree.path_of, range(len(tree.index.nodes))):
             for where in (path, path + (0,), path + (5,)):
                 got = outcome(generate._replace_node, tree.root, where, Leaf("z"))
                 expected = outcome(literal_replace_node, tree.root, where, Leaf("z"))
@@ -1832,8 +1885,15 @@ def test_same_up_to_chance_order_matches_the_literal_recursion(acceptance_corpus
 )
 def test_the_enumerator_fails_as_the_literal_recursion_on_crafted_trees(label):
     tree = DecisionTree(*INCONSISTENT_TREES[label])
-    literal_members = tuple(NormalFormDecision(tree, c) for c, _ in literal_strategies(tree))
+    literal_members = tuple(
+        NormalFormDecision.of(tree, dict(c)) for c, _ in literal_strategies(tree)
+    )
     assert nfd(tree) == literal_members
     assert gamb(tree) == literal_enumerator_gamb(tree)
-    for hooks in ({"select": distinct}, {"keep_arc": lambda arc: arc[-1] == 0}):
-        assert strategies(tree, **hooks) == literal_strategies(tree, **hooks)
+    first = tree.index.position
+    for hooks, literal_hooks in (
+        ({"select": distinct}, {"select": distinct}),
+        ({"keep_arc": lambda v: first[v] == 0}, {"keep_arc": lambda arc: arc[-1] == 0}),
+    ):
+        pairs = path_pairs(tree, strategies(tree, **hooks))
+        assert pairs == literal_strategies(tree, **literal_hooks)

@@ -178,10 +178,11 @@ def test_backward_members_restrict_into_subtree_backward_solutions():
     for i, tree in enumerate(corpus(8)):
         rule = rule_for(tree, "pointwise_dominance", i)
         solution = back_opt(tree, rule).solution
-        for path in tree.paths():
-            through = [m for m in solution if m.contains_node(path)]
-            if not through or not path:
+        for v, _ in tree.nodes():
+            through = [m for m in solution if m.contains_node(v)]
+            if not through or not v:
                 continue
+            path = tree.path_of(v)
             sub_solution = back_opt(tree.subtree_at(path), rule).solution
             restricted = restrict_solution(through, path)
             assert restricted <= sub_solution

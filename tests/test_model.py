@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treechoice.errors import (
-    DomainMismatch,
     DuplicateDefinition,
     EmptyEvent,
     EmptyInputSet,
@@ -15,7 +14,6 @@ from treechoice.model import (
     Event,
     Gamble,
     GambleSet,
-    PartialGamble,
     PossibilitySpace,
     RewardTable,
     check_a_consistency,
@@ -65,8 +63,8 @@ def test_partition_predicate():
 def test_combine_two_constant_blocks():
     # block constants 9 on E1 and 14 on E2 patch to (9, 9, 14, 14)
     part = [
-        (E1, PartialGamble.constant(E1, "9")),
-        (E2, PartialGamble.constant(E2, "14")),
+        (E1, Gamble.constant(W4, "9")),
+        (E2, Gamble.constant(W4, "14")),
     ]
     assert combine_on_partition(part).values == ("9", "9", "14", "14")
 
@@ -79,10 +77,10 @@ def test_combine_identity_partition():
 def test_combine_nested_patchwork():
     # S1 (E1 9 + E2 14) patched with S2 (E1 4 + E2 19) gives (9, 4, 14, 19)
     inner1 = combine_on_partition(
-        [(E1, PartialGamble.constant(E1, "9")), (E2, PartialGamble.constant(E2, "14"))]
+        [(E1, Gamble.constant(W4, "9")), (E2, Gamble.constant(W4, "14"))]
     )
     inner2 = combine_on_partition(
-        [(E1, PartialGamble.constant(E1, "4")), (E2, PartialGamble.constant(E2, "19"))]
+        [(E1, Gamble.constant(W4, "4")), (E2, Gamble.constant(W4, "19"))]
     )
     outer = combine_on_partition([(S1, inner1), (S2, inner2)])
     assert outer.values == ("9", "4", "14", "19")
@@ -91,24 +89,14 @@ def test_combine_nested_patchwork():
 def test_combine_rejects_non_partition():
     with pytest.raises(NotAPartition):
         combine_on_partition(
-            [(E1, PartialGamble.constant(E1, "9")), (S1, PartialGamble.constant(S1, "1"))]
-        )
-
-
-def test_combine_rejects_domain_mismatch():
-    with pytest.raises(DomainMismatch):
-        combine_on_partition(
-            [
-                (E1, PartialGamble.constant(S1, "9")),
-                (E2, PartialGamble.constant(E2, "14")),
-            ]
+            [(E1, Gamble.constant(W4, "9")), (S1, Gamble.constant(W4, "1"))]
         )
 
 
 def test_combine_order_independent():
     parts = [
-        (E1, PartialGamble.constant(E1, "a")),
-        (E2, PartialGamble.constant(E2, "b")),
+        (E1, Gamble.constant(W4, "a")),
+        (E2, Gamble.constant(W4, "b")),
     ]
     assert combine_on_partition(parts) == combine_on_partition(parts[::-1])
 
@@ -159,10 +147,10 @@ def test_lake_buy_branch_products(lake_doc):
     e1, e2 = lake_doc.event_named("E1"), lake_doc.event_named("E2")
     s1, s2 = lake_doc.event_named("S1"), lake_doc.event_named("S2")
     d1 = combine_on_partition(
-        [(e1, PartialGamble.constant(e1, "r9")), (e2, PartialGamble.constant(e2, "r14"))]
+        [(e1, Gamble.constant(space, "r9")), (e2, Gamble.constant(space, "r14"))]
     )
     d2 = combine_on_partition(
-        [(e1, PartialGamble.constant(e1, "r4")), (e2, PartialGamble.constant(e2, "r19"))]
+        [(e1, Gamble.constant(space, "r4")), (e2, Gamble.constant(space, "r19"))]
     )
     branch = GambleSet([d1, d2])
     buys = gamble_set_sum([s1, s2], [branch, branch])

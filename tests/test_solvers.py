@@ -30,7 +30,7 @@ from treechoice.trees import (
     nfd_count,
 )
 
-from conftest import FussyPairsRule
+from conftest import FussyPairsRule, path_choices
 
 
 def values_of(report):
@@ -54,7 +54,7 @@ def test_norm_opt_single_leaf(leaf_doc):
 def test_norm_opt_lake_eu_uniform_strategies(lake_doc, lake_eu):
     report = norm_opt(lake_doc.tree, lake_eu)
     # the two direct strategies: root arc 1, then either final option
-    choice_maps = {m.choices for m in report.solution}
+    choice_maps = {path_choices(m) for m in report.solution}
     assert choice_maps == {
         (((), 1), ((1,), 0)),
         (((), 1), ((1,), 1)),
@@ -132,7 +132,7 @@ def test_back_opt_divergence_for_pathological_rule():
     assert len(normal.solution) == 5
     assert len(backward.solution) == 4
     only_normal = normal.solution - backward.solution
-    assert {m.choices for m in only_normal} == {(((), 0), ((0,), 1))}
+    assert {path_choices(m) for m in only_normal} == {(((), 0), ((0,), 1))}
 
 
 def test_norm_opt_expands_on_all_states_at_the_root():
@@ -168,8 +168,9 @@ def test_extract_extensive_incomparable_dominance(incomparable_doc, incomparable
     report = norm_opt(incomparable_doc.tree, incomparable_dominance)
     extensive = extract_extensive(incomparable_doc.tree, report.solution)
     # exactly the arc to the plain -1 leaf at N is pruned
-    assert extensive.pruned_arcs == {(0, 0)}
-    assert (0, 0) in extensive.unreachable
+    arc = incomparable_doc.tree.id_of((0, 0))
+    assert extensive.pruned_arcs == {arc}
+    assert arc in extensive.unreachable
 
 
 def test_extract_extensive_empty_solution(incomparable_doc):
@@ -178,7 +179,7 @@ def test_extract_extensive_empty_solution(incomparable_doc):
 
 
 def test_cross_example_injected_solution_fails(cross_doc):
-    members = {m.choices: m for m in nfd(cross_doc.tree)}
+    members = {path_choices(m): m for m in nfd(cross_doc.tree)}
     injected = frozenset(
         (
             members[(((0,), 0), ((1,), 1))],  # d(1)[1] d(2)[2]
@@ -189,7 +190,7 @@ def test_cross_example_injected_solution_fails(cross_doc):
     assert not verdict
     # all four arcs were kept, so the expansion contains the two diagonals
     assert len(verdict.extensive.pruned_arcs) == 0
-    assert verdict.witness.choices == (((0,), 0), ((1,), 0))  # d(1)[1] d(2)[1]
+    assert path_choices(verdict.witness) == (((0,), 0), ((1,), 0))  # d(1)[1] d(2)[1]
 
 
 def test_normal_extensive_equivalence_for_eu(incomparable_doc, lake_doc, incomparable_eu, lake_eu):

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from treechoice.model import (
     check_a_consistency,
     require_partition,
 )
+from treechoice.generate import equivalent_rewrite
 from treechoice.solve import extract_extensive
 from treechoice.textio import document_for, export_dot
 from treechoice.trees import (
@@ -208,16 +210,17 @@ def test_restrict_solution_incomparable(incomparable_doc, incomparable_dominance
 
 
 def test_restrict_solution_disjoint_node_is_empty(incomparable_doc):
-    members = [m for m in nfd(incomparable_doc.tree) if m.choice_map[()] == 1]
+    members = [m for m in nfd(incomparable_doc.tree) if m.choice_map[0] == 1]
     assert restrict_solution(members, (0,)) == frozenset()
 
 
 def test_contains_node(incomparable_doc):
-    z_member = next(m for m in nfd(incomparable_doc.tree) if m.gamble.values == ("z", "z"))
-    assert z_member.contains_node(())
-    assert z_member.contains_node((1,))
-    assert not z_member.contains_node((0,))
-    assert not z_member.contains_node((0, 1, 0))
+    tree = incomparable_doc.tree
+    z_member = next(m for m in nfd(tree) if m.gamble.values == ("z", "z"))
+    assert z_member.contains_node(tree.id_of(()))
+    assert z_member.contains_node(tree.id_of((1,)))
+    assert not z_member.contains_node(tree.id_of((0,)))
+    assert not z_member.contains_node(tree.id_of((0, 1, 0)))
 
 
 def test_consistency_characterizations_agree():
@@ -255,8 +258,8 @@ def test_consistency_is_hereditary():
 
     for i in range(30):
         tree = random_consistent_tree(GenConfig(max_depth=3), seed=subseed("her", i))
-        for path in tree.paths():
-            sub = tree.subtree_at(path)
+        for v, _ in tree.nodes():
+            sub = tree.subtree_of(v)
             assert validate(sub) is sub
 
 
@@ -307,9 +310,9 @@ def test_every_tree_reader_walks_a_5000_deep_chain():
     depth = 5000
     tree = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("1"))
     assert validate(tree) is tree
-    for count, path in enumerate(tree.paths(), 1):
-        pass
-    assert count == 2 * depth + 1 and path == (1,) * depth
+    assert len(tree.index.nodes) == 2 * depth + 1
+    assert tree.path_of(2 * depth) == (1,) * depth
+    assert tree.id_of((1,) * depth) == 2 * depth
     assert tree.node_counts() == {"decision": depth, "chance": 0, "leaf": depth + 1}
     assert tree.leaf_rewards() == ("0", "1")
     document = document_for(tree)
@@ -320,7 +323,7 @@ def test_every_tree_reader_walks_a_5000_deep_chain():
     # take the leaf at the root: everything below the other arc is unreachable
     leaf_first = NormalFormDecision.of(tree, {(): 0})
     extensive = extract_extensive(tree, [leaf_first])
-    assert (extensive.kept_arcs, extensive.pruned_arcs) == ({(0,)}, {(1,)})
+    assert (extensive.kept_arcs, extensive.pruned_arcs) == ({1}, {2})
     assert len(extensive.unreachable) == 2 * depth - 1
     assert leaf_first.as_tree().root == Decision((Leaf("0"),))
     assert nfd_count(tree) == depth + 1
@@ -329,6 +332,37 @@ def test_every_tree_reader_walks_a_5000_deep_chain():
     assert same_up_to_chance_order(pruned, tree)
     other = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("2"))
     assert not same_up_to_chance_order(tree, other)
+
+
+def traced_peak_mb(call):
+    """The peak of the memory Python allocates while `call()` runs, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_node_ids_keep_memory_linear_on_a_deep_first_chain():
+    # each level: a decision between the next level and a leaf, so the
+    # chain-following strategy keeps the first arc everywhere
+    peaks = {}
+    for depth in (2500, 5000):
+        root = deep_chain(depth, lambda node: Decision((node, Leaf("0"))), Leaf("1")).root
+        tree = DecisionTree.over(W2, root)
+        member = NormalFormDecision(
+            tree, tuple((v, 0) for v, node in tree.nodes() if isinstance(node, Decision))
+        )
+        peaks[depth] = [
+            traced_peak_mb(lambda: DecisionTree.over(W2, root)),
+            traced_peak_mb(lambda: extract_extensive(tree, [member])),
+            traced_peak_mb(lambda: equivalent_rewrite(tree, seed=3)),
+        ]
+    # path tuples made each of these grow 4x when the depth doubled, to
+    # 96, 385 and 192 MB at depth 5,000
+    for small, large in zip(peaks[2500], peaks[5000]):
+        assert large <= 2.5 * small and large < 10, peaks
 
 
 def test_the_strategy_readers_walk_a_5000_deep_chance_chain():
