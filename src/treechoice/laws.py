@@ -294,16 +294,17 @@ _CHECKERS: dict[PropertyId, Callable[[ChoiceRule, Instance], InstanceCheck]] = {
 def check_property_instance(
     prop: PropertyId, rule: ChoiceRule, instance: Instance
 ) -> InstanceCheck:
-    """Evaluate the property's equality/inclusion literally on one instance;
-    the check's `select` calls share one score table (`with_scores`)."""
+    """Evaluate the property literally on one instance; its `select` calls
+    share one score table (`with_scores`) and `validate`'s verdicts."""
     expected_shape = INSTANCE_SHAPES[prop]
     if not isinstance(instance, expected_shape):
         raise MalformedInstance(
             f"{prop.value} takes a {expected_shape.__name__}, "
             f"got {type(instance).__name__}"
         )
-    instance.validate()
-    return _CHECKERS[prop](rule.with_scores(), instance)
+    scored = rule.with_scores()
+    scored.consistent.update(instance.validate())
+    return _CHECKERS[prop](scored, instance)
 
 
 @dataclass(frozen=True)

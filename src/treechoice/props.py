@@ -52,9 +52,10 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInstance(message)
 
 
-def _require_consistent(gambles, event: Event, what: str) -> None:
+def _require_consistent(gambles, event: Event, what: str) -> tuple:
     verdict = check_a_consistency(gambles, event)
     _require(bool(verdict), f"{what} is not consistent with {event!r}")
+    return frozenset(gambles), event
 
 
 def _restrict(value, space: PossibilitySpace, kept: Sequence[int]):
@@ -79,7 +80,8 @@ class InstanceShape:
     Every field of a shape is a gamble, a gamble set, an event or a tuple of
     these, all over the space of its `given` event. Restriction, gamble
     listing and witness JSON read the fields in declaration order; `shape`
-    names the shape in witness JSON.
+    names the shape in witness JSON. `validate` checks the preconditions and
+    returns the (frozenset of gambles, event) pairs it found A-consistent.
     """
 
     shape: ClassVar[str]
@@ -104,10 +106,10 @@ class ConditioningInstance(InstanceShape):
     gambles: GambleSet
     given: Event
 
-    def validate(self) -> None:
+    def validate(self) -> list:
         _require(not self.given.is_empty, "conditioning event is empty")
         _require(len(self.gambles) > 0, "gamble set is empty")
-        _require_consistent(self.gambles, self.given, "gamble set")
+        return [_require_consistent(self.gambles, self.given, "gamble set")]
 
     def drop_gamble_candidates(self) -> Iterator[ConditioningInstance]:
         for g in self.gambles:
@@ -127,11 +129,11 @@ class SubsetInstance(InstanceShape):
     subset: GambleSet
     given: Event
 
-    def validate(self) -> None:
+    def validate(self) -> list:
         _require(not self.given.is_empty, "conditioning event is empty")
         _require(len(self.subset) > 0, "subset is empty")
         _require(self.subset.issubset(self.gambles), "subset not within the set")
-        _require_consistent(self.gambles, self.given, "gamble set")
+        return [_require_consistent(self.gambles, self.given, "gamble set")]
 
     def drop_gamble_candidates(self) -> Iterator[SubsetInstance]:
         for g in self.gambles:
@@ -153,14 +155,14 @@ class MixtureInstance(InstanceShape):
     part: Event
     given: Event
 
-    def validate(self) -> None:
+    def validate(self) -> list:
         inside = self.part & self.given
         outside = self.part.complement() & self.given
         _require(not inside.is_empty, "part does not meet the conditioning event")
         _require(not outside.is_empty, "part covers the conditioning event")
         _require(len(self.gambles) > 0, "gamble set is empty")
-        _require_consistent(self.gambles, inside, "gamble set")
-        _require_consistent([self.other], outside, "the off-part gamble")
+        inner = _require_consistent(self.gambles, inside, "gamble set")
+        return [inner, _require_consistent([self.other], outside, "the off-part gamble")]
 
     def drop_gamble_candidates(self) -> Iterator[MixtureInstance]:
         for g in self.gambles:
@@ -187,11 +189,11 @@ class FamilyInstance(InstanceShape):
     def _union(self) -> GambleSet:
         return GambleSet(g for part in self.parts for g in part)
 
-    def validate(self) -> None:
+    def validate(self) -> list:
         _require(not self.given.is_empty, "conditioning event is empty")
         _require(len(self.parts) > 0, "family is empty")
         _require(all(len(p) > 0 for p in self.parts), "family contains an empty set")
-        _require_consistent(self.union(), self.given, "family union")
+        return [_require_consistent(self.union(), self.given, "family union")]
 
     def drop_gamble_candidates(self) -> Iterator[FamilyInstance]:
         for index, part in enumerate(self.parts):
@@ -218,15 +220,15 @@ class BackwardConditioningInstance(InstanceShape):
     given: Event
     others: GambleSet
 
-    def validate(self) -> None:
+    def validate(self) -> list:
         inside = self.part & self.given
         outside = self.part.complement() & self.given
         _require(not inside.is_empty, "part does not meet the conditioning event")
         _require(not outside.is_empty, "part covers the conditioning event")
         _require(len(self.gambles) > 0, "gamble set is empty")
         _require(len(self.others) > 0, "off-part set is empty")
-        _require_consistent(self.gambles, inside, "gamble set")
-        _require_consistent(self.others, outside, "off-part set")
+        inner = _require_consistent(self.gambles, inside, "gamble set")
+        return [inner, _require_consistent(self.others, outside, "off-part set")]
 
     def drop_gamble_candidates(self) -> Iterator[BackwardConditioningInstance]:
         for g in self.gambles:
@@ -250,15 +252,17 @@ class SetSumInstance(InstanceShape):
     parts: tuple[GambleSet, ...]
     given: Event
 
-    def validate(self) -> None:
+    def validate(self) -> list:
         _require(len(self.partition) == len(self.parts), "one set per block required")
         _require(is_partition(list(self.partition)), "blocks do not partition the space")
         _require(not self.given.is_empty, "conditioning event is empty")
+        checked = []
         for block, part in zip(self.partition, self.parts):
             inside = block & self.given
             _require(not inside.is_empty, "a block misses the conditioning event")
             _require(len(part) > 0, "a block's gamble set is empty")
-            _require_consistent(part, inside, "a block's gamble set")
+            checked.append(_require_consistent(part, inside, "a block's gamble set"))
+        return checked
 
     def drop_gamble_candidates(self) -> Iterator[SetSumInstance]:
         for index, part in enumerate(self.parts):

@@ -12,7 +12,7 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import ge, gt, itemgetter
+from operator import eq, ge, gt, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -62,32 +62,38 @@ class MassFunction:
         total = sum(weights)
         return cls(space, tuple(Fraction(w, total) for w in weights))
 
-    def mass_of(self, event: Event) -> Fraction:
-        if event.space != self.space:
-            raise SpaceMismatch("event over a different space")
-        return sum((self.masses[i] for i in event.indices()), Fraction(0))
-
     def restricted(self, space: PossibilitySpace, kept: Sequence[int]) -> MassFunction:
         """Renormalize onto the sub-space formed by the kept state indices."""
         total = sum(self.masses[i] for i in kept)
         return MassFunction(space, tuple(self.masses[i] / total for i in kept))
 
 
+def event_column(p: MassFunction, event: Event) -> tuple[tuple, Fraction]:
+    """`p` as seen from the non-empty `event`: the (index, mass) pair of each
+    of its states, and P(event)."""
+    if event.is_empty:
+        raise EmptyEvent("cannot condition on the empty event")
+    if event.space != p.space:
+        raise SpaceMismatch("event over a different space")
+    weights = tuple((i, p.masses[i]) for i in event.indices())
+    return weights, sum((m for _, m in weights), Fraction(0))
+
+
+def column_expectation(column, gamble: Gamble, utilities: RewardTable) -> Fraction:
+    """One row entry, Σ_{i∈A} m_i·u(g_i) / P(A), for a column of `event_column`."""
+    weights, total = column
+    values, utility = gamble.values, utilities.utility
+    return sum((m * utility(values[i]) for i, m in weights), Fraction(0)) / total
+
+
 def conditional_expectation(
     p: MassFunction, gamble: Gamble, event: Event, utilities: RewardTable
 ) -> Fraction:
-    """Exact conditional expectation of the utility of `gamble` given `event`.
-
-    Positivity of the mass function guarantees the conditional is defined for
-    every non-empty event.
-    """
-    if event.is_empty:
-        raise EmptyEvent("cannot condition on the empty event")
-    num = sum(
-        (p.masses[i] * utilities.utility(gamble.values[i]) for i in event.indices()),
-        Fraction(0),
-    )
-    return num / p.mass_of(event)
+    """Exact E_p[u(gamble) | event]: `p` is strictly positive, so every
+    non-empty event conditions it."""
+    if gamble.space != event.space:
+        raise SpaceMismatch("gamble over a different space")
+    return column_expectation(event_column(p, event), gamble, utilities)
 
 
 @dataclass(frozen=True)
@@ -154,13 +160,15 @@ class ChoiceRule:
         self.context = context
         self.scores: Optional[dict] = None  # see `with_scores`
         self.selections: Optional[dict] = None
+        self.consistent: Optional[set] = None  # (gamble frozenset, event) pairs
 
     def with_scores(self) -> ChoiceRule:
         """A copy of this rule whose `select` calls share one fresh table:
         over the copy's life each (gamble, event) is scored once, and each
-        (gamble set, event) is checked and selected from once."""
+        (gamble set, event) is checked (unless in `consistent`) and selected
+        from once."""
         scored = copy(self)
-        scored.scores, scored.selections = {}, {}
+        scored.scores, scored.selections, scored.consistent = {}, {}, set()
         return scored
 
     def select(self, gambles: GambleSet, given: Event) -> GambleSet:
@@ -178,12 +186,13 @@ class ChoiceRule:
             raise EmptySet("cannot select from an empty gamble set")
         if given.is_empty:
             raise EmptyEvent("cannot select conditional on the empty event")
-        verdict = check_a_consistency(gambles, given)
-        if not verdict:
-            raise InconsistentSet(
-                "gamble set is not consistent with the conditioning event",
-                witness=verdict.witness,
-            )
+        if self.consistent is None or (gambles._lookup, given) not in self.consistent:
+            verdict = check_a_consistency(gambles, given)
+            if not verdict:
+                raise InconsistentSet(
+                    "gamble set is not consistent with the conditioning event",
+                    witness=verdict.witness,
+                )
         chosen = GambleSet(self._select(gambles, given))
         assert 0 < len(chosen) and chosen.issubset(gambles)
         return chosen
@@ -194,15 +203,18 @@ class ChoiceRule:
     def _rows(self, gambles, given, masses) -> dict[Gamble, tuple[Fraction, ...]]:
         """Each gamble's conditional expectations given `given`, one per
         distinct mass function in `masses` (a rule always passes the same
-        list); with a score table, rows are kept there in one dict per event."""
-        masses = [p for i, p in enumerate(masses) if p not in masses[:i]]
-        table = {} if self.scores is None else self.scores.setdefault(given, {})
+        list). The event's columns (`event_column`) are built once per call;
+        with a score table, once per event, kept beside the event's rows."""
+        scores = {} if self.scores is None else self.scores
+        if given not in scores:
+            masses = [p for i, p in enumerate(masses) if p not in masses[:i]]
+            scores[given] = [event_column(p, given) for p in masses], {}
+        columns, table = scores[given]
+        utilities = self.context.utilities
         for g in gambles:
             if g not in table:
-                table[g] = tuple(
-                    conditional_expectation(p, g, given, self.context.utilities) for p in masses
-                )
-        return {g: table[g] for g in gambles}
+                table[g] = tuple(column_expectation(c, g, utilities) for c in columns)
+        return table if self.scores is None else {g: table[g] for g in gambles}
 
     def rebind(self, context: ChoiceContext) -> "ChoiceRule":
         return type(self)(context)
@@ -257,11 +269,8 @@ class EAdmissibility(ChoiceRule):
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
         rows = self._rows(gambles, given, self.context.credal)
-        admissible: set[Gamble] = set()
-        for column in zip(*rows.values()):
-            best = max(column)
-            admissible.update(g for g, s in zip(rows, column) if s == best)
-        return [g for g in gambles if g in admissible]
+        best = [max(column) for column in zip(*rows.values())]
+        return [g for g, row in rows.items() if any(map(eq, row, best))]
 
 
 class GammaMaximin(ChoiceRule):

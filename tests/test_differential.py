@@ -12,6 +12,11 @@ patched together over every chance node's partition, backward induction as
 its own recursion. The library derives all of these from one bottom-up
 enumerator, `trees.strategies`.
 
+The literal conditional expectation sums p(ω)u(g(ω)) and p(ω) over the
+event's states on every call. The library builds each event's columns
+(state indices, their masses, P(A)) once per `select`, or once per event
+under a score table, and computes each row entry from them.
+
 The literal rules compare every pair of gambles, recomputing conditional
 expectations or utilities for each pair, as maximality, pointwise
 dominance and interval dominance read. The library scores each gamble
@@ -405,6 +410,13 @@ class LiteralPointwiseDominance(PointwiseDominance):
         ]
 
 
+def literal_conditional_expectation(p, gamble, event, utilities):
+    """Σ_{ω∈A} p(ω)u(g(ω)) / Σ_{ω∈A} p(ω), as the definition reads."""
+    states = [i for i in range(event.space.size) if event.contains_index(i)]
+    numerator = sum(p.masses[i] * utilities.utility(gamble.values[i]) for i in states)
+    return numerator / sum(p.masses[i] for i in states)
+
+
 class LiteralMaximality(Maximality):
     """Maximality as it reads: every pair, every mass function."""
 
@@ -412,7 +424,7 @@ class LiteralMaximality(Maximality):
         credal, utilities = self.context.credal, self.context.utilities
 
         def exp(p, g):
-            return rules.conditional_expectation(p, g, given, utilities)
+            return literal_conditional_expectation(p, g, given, utilities)
 
         def dominated(x):
             return any(
@@ -430,7 +442,7 @@ class LiteralIntervalDominance(IntervalDominance):
         credal, utilities = self.context.credal, self.context.utilities
 
         def exp(p, g):
-            return rules.conditional_expectation(p, g, given, utilities)
+            return literal_conditional_expectation(p, g, given, utilities)
 
         lower = {g: min(exp(p, g) for p in credal) for g in gambles}
         upper = {g: max(exp(p, g) for p in credal) for g in gambles}
@@ -676,7 +688,7 @@ def test_interval_dominance_keeps_an_upper_bound_equal_to_the_greatest_lower_bou
     context = ChoiceContext(TIES, credal=(mass(3, 1, 1), mass(1, 3, 1)))
     gambles = tie_gambles("cdc", "aba", "faf", "ccc", "aca")
     bounds = {
-        g.values: [rules.conditional_expectation(p, g, INNER, TIES) for p in context.credal]
+        g.values: [literal_conditional_expectation(p, g, INNER, TIES) for p in context.credal]
         for g in gambles
     }
     assert max(bounds[("a", "b", "a")]) == Fraction(3, 2) == min(bounds[("c", "d", "c")])
@@ -1207,6 +1219,64 @@ def test_trees_read_without_a_reward_table_match_the_twice_parsed_tables(accepta
         ), literal
     # the fixtures' names are bad literals, the corpus's rewards good ones
     assert outcomes[True] == len(fixture_trees) >= 4 and outcomes[False] == 200, outcomes
+
+
+# ---------------------------------------------------------------------------
+# Per-event columns, against the literal sum
+
+
+NUMERIC_RULES = ["e_admissibility", "eu_max", "gamma_maximin", "interval_dominance", "maximality"]
+
+
+@pytest.fixture
+def literal_rows(monkeypatch):
+    """Every `_rows` entry is compared with the literal sum; the list
+    collects the number of rows of each call."""
+    sizes = []
+    fast = rules.ChoiceRule._rows
+
+    def compared(self, gambles, given, masses):
+        rows = fast(self, gambles, given, masses)
+        distinct = list(dict.fromkeys(masses))
+        utilities = self.context.utilities
+        assert list(rows) == list(gambles), given
+        for g, row in rows.items():
+            literal = [literal_conditional_expectation(p, g, given, utilities) for p in distinct]
+            assert list(row) == literal, (g, given)
+        sizes.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(rules.ChoiceRule, "_rows", compared)
+    return sizes
+
+
+@pytest.mark.parametrize("name", NUMERIC_RULES)
+def test_rows_of_every_corpus_root_select_equal_the_literal_sum(
+    acceptance_corpus, literal_rows, name
+):
+    for index, tree in enumerate(acceptance_corpus):
+        gambles = gamb(tree)
+        rule_for(tree, name, index).select(gambles, tree.root_event)
+        assert literal_rows[-1] == len(gambles), index
+    assert len(literal_rows) == len(acceptance_corpus)
+
+
+@pytest.mark.parametrize("name", NUMERIC_RULES)
+def test_rows_of_falsifier_instances_equal_the_literal_sum(literal_rows, name):
+    policy = seeded_rule_policy(name)
+    for prop in PropertyId:
+        before = len(literal_rows)
+        for index in range(50):
+            instance = random_gamble_instance(
+                prop, GenConfig(), seed=subseed("diff-rows", prop.value, index)
+            )
+            rule = policy(
+                instance.space,
+                reward_table_for_instance(instance),
+                rng_for("diff-rows", name, prop.value, index),
+            )
+            check_property_instance(prop, rule, instance)
+        assert len(literal_rows) > before, prop
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from treechoice.props import (
     SetSumInstance,
     SubsetInstance,
 )
-from treechoice.rules import ChoiceContext, MassFunction, make_rule
+from treechoice.rules import RULES, ChoiceContext, MassFunction, make_rule
 from treechoice.solve import induced_gambles
 from treechoice.trees import Decision, DecisionTree, Leaf, gamb
 
@@ -439,17 +439,18 @@ def test_shrink_needs_violation_under_optimize():
 def test_path_independence_scores_each_union_member_once(monkeypatch, name):
     # P11 selects from the union, from every part and from the parts'
     # survivors, all subsets of the union: with the check's one score
-    # table each union member is scored once per mass function
+    # table each union member is scored once per mass function; a row
+    # entry is one `column_expectation` call
     from treechoice import rules
 
     calls = []
-    expectation = rules.conditional_expectation
+    entry = rules.column_expectation
 
     def counted(*args):
         calls.append(args)
-        return expectation(*args)
+        return entry(*args)
 
-    monkeypatch.setattr(rules, "conditional_expectation", counted)
+    monkeypatch.setattr(rules, "column_expectation", counted)
     policy = seeded_rule_policy(name, credal_size=3)
     for index in range(20):
         instance = random_gamble_instance(
@@ -462,3 +463,34 @@ def test_path_independence_scores_each_union_member_once(monkeypatch, name):
         calls.clear()
         check_property_instance(P.P11_path_independence, rule, instance)
         assert 0 < len(calls) <= len(instance.union()) * masses, index
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_an_instance_check_tests_each_set_for_consistency_once(monkeypatch, name):
+    # `validate` checks A-consistency first; the check's `select` calls take
+    # its verdicts and check only the (set, event) pairs it did not
+    from treechoice import model, props, rules
+
+    calls = Counter()
+
+    def counted(gambles, event):
+        gambles = list(gambles)
+        calls[frozenset(gambles), event] += 1
+        return model.check_a_consistency(gambles, event)
+
+    monkeypatch.setattr(props, "check_a_consistency", counted)
+    monkeypatch.setattr(rules, "check_a_consistency", counted)
+    policy = seeded_rule_policy(name)
+    for prop in PropertyId:
+        for index in range(10):
+            instance = random_gamble_instance(
+                prop, GenConfig(), seed=subseed("consistency-once", prop.value, index)
+            )
+            rule = policy(
+                instance.space,
+                reward_table_for_instance(instance),
+                rng_for("consistency-once", index),
+            )
+            calls.clear()
+            check_property_instance(prop, rule, instance)
+            assert calls and max(calls.values()) == 1, (prop, index, calls)

@@ -8,6 +8,7 @@ from treechoice.errors import (
     EmptySet,
     InconsistentSet,
     MissingContext,
+    SpaceMismatch,
 )
 from treechoice.generate import GenConfig, random_mass_function, rng_for
 from treechoice.model import Gamble, GambleSet, PossibilitySpace, RewardTable
@@ -52,6 +53,24 @@ def test_conditional_expectation_restricted():
 def test_conditional_expectation_empty_event():
     with pytest.raises(EmptyEvent):
         conditional_expectation(UNIFORM4, Gamble.constant(W4, "1"), W4.empty_event, NUMERIC)
+
+
+W3 = PossibilitySpace(("w1", "w2", "w3"))
+V3 = PossibilitySpace(("v1", "v2", "v3"))
+W2 = PossibilitySpace(("w1", "w2"))
+
+
+@pytest.mark.parametrize(
+    "p, gamble",
+    [
+        (MassFunction.uniform(W3), Gamble(V3, ("0", "1", "4"))),  # same size, other labels
+        (MassFunction.uniform(W3), Gamble(W2, ("1", "2"))),  # a shorter gamble
+        (MassFunction.uniform(W2), Gamble(W3, ("0", "1", "4"))),  # a shorter mass function
+    ],
+)
+def test_conditional_expectation_rejects_a_value_over_another_space(p, gamble):
+    with pytest.raises(SpaceMismatch):
+        conditional_expectation(p, gamble, W3.omega, NUMERIC)
 
 
 def incomparable_gambles(incomparable_doc):
@@ -241,17 +260,18 @@ def test_context_restriction_renormalizes():
 
 def count_work_bound_calls(monkeypatch, name):
     """One `select` of rule `name` on 256 gambles under 3 mass functions:
-    the gambles, the mass functions and the `conditional_expectation`
-    calls it made."""
+    the gambles, the mass functions and the row entries it computed
+    (`column_expectation` calls)."""
     from treechoice import rules
 
     calls = []
+    entry = rules.column_expectation
 
     def counted(*args):
         calls.append(args)
-        return conditional_expectation(*args)
+        return entry(*args)
 
-    monkeypatch.setattr(rules, "conditional_expectation", counted)
+    monkeypatch.setattr(rules, "column_expectation", counted)
     gambles = GambleSet(
         Gamble(W4, values) for values in itertools.product(("0", "1", "2", "5"), repeat=4)
     )
@@ -266,13 +286,13 @@ def count_work_bound_calls(monkeypatch, name):
 
 def test_maximality_scores_each_gamble_once_per_mass_function(monkeypatch):
     gambles, credal, calls = count_work_bound_calls(monkeypatch, "maximality")
-    assert len(calls) <= len(gambles) * len(credal)
+    assert 0 < len(calls) <= len(gambles) * len(credal)
 
 
 @pytest.mark.parametrize("name", ["interval_dominance", "gamma_maximin", "e_admissibility"])
 def test_credal_rules_score_each_gamble_once_per_mass_function(monkeypatch, name):
     gambles, credal, calls = count_work_bound_calls(monkeypatch, name)
-    assert len(calls) <= len(gambles) * len(credal)
+    assert 0 < len(calls) <= len(gambles) * len(credal)
 
 
 
@@ -291,8 +311,10 @@ def test_a_score_table_keeps_events_apart(name):
     for given, winner in ((W4.omega, y), (inner, x), (W4.omega, y)):
         chosen = scored.select(GambleSet([x, y]), given)
         assert chosen == rule.select(GambleSet([x, y]), given) == GambleSet([winner])
-    # one dict of rows per event, one row per gamble
-    assert [len(rows) for rows in scored.scores.values()] == [2, 2]
+    # one dict of rows per event, one row per gamble, beside one column per
+    # distinct mass function: the credal list repeats UNIFORM4
+    assert [len(rows) for _, rows in scored.scores.values()] == [2, 2]
+    assert [len(columns) for columns, _ in scored.scores.values()] == [1, 1]
     assert rule.scores is None
 
 
