@@ -21,6 +21,10 @@ class NotAPartition(TreechoiceError):
         self.node_id = node_id
 
 
+class InvalidMassFunction(TreechoiceError, ValueError):
+    """Masses that are not one strictly positive mass per state summing to one."""
+
+
 class EmptyInputSet(TreechoiceError):
     """A gamble-set operation received an empty set."""
 

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 from typing import ClassVar, Iterator, Sequence, Union
 
-from .errors import MalformedInstance
+from .errors import MalformedInstance, UnknownReference
 from .model import (
     Event,
     Gamble,
@@ -44,7 +44,7 @@ class PropertyId(Enum):
         for member in cls:
             if text in (member.name, member.value):
                 return member
-        raise ValueError(f"unknown property {text!r}")
+        raise UnknownReference(text, f"unknown property {text!r}")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -310,11 +310,6 @@ def _field_gambles(instance: Instance) -> Iterator[Gamble]:
                 yield from item
             elif isinstance(item, Gamble):
                 yield item
-
-
-def instance_gambles(instance: Instance) -> GambleSet:
-    """Every gamble mentioned anywhere in the instance."""
-    return GambleSet(_field_gambles(instance))
 
 
 def reward_table_for_instance(instance: Instance) -> RewardTable:

@@ -19,6 +19,7 @@ from .errors import (
     EmptyEvent,
     EmptySet,
     InconsistentSet,
+    InvalidMassFunction,
     MissingContext,
     SpaceMismatch,
 )
@@ -41,12 +42,12 @@ class MassFunction:
 
     def __post_init__(self):
         if len(self.masses) != self.space.size:
-            raise ValueError("one mass per state required")
+            raise InvalidMassFunction("one mass per state required")
         if any(m.numerator <= 0 for m in self.masses):
-            raise ValueError("all state masses must be strictly positive")
+            raise InvalidMassFunction("all state masses must be strictly positive")
         common = lcm(*(m.denominator for m in self.masses))
         if sum(m.numerator * (common // m.denominator) for m in self.masses) != common:
-            raise ValueError("masses must sum to one")
+            raise InvalidMassFunction("masses must sum to one")
 
     @classmethod
     def uniform(cls, space: PossibilitySpace) -> MassFunction:

@@ -50,6 +50,13 @@ RESERVED = set("(),:=#")
 MAX_TREE_DEPTH = 493
 
 
+def _event_named(events: Iterable[tuple[str, Event]], name: str) -> Event:
+    for label, event in events:
+        if label == name:
+            return event
+    raise UnknownReference(name)
+
+
 @dataclass(frozen=True)
 class TreeDocument:
     """A parsed tree file; serialization reproduces the canonical layout."""
@@ -62,10 +69,7 @@ class TreeDocument:
     tree: DecisionTree
 
     def event_named(self, name: str) -> Event:
-        for label, event in self.events:
-            if label == name:
-                return event
-        raise UnknownReference(name)
+        return _event_named(self.events, name)
 
     def serialize(self) -> str:
         lines = [f"omega {' '.join(self.space.states)}"]
@@ -271,12 +275,6 @@ def parse_tree_file(text: str) -> TreeDocument:
     table = RewardTable(rewards)
     named_events = tuple((name, space.event(labels)) for name, labels in events)
 
-    def lookup_event(name: str) -> Event:
-        for label, event in named_events:
-            if label == name:
-                return event
-        raise UnknownReference(name)
-
     def build(expr) -> Node:
         kind = expr[0]
         if kind == "leaf":
@@ -285,9 +283,11 @@ def parse_tree_file(text: str) -> TreeDocument:
             return Leaf(expr[1])
         if kind == "decision":
             return Decision(tuple(build(e) for e in expr[1]))
-        return Chance(tuple((lookup_event(n), build(e)) for n, e in expr[1]))
+        return Chance(tuple((_event_named(named_events, n), build(e)) for n, e in expr[1]))
 
-    root_event = space.omega if root_event_name is None else lookup_event(root_event_name)
+    root_event = space.omega
+    if root_event_name is not None:
+        root_event = _event_named(named_events, root_event_name)
     tree = DecisionTree(space, build(tree_expr), root_event)
     return TreeDocument(
         space=space,

@@ -25,7 +25,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     TypeVar,
     Union,
 )
@@ -564,21 +563,3 @@ def consistent_tree_for(gambles: GambleSet, event: Event) -> DecisionTree:
     node over its reward level sets."""
     root: Node = Decision(tuple(chance_expansion(g) for g in gambles))
     return DecisionTree(event.space, root, event)
-
-
-def same_up_to_chance_order(t1: DecisionTree, t2: DecisionTree) -> bool:
-    """Structural equality treating each chance node's branches as unordered."""
-    if (t1.space, t1.root_event) != (t2.space, t2.root_event):
-        return False
-    ids: dict[tuple, int] = {}  # canonical form -> id, shared by both trees
-
-    def canon(node: Node, v: int = 0, below: Sequence[int] = ()) -> int:
-        if isinstance(node, Leaf):
-            key: tuple = ("leaf", node.reward)
-        elif isinstance(node, Decision):
-            key = ("decision", tuple(below))
-        else:
-            key = ("chance", tuple(sorted(zip((e.bits for e, _ in node.branches), below))))
-        return ids.setdefault(key, len(ids))
-
-    return t1.fold(canon, canon) == t2.fold(canon, canon)

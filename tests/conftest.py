@@ -2,11 +2,15 @@ from pathlib import Path
 
 import pytest
 
+from treechoice.generate import GenConfig, tree_corpus
 from treechoice.model import GambleSet
 from treechoice.rules import ChoiceContext, ChoiceRule, make_rule
 from treechoice.textio import parse_context_file, parse_tree_file
+from treechoice.trees import Decision, Leaf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SEED = 20110916
+CORPUS_CONFIG = GenConfig(max_depth=4, omega_range=(2, 8), nfd_ceiling=400)
 
 
 def load_doc(name):
@@ -15,6 +19,12 @@ def load_doc(name):
 
 def load_context(name):
     return parse_context_file((FIXTURES / name).read_text())
+
+
+@pytest.fixture(scope="session")
+def acceptance_corpus():
+    """The seeded 200-tree acceptance corpus, built once a session."""
+    return tree_corpus(CORPUS_CONFIG, SEED, 200)
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +76,24 @@ def gambles_by_values(gamble_set: GambleSet):
 def path_choices(member):
     """A strategy's (decision node path, kept index) pairs, in id order."""
     return tuple((member.tree.path_of(v), i) for v, i in member.choices)
+
+
+def same_up_to_chance_order(t1, t2):
+    """Structural equality treating each chance node's branches as unordered."""
+    if (t1.space, t1.root_event) != (t2.space, t2.root_event):
+        return False
+    ids = {}  # canonical form -> id, shared by both trees
+
+    def canon(node, v=0, below=()):
+        if isinstance(node, Leaf):
+            key = ("leaf", node.reward)
+        elif isinstance(node, Decision):
+            key = ("decision", tuple(below))
+        else:
+            key = ("chance", tuple(sorted(zip((e.bits for e, _ in node.branches), below))))
+        return ids.setdefault(key, len(ids))
+
+    return t1.fold(canon, canon) == t2.fold(canon, canon)
 
 
 class FussyPairsRule(ChoiceRule):

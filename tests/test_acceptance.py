@@ -7,16 +7,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import functools
 import time
 
-import pytest
-
 from treechoice.generate import (
-    GenConfig,
     equivalent_rewrite,
     reward_table_for_tree,
     rng_for,
     seeded_rule_policy,
     subseed,
-    tree_corpus,
 )
 from treechoice.laws import check_subtree_perfectness, falsify_property
 from treechoice.model import GambleSet
@@ -30,11 +26,9 @@ from treechoice.solve import (
 )
 from treechoice.trees import gamb, nfd, restrict_solution
 
-from conftest import path_choices
+from conftest import CORPUS_CONFIG, SEED, path_choices
 
 P = PropertyId
-SEED = 20110916
-CORPUS_CONFIG = GenConfig(max_depth=4, omega_range=(2, 8), nfd_ceiling=400)
 
 
 def criterion(name):
@@ -52,11 +46,6 @@ def criterion(name):
         return run
 
     return wrap
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return tree_corpus(CORPUS_CONFIG, SEED, 200)
 
 
 def rule_for(tree, name, index, credal_size=2):
@@ -94,7 +83,7 @@ def test_lake_gamble_vectors(lake_doc):
 
 
 @criterion("perfectness-suite")
-def test_perfectness_suite(corpus):
+def test_perfectness_suite(acceptance_corpus):
     for prop in (P.P1_conditioning, P.P2_intersection, P.P3_mixture):
         report = falsify_property(
             prop,
@@ -105,16 +94,16 @@ def test_perfectness_suite(corpus):
         )
         assert report.verdict == "corroborated", (prop, report.witness)
         assert report.instances_checked == 1000
-    for index, tree in enumerate(corpus):
+    for index, tree in enumerate(acceptance_corpus):
         rule = rule_for(tree, "eu_max", index)
         perfection = check_subtree_perfectness(tree, rule)
         assert perfection.perfect, f"violation on corpus tree {index}"
 
 
 @criterion("backward-induction-suite")
-def test_backward_induction_suite(corpus):
+def test_backward_induction_suite(acceptance_corpus):
     for name in ("eu_max", "pointwise_dominance", "maximality", "e_admissibility"):
-        for index, tree in enumerate(corpus):
+        for index, tree in enumerate(acceptance_corpus):
             rule = rule_for(tree, name, index)
             backward = back_opt(tree, rule).solution
             normal = norm_opt(tree, rule).solution
@@ -174,13 +163,13 @@ def test_consistency_equivalents_suite():
 
 
 @criterion("structural-law-suite")
-def test_structural_law_suite(corpus):
+def test_structural_law_suite(acceptance_corpus):
     # the gamble-set recursion is the oracle's: the library's `gamb` is the
     # strategy enumeration's own root pool (imported here, as the oracle's
     # module imports this one)
     from test_differential import literal_gamb
 
-    for index, tree in enumerate(corpus):
+    for index, tree in enumerate(acceptance_corpus):
         members = nfd(tree)
         assert literal_gamb(tree) == GambleSet(m.gamble for m in members), index
         for name in ("eu_max", "pointwise_dominance", "maximality", "e_admissibility"):
@@ -189,7 +178,7 @@ def test_structural_law_suite(corpus):
             assert induced_gambles(report.solution) == rule.select(
                 gamb(tree), tree.root_event
             ), (name, index)
-    for index, tree in enumerate(corpus[:50]):
+    for index, tree in enumerate(acceptance_corpus[:50]):
         rule = rule_for(tree, "eu_max", index)
         reference = induced_gambles(norm_opt(tree, rule).solution)
         for variant_index in range(10):
@@ -201,8 +190,8 @@ def test_structural_law_suite(corpus):
 
 
 @criterion("normal-extensive-equivalence")
-def test_normal_extensive_equivalence(corpus, cross_doc):
-    for index, tree in enumerate(corpus):
+def test_normal_extensive_equivalence(acceptance_corpus, cross_doc):
+    for index, tree in enumerate(acceptance_corpus):
         rule = rule_for(tree, "eu_max", index)
         assert check_normal_extensive_equivalence(tree, rule), index
 

@@ -171,6 +171,7 @@ def test_check_properties_bad_prop(capsys):
         "check-properties", "--rule", "eu_max", "--props", "P99", "--budget", "1",
     )
     assert code == 2
+    assert (payload["error"], payload["type"]) == ("unknown property 'P99'", "UnknownReference")
 
 
 def test_check_properties_rejects_budget_below_one(capsys):
@@ -226,15 +227,24 @@ def test_context_without_a_state_names_the_missing_mass(capsys, tmp_path):
     missing.write_text("prob a1 = 1\n")
     outside = tmp_path / "outside.prob"
     outside.write_text("prob a1 = 1/2\nprob zz = 1/2\n")
-    for context, error in (
-        (missing, "the mass for state 'a2' is missing"),
-        (outside, "unknown reference: 'zz'"),
+    short = tmp_path / "short.prob"
+    short.write_text("prob a1 = 1/2\nprob a2 = 1/3\n")
+    zero = tmp_path / "zero.prob"
+    zero.write_text("prob a1 = 0\nprob a2 = 1\n")
+    negative = tmp_path / "negative.ctx"
+    negative.write_text("credal {\nprob a1 = 1/2\nprob a2 = 1/2\n} {\nprob a1 = -1\nprob a2 = 2\n}\n")
+    for context, error, kind in (
+        (missing, "the mass for state 'a2' is missing", "UnknownReference"),
+        (outside, "unknown reference: 'zz'", "UnknownReference"),
+        (short, "masses must sum to one", "InvalidMassFunction"),
+        (zero, "all state masses must be strictly positive", "InvalidMassFunction"),
+        (negative, "all state masses must be strictly positive", "InvalidMassFunction"),
     ):
         code, payload = run_json(
             capsys, "solve", "--tree", INCOMP, "--rule", "eu_max", "--context", str(context)
         )
         assert code == 2
-        assert (payload["error"], payload["type"]) == (error, "UnknownReference")
+        assert (payload["error"], payload["type"]) == (error, kind)
 
 
 def test_unexpected_exceptions_are_json_errors(capsys, monkeypatch):

@@ -1,16 +1,18 @@
-"""Differential checks against two oracles.
+"""Differential checks: each production function against one oracle, the
+definition it implements written plainly.
 
 The play-out oracle computes a strategy's gamble by simulating each state
 of the world through the tree (follow the kept arc at decision nodes, the
-branch containing the state at chance nodes) and re-implements two
-selection rules from scratch. It shares no code path with the library's
-gamble algebra.
+branch containing the state at chance nodes). It shares no code path with
+the library's gamble algebra.
 
 The literal oracle is the enumeration written once per operator, as the
-definitions read: strategies as merged choice dicts, each strategy's gamble
-patched together over every chance node's partition, backward induction as
-its own recursion. The library derives all of these from one bottom-up
-enumerator, `trees.strategies`.
+definitions read: strategies as merged choice dicts, the gamble set as
+constants at leaves, unions at decision nodes and set sums at chance
+nodes, backward induction as its own recursion. The library derives all of
+these from one bottom-up enumerator, `trees.strategies`, whose hooks are
+checked through them: no hook by `nfd`, `select` by `back_opt` and `gamb`,
+`keep_arc` by `nfd_of_extensive`.
 
 The literal conditional expectation sums p(ω)u(g(ω)) and p(ω) over the
 event's states on every call. The library builds each event's columns
@@ -24,53 +26,31 @@ once, sweeps against the undominated front (`rules.undominated`) and keeps
 an interval-dominance gamble iff its upper bound reaches the greatest
 lower bound.
 
-The plain-`select` checker path runs a property's checker on the rule
-itself, so every `select` scores its gambles afresh. The library shares
-one score table between all `select` calls of an instance check.
+The plain-`select` checks run a property's checker on the rule itself, and
+each `select` of a scored check on a copy of the rule with no tables. The
+library shares one score table between all `select` calls of an instance
+check and answers a repeated (gamble set, event) from it.
 
 The literal instance schema names every property-instance shape: one
-restriction per shape, and gamble listing and witness JSON as `isinstance`
-chains. The library reads each shape's dataclass fields instead
-(`props.InstanceShape`).
-
-The plain-`select` oracle runs the contract checks and `_select` on a
-copy of the rule with no tables, for every `select` of a scored check.
-The library keeps each (gamble set, event)'s selection in the check's
-table and answers a repeat from it.
-
-The literal reward table parses each literal twice: once to a rational,
-then again in the table's constructor. The fields-walk table lists an
-instance's gambles through `dataclasses.fields` and parses every literal
-afresh. The library parses each literal once per process (a bounded
-cache) and reads each shape's field names.
+restriction per shape, and witness JSON as an `isinstance` chain. The
+library reads each shape's dataclass fields instead (`props.InstanceShape`).
+The tests list an instance's gambles by the same kind of chain.
 
 The literal falsifier instance path checks A-consistency through one
-preimage event per attained reward, sorts each reward pool by parsing its
-literals back into rationals, re-validates every generated instance and
-sums masses as fractions. The rational pool builds a `Fraction` per draw,
-sorts them and spells each with `str`. The library collects each gamble's
-rewards on the event in one pass, spells reduced integer pairs, leaves
-validation to `check_property_instance` and sums integer numerators.
+preimage event per attained reward, draws each reward pool as rationals,
+re-validates every generated instance and values each reward literal as
+the rational it spells. The library collects each gamble's rewards on the
+event in one pass, spells reduced integer pairs, leaves validation to
+`check_property_instance` and parses each literal once per process.
 
-The literal node walks are the recursions the tree readers were written
-as: a recursive preorder generator, consistency checked by recursion with
-the accumulated event passed down, reachability passed down to extract an
-extensive form, event names handed out by a recursive visit, and the gamble
-set built by its own recursion (constants at leaves, unions at decision
-nodes, partition set sums at chance nodes). The library reads one
-iterative walk, `DecisionTree.nodes`, and takes the gamble set as the root
-pool of the enumerator's `distinct` hook.
-
-The literal folds are the recursions the bottom-up builders were written
-as: the strategy count, the enumerator (cap and `select` after a node's
-children), a strategy as a tree, the pruning repair with the accumulated
-event passed down, canonical nested tuples for equality up to chance order,
-the tree expression of a document and the DOT text. The library folds on
-one explicit stack, `DecisionTree.fold`, and draws DOT from the preorder
-walk. The nested-string fold writes a document's tree expression by copying
-each child's text into its parent's; the library writes the pieces into one
-list. The rewrite generator's path replacement is checked against the
-recursion it was written as.
+The literal node walks and folds are the recursions the tree readers and
+builders were written as: preorder, consistency with the accumulated event
+passed down, reachability, event naming, the strategy count, a strategy as
+a tree, pruning, the DOT text and the rewrite generator's path
+replacement. The library reads one iterative walk, `DecisionTree.nodes`,
+and folds on one explicit stack, `DecisionTree.fold`. The nested-string
+fold writes a document's tree expression by copying each child's text into
+its parent's; the library writes the pieces into one list.
 
 Consistency is checked by the `DecisionTree` constructor, so the literal
 consistency recursion reads a tree's parts, and the crafted and broken
@@ -82,7 +62,6 @@ cuts the subtree once per call.
 
 import itertools
 import json
-import math
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -106,7 +85,6 @@ from treechoice.errors import (
 )
 from treechoice.generate import (
     GenConfig,
-    equivalent_rewrite,
     random_consistent_tree,
     random_gamble_instance,
     reward_table_for_instance,
@@ -114,7 +92,6 @@ from treechoice.generate import (
     rng_for,
     seeded_rule_policy,
     subseed,
-    tree_corpus,
 )
 from treechoice.laws import check_property_instance, check_subtree_perfectness
 from treechoice.model import (
@@ -138,7 +115,6 @@ from treechoice.props import (
     PropertyId,
     SetSumInstance,
     SubsetInstance,
-    instance_gambles,
 )
 from treechoice.rules import (
     RULES,
@@ -157,7 +133,6 @@ from treechoice.solve import (
     norm_opt,
 )
 from treechoice.trees import (
-    DEFAULT_ENUMERATION_CAP,
     Chance,
     Decision,
     DecisionTree,
@@ -166,13 +141,11 @@ from treechoice.trees import (
     NormalFormDecision,
     chance,
     decision,
-    distinct,
     gamb,
     nfd,
     nfd_count,
     prune_impossible_branches,
     restrict_solution,
-    same_up_to_chance_order,
     strategies,
     validate,
 )
@@ -189,7 +162,7 @@ from treechoice.textio import (
 )
 
 from conftest import FIXTURES, path_choices
-from test_acceptance import CORPUS_CONFIG, SEED, rule_for
+from test_acceptance import rule_for
 
 CONFIG = GenConfig(max_depth=4, omega_range=(2, 6), nfd_ceiling=250)
 
@@ -202,11 +175,6 @@ def path_map(member):
 def arc_paths(member):
     """A strategy's kept decision arcs, each as the path of its child."""
     return sorted(q + (i,) for q, i in path_choices(member))
-
-
-def path_pairs(tree, pairs):
-    """Enumerated (choices, values) pairs with each decision id as its path."""
-    return [(tuple((tree.path_of(v), i) for v, i in c), values) for c, values in pairs]
 
 
 def play_out(tree, choices, state_index):
@@ -228,9 +196,9 @@ def play_out(tree, choices, state_index):
 
 
 def oracle_gamble(tree, member):
-    return tuple(
-        play_out(tree, path_map(member), i) for i in range(tree.space.size)
-    )
+    """A strategy's gamble: the reward each state plays out to."""
+    choices = path_map(member)
+    return Gamble(tree.space, tuple(play_out(tree, choices, i) for i in range(tree.space.size)))
 
 
 def oracle_eu_solution(tree, members, probability, utilities):
@@ -238,7 +206,7 @@ def oracle_eu_solution(tree, members, probability, utilities):
     weight = sum(probability.masses[i] for i in given.indices())
     scores = {}
     for member in members:
-        values = oracle_gamble(tree, member)
+        values = oracle_gamble(tree, member).values
         scores[member] = sum(
             (
                 probability.masses[i] * utilities.utility(values[i])
@@ -250,29 +218,8 @@ def oracle_eu_solution(tree, members, probability, utilities):
     return {m for m, s in scores.items() if s == best}
 
 
-def oracle_dominance_solution(tree, members, utilities):
-    given = list(tree.root_event.indices())
-    vectors = {m: oracle_gamble(tree, m) for m in members}
-
-    def beats(a, b):
-        av, bv = vectors[a], vectors[b]
-        ge = all(utilities.utility(av[i]) >= utilities.utility(bv[i]) for i in given)
-        gt = any(utilities.utility(av[i]) > utilities.utility(bv[i]) for i in given)
-        return ge and gt
-
-    # optimal gambles, then every strategy inducing one of them
-    undominated = {
-        vectors[m]
-        for m in members
-        if not any(beats(other, m) for other in members)
-    }
-    return {m for m in members if vectors[m] in undominated}
-
-
-def literal_nfd(tree, cap=10**5):
+def literal_nfd(tree):
     """All strategies, enumerated as merged choice dicts and sorted."""
-    if literal_nfd_count(tree) > cap:
-        raise EnumerationLimitExceeded(f"more than {cap} strategies")
 
     def enumerate_node(node, path):
         if isinstance(node, Leaf):
@@ -299,34 +246,13 @@ def literal_nfd(tree, cap=10**5):
     return tuple(sorted(decisions, key=path_choices))
 
 
-def literal_gamble(member):
-    """A strategy's gamble: follow its arcs, combine over each partition."""
-    tree = member.tree
-    choices = path_map(member)
-
-    def build(node, path):
-        if isinstance(node, Leaf):
-            return Gamble.constant(tree.space, node.reward)
-        if isinstance(node, Decision):
-            index = choices[path]
-            return build(node.children[index], path + (index,))
-        return combine_on_partition(
-            [
-                (event, build(child, path + (i,)))
-                for i, (event, child) in enumerate(node.branches)
-            ]
-        )
-
-    return build(tree.root, ())
-
-
 def literal_norm_opt(tree, rule):
     """Solution, induced gambles and stats of the normal form operator."""
     validate(tree)
     members = literal_nfd(tree)
     pool = gamb(tree)
     chosen = rule.select(pool, tree.root_event)
-    solution = frozenset(m for m in members if literal_gamble(m) in chosen)
+    solution = frozenset(m for m in members if oracle_gamble(tree, m) in chosen)
     stats = {
         "nodes": tree.node_counts(),
         "nfd_count": len(members),
@@ -474,20 +400,15 @@ def checked_rule(rule, sizes):
     return rule
 
 
-@pytest.fixture(scope="module")
-def acceptance_corpus():
-    return tree_corpus(CORPUS_CONFIG, SEED, 200)
-
-
 def test_enumeration_matches_literal_oracle(acceptance_corpus):
     for index, tree in enumerate(acceptance_corpus):
         members = nfd(tree)
         expected = literal_nfd(tree)
         assert [m.choices for m in members] == [m.choices for m in expected], index
         assert members == expected, index
-        assert [m.gamble for m in members] == [
-            literal_gamble(m) for m in expected
-        ], index
+        assert [m.gamble for m in members] == [oracle_gamble(tree, m) for m in expected], index
+        extensive = extract_extensive(tree, members[::2])
+        assert nfd_of_extensive(extensive) == literal_nfd_of_extensive(extensive), index
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
@@ -555,7 +476,7 @@ def test_enumeration_caps_keep_their_messages(lake_doc, lake_eu):
 def test_gambles_match_play_out_oracle(index):
     tree = random_consistent_tree(CONFIG, seed=subseed("diff", index))
     for member in nfd(tree):
-        assert member.gamble.values == oracle_gamble(tree, member)
+        assert member.gamble == oracle_gamble(tree, member)
 
 
 @pytest.mark.parametrize("index", range(40))
@@ -576,8 +497,8 @@ def test_dominance_solutions_match_play_out_oracle(index):
     rule = seeded_rule_policy("pointwise_dominance")(
         tree.space, rewards, rng_for("diff-dom", index)
     )
-    expected = oracle_dominance_solution(tree, nfd(tree), rewards)
-    assert norm_opt(tree, rule).solution == expected
+    solution, _, _ = literal_norm_opt(tree, LiteralPointwiseDominance(rule.context))
+    assert norm_opt(tree, rule).solution == solution
 
 
 @pytest.mark.parametrize("name", sorted(LITERAL_RULES))
@@ -762,7 +683,8 @@ def literal_restricted(instance, kept):
     )
 
 
-def literal_instance_gambles(instance):
+def instance_gambles(instance):
+    """Every gamble mentioned anywhere in the instance."""
     if isinstance(instance, (ConditioningInstance, SubsetInstance)):
         return instance.gambles
     if isinstance(instance, MixtureInstance):
@@ -776,6 +698,11 @@ def literal_instance_gambles(instance):
     for part in instance.parts:
         out = out.union(part)
     return out
+
+
+def instance_symbols(instance):
+    """The reward symbols of every gamble in the instance, repeats kept."""
+    return [v for g in instance_gambles(instance) for v in g.values]
 
 
 def literal_instance_json(instance):
@@ -831,7 +758,6 @@ def test_instance_schema_matches_literal_shapes(prop):
             checked.append(restricted)
         restrictions += len(checked) - 1
         for each in checked:
-            assert instance_gambles(each).members == literal_instance_gambles(each).members
             # as text, so the key order counts
             assert json.dumps(instance_json(each)) == json.dumps(literal_instance_json(each))
     assert restrictions > 25
@@ -851,8 +777,8 @@ def test_instance_json_rejects_a_non_instance():
 
 # ---------------------------------------------------------------------------
 # The literal falsifier instance path: A-consistency through one preimage
-# event per attained reward, reward pools sorted by parsing their literals
-# back, and every generated instance re-validated before release
+# event per attained reward, reward pools drawn as rationals, and every
+# generated instance re-validated before release
 
 
 def literal_check_a_consistency(gambles, event):
@@ -867,18 +793,7 @@ def literal_check_a_consistency(gambles, event):
     return ConsistencyVerdict(True, event)
 
 
-def literal_random_value(rng, config):
-    num = rng.randint(*config.value_range)
-    den = rng.randint(1, config.max_denominator)
-    return str(Fraction(num, den))
-
-
 def literal_reward_pool(rng, config):
-    pool = {literal_random_value(rng, config) for _ in range(config.reward_pool_size)}
-    return sorted(pool, key=Fraction)
-
-
-def rational_reward_pool(rng, config):
     """The pool as rationals, sorted, then spelled with `str`."""
     pool = {
         Fraction(rng.randint(*config.value_range), rng.randint(1, config.max_denominator))
@@ -899,25 +814,6 @@ def literal_random_gamble_instance(prop, config, seed):
         except (MalformedInstance, GenerationRetryExhausted):
             continue
     raise GenerationRetryExhausted(prop.value)
-
-
-def literal_reward_table_for_instance(instance):
-    symbols = set()
-    for g in instance_gambles(instance):
-        symbols.update(g.values)
-    return RewardTable.from_literals(symbols)
-
-
-def fields_reward_table_for_instance(instance):
-    """Symbols gathered through `dataclasses.fields`, each parsed afresh."""
-    symbols = set()
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, (Gamble, GambleSet)):
-                for g in [item] if isinstance(item, Gamble) else item:
-                    symbols.update(g.values)
-    return RewardTable({s: Fraction(s) for s in symbols})
 
 
 def with_shrink_candidates(rule, instance):
@@ -1027,11 +923,9 @@ def test_a_consistency_matches_literal_on_crafted_cases(rows, labels, witness):
 )
 def test_reward_pools_match_literal_pools(config):
     for seed in range(200):
-        rngs = [rng_for("diff-pool", seed) for _ in range(3)]
-        pool = generate._reward_pool(rngs[0], config)
-        assert pool == literal_reward_pool(rngs[1], config)
-        assert pool == rational_reward_pool(rngs[2], config)
-        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+        rngs = [rng_for("diff-pool", seed) for _ in range(2)]
+        assert generate._reward_pool(rngs[0], config) == literal_reward_pool(rngs[1], config)
+        assert rngs[0].getstate() == rngs[1].getstate()
 
 
 @pytest.mark.parametrize("prop", list(PropertyId), ids=lambda p: p.value)
@@ -1045,11 +939,7 @@ def test_generated_instances_match_literal_generator(prop, monkeypatch):
         # as text, so the order of every list counts
         assert json.dumps(instance_json(instance)) == json.dumps(instance_json(literal))
         table = reward_table_for_instance(instance)
-        assert table == literal_reward_table_for_instance(literal)
-        parsed = fields_reward_table_for_instance(literal)
-        assert [(s, v, type(v)) for s, v in table.items()] == [
-            (s, v, type(v)) for s, v in parsed.items()
-        ]
+        assert table == literal_from_literals(instance_symbols(literal))
 
 
 def test_mass_sum_check_matches_fraction_sum():
@@ -1087,34 +977,6 @@ def check_as_text(check):
     return (check.prop, check.holds, check.vacuous, json.dumps(jsonable(check.witness)))
 
 
-@pytest.mark.parametrize("name", sorted(RULES))
-def test_score_table_keeps_every_instance_check(name):
-    policy = seeded_rule_policy(name)
-    verdicts = Counter()
-    for prop in PropertyId:
-        for index in range(25):
-            instance = random_gamble_instance(
-                prop, GenConfig(), seed=subseed("diff-table", prop.value, index)
-            )
-            rule = policy(
-                instance.space,
-                reward_table_for_instance(instance),
-                rng_for("diff-table", name, prop.value, index),
-            )
-            for candidate_rule, candidate in with_shrink_candidates(rule, instance):
-                try:
-                    expected = plain_check(prop, candidate_rule, candidate)
-                except MalformedInstance:
-                    with pytest.raises(MalformedInstance):
-                        check_property_instance(prop, candidate_rule, candidate)
-                    continue
-                check = check_property_instance(prop, candidate_rule, candidate)
-                assert check_as_text(check) == check_as_text(expected), (prop, index)
-                assert candidate_rule.scores is None  # the table is the check's own
-                verdicts[check.holds, check.vacuous] += 1
-    assert verdicts[True, False] > 100 and verdicts[True, True] > 10, verdicts
-
-
 def unmemoized_select(rule, gambles, given):
     """`select` before checks kept their selections: the contract checks and
     `_select`, on a copy of the rule with no tables."""
@@ -1135,45 +997,58 @@ def unmemoized_select(rule, gambles, given):
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
-def test_every_scored_select_equals_a_fresh_unscored_select(name, monkeypatch):
-    answers = {}  # scored rule -> {(gamble set, event): its first answer}
-    calls = Counter()
+def test_score_table_keeps_every_instance_check(name, monkeypatch):
+    """Each scored check equals the plain checker's, and each of its
+    selects a fresh unscored select."""
+    answers = {}  # this check's scored rule -> {(gamble set, event): its first answer}
+    selects, repeats = Counter(), Counter()
     memoized = rules.ChoiceRule.select
 
     def compared(self, gambles, given):
         chosen = memoized(self, gambles, given)
         if self.selections is not None:
             assert chosen == unmemoized_select(self, gambles, given), (gambles, given)
-            first = answers.setdefault(self, {}).setdefault((gambles, given), chosen)
-            assert first is chosen  # a repeat is answered from the table
-            assert len(self.selections) == len(answers[self])  # one entry per pair
-            calls[prop] += 1
+            table = answers.setdefault(self, {})
+            repeats[prop] += (gambles, given) in table
+            # a repeat is answered from the table, which has one entry per pair
+            assert table.setdefault((gambles, given), chosen) is chosen
+            assert len(self.selections) == len(table)
+            selects[prop] += 1
         return chosen
 
     monkeypatch.setattr(rules.ChoiceRule, "select", compared)
     policy = seeded_rule_policy(name)
+    verdicts = Counter()
     for prop in PropertyId:
-        for index in range(20):
+        for index in range(25):
             instance = random_gamble_instance(
-                prop, GenConfig(), seed=subseed("diff-memo", prop.value, index)
+                prop, GenConfig(), seed=subseed("diff-table", prop.value, index)
             )
             rule = policy(
                 instance.space,
                 reward_table_for_instance(instance),
-                rng_for("diff-memo", name, prop.value, index),
+                rng_for("diff-table", name, prop.value, index),
             )
             for candidate_rule, candidate in with_shrink_candidates(rule, instance):
+                answers.clear()  # each check scores on its own copy of the rule
                 try:
-                    check_property_instance(prop, candidate_rule, candidate)
+                    expected = plain_check(prop, candidate_rule, candidate)
                 except MalformedInstance:
-                    pass
-    assert set(calls) == set(PropertyId), calls
-    kept = sum(len(table) for table in answers.values())
-    assert sum(calls.values()) - kept > 100, (sum(calls.values()), kept)
+                    with pytest.raises(MalformedInstance):
+                        check_property_instance(prop, candidate_rule, candidate)
+                    continue
+                check = check_property_instance(prop, candidate_rule, candidate)
+                assert check_as_text(check) == check_as_text(expected), (prop, index)
+                assert candidate_rule.scores is None  # the table is the check's own
+                verdicts[check.holds, check.vacuous] += 1
+    assert verdicts[True, False] > 100 and verdicts[True, True] > 10, verdicts
+    assert set(selects) == set(PropertyId), selects
+    assert sum(repeats.values()) > 100, repeats
 
 
 def literal_from_literals(symbols):
-    return RewardTable({s: Fraction(Fraction(s)) for s in set(symbols)})
+    """Each symbol valued as the rational it spells."""
+    return RewardTable({s: Fraction(s) for s in set(symbols)})
 
 
 def table_or_error(build, symbols):
@@ -1190,7 +1065,7 @@ def test_literal_reward_tables_match_the_twice_parsed_tables(prop):
         instance = random_gamble_instance(
             prop, GenConfig(), seed=subseed("diff-literals", prop.value, index)
         )
-        symbols = [v for g in instance_gambles(instance) for v in g.values]
+        symbols = instance_symbols(instance)
         table = table_or_error(RewardTable.from_literals, symbols)
         assert table == table_or_error(literal_from_literals, symbols)
         assert reward_table_for_instance(instance) == literal_from_literals(symbols)
@@ -1328,11 +1203,9 @@ def literal_validate(tree):
     return tree
 
 
-def literal_gamb(tree, cap=10**5):
+def literal_gamb(tree):
     """The gamble set by its own recursion on the tree: constants at
     leaves, unions at decision nodes, partition set sums at chance nodes."""
-    if literal_nfd_count(tree) > cap:
-        raise EnumerationLimitExceeded(f"tree has more than {cap} normal form decisions")
 
     def build(node):
         if isinstance(node, Leaf):
@@ -1614,58 +1487,6 @@ def literal_nfd_count(tree):
     return count(tree.root)
 
 
-def literal_strategies(tree, cap=DEFAULT_ENUMERATION_CAP, keep_arc=None, select=None):
-    """(choices, values) pairs by recursion: the cap and `select` at each
-    node after its children."""
-    if keep_arc is None and select is None:
-        literal_capped_count(tree, cap)
-    size = tree.space.size
-    noun = "strategies" if select is None else "glued candidates"
-
-    def walk(node, path):
-        if isinstance(node, Leaf):
-            return [((), (node.reward,) * size)]
-        if isinstance(node, Decision):
-            candidates = []
-            for i, child in enumerate(node.children):
-                if keep_arc is None or keep_arc(path + (i,)):
-                    below = walk(child, path + (i,))
-                    candidates += [(((path, i),) + c, v) for c, v in below]
-        else:
-            events = [event for event, _ in node.branches]
-            owner = [0] * size
-            for b, event in enumerate(events):
-                for i in event.indices():
-                    owner[i] = b
-            per_branch = [walk(child, path + (b,)) for b, (_, child) in enumerate(node.branches)]
-            count = math.prod(map(len, per_branch))
-            if count > cap:
-                raise EnumerationLimitExceeded(f"{count} {noun} exceed the cap of {cap}")
-            candidates = [
-                (
-                    tuple(itertools.chain.from_iterable(c for c, _ in combo)),
-                    tuple([combo[b][1][i] for i, b in enumerate(owner)]),
-                )
-                for combo in itertools.product(*per_branch)
-            ]
-        return candidates if select is None else select(path, candidates)
-
-    return walk(tree.root, ())
-
-
-def literal_capped_count(tree, cap):
-    total = literal_nfd_count(tree)
-    if total > cap:
-        raise EnumerationLimitExceeded(f"{total} normal form decisions exceed the cap of {cap}")
-
-
-def literal_enumerator_gamb(tree, cap=DEFAULT_ENUMERATION_CAP):
-    """The gamble set as the root pool of the recursive enumerator."""
-    literal_capped_count(tree, cap)
-    pairs = literal_strategies(tree, cap, select=distinct)
-    return GambleSet(Gamble(tree.space, values) for _, values in pairs)
-
-
 def literal_as_tree(member):
     """The strategy as a tree with unary decision nodes, by recursion."""
 
@@ -1711,53 +1532,6 @@ def literal_prune_impossible_branches(space, root, root_event):
     return DecisionTree(space, walk(root, root_event), root_event)
 
 
-def literal_same_up_to_chance_order(t1, t2):
-    """Equal canonical nested tuples, each chance node's branches sorted."""
-    if (t1.space, t1.root_event) != (t2.space, t2.root_event):
-        return False
-
-    def canon(node):
-        if isinstance(node, Leaf):
-            return ("leaf", node.reward)
-        if isinstance(node, Decision):
-            return ("decision", tuple(canon(c) for c in node.children))
-        items = sorted((event.bits, canon(child)) for event, child in node.branches)
-        return ("chance", tuple(items))
-
-    return canon(t1.root) == canon(t2.root)
-
-
-def literal_serialize(document):
-    """A tree document's text, the tree expression written by recursion."""
-    names = {}
-    for name, event in document.events:
-        names.setdefault(event.bits, name)
-
-    def expr(node):
-        if isinstance(node, Leaf):
-            return f"leaf({node.reward})"
-        if isinstance(node, Decision):
-            return f"decision({', '.join(expr(c) for c in node.children)})"
-        parts = []
-        for event, child in node.branches:
-            if event.bits not in names:
-                raise UnknownReference(f"unnamed event {event!r}")
-            parts.append(f"{names[event.bits]}: {expr(child)}")
-        return f"chance({', '.join(parts)})"
-
-    return document_text(document, expr(document.tree.root))
-
-
-def document_text(document, tree_expression):
-    lines = [f"omega {' '.join(document.space.states)}"]
-    lines += [f"reward {n} = {document.rewards.utility(n)}" for n in document.reward_order]
-    lines += [f"event {n} = {' '.join(e.labels())}" for n, e in document.events]
-    if document.root_event_name is not None:
-        lines.append(f"root_event {document.root_event_name}")
-    lines.append(f"tree = {tree_expression}")
-    return "\n".join(lines) + "\n"
-
-
 def nested_fold_serialize(document):
     """A document's text, the tree expression folded bottom-up: each node's
     text holds a copy of each child's."""
@@ -1781,9 +1555,14 @@ def nested_fold_serialize(document):
         return f"chance({', '.join(parts)})"
 
     named(0)  # the fold asks its hook of every node but the root
-    return document_text(
-        document, document.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
-    )
+    lines = [f"omega {' '.join(document.space.states)}"]
+    lines += [f"reward {n} = {document.rewards.utility(n)}" for n in document.reward_order]
+    lines += [f"event {n} = {' '.join(e.labels())}" for n, e in document.events]
+    if document.root_event_name is not None:
+        lines.append(f"root_event {document.root_event_name}")
+    tree_expression = document.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
+    lines.append(f"tree = {tree_expression}")
+    return "\n".join(lines) + "\n"
 
 
 def literal_export_dot(tree, rewards=None, solution=None):
@@ -1841,33 +1620,19 @@ def outcome(call, *args, **kwargs):
 
 
 def test_fold_matches_the_literal_recursions(acceptance_corpus):
-    members_seen, unnamed_seen = 0, 0
+    members_seen = 0
     for index, tree in enumerate(acceptance_corpus):
         assert nfd_count(tree) == literal_nfd_count(tree), index
         members = nfd(tree)
-        arcs = frozenset(arc for m in members[::2] for arc in m.arcs())
-        paths = frozenset(map(tree.path_of, arcs))
-        for hooks, literal_hooks in (
-            ({}, {}),
-            ({"select": distinct}, {"select": distinct}),
-            ({"keep_arc": arcs.__contains__}, {"keep_arc": paths.__contains__}),
-        ):
-            pairs = path_pairs(tree, strategies(tree, **hooks))
-            assert pairs == literal_strategies(tree, **literal_hooks), index
-        document = document_for(tree, reward_table_for_tree(tree))
-        assert document.serialize() == literal_serialize(document), index
-        unnamed = replace(document, events=document.events[1:])  # e1 loses its name
-        assert outcome(unnamed.serialize) == outcome(literal_serialize, unnamed), index
-        unnamed_seen += bool(document.events)
+        rewards = reward_table_for_tree(tree)
         for solution in (None, members, members[:1], members[-1:], members[::2]):
-            assert export_dot(tree, document.rewards, solution) == literal_export_dot(
-                tree, document.rewards, solution
+            assert export_dot(tree, rewards, solution) == literal_export_dot(
+                tree, rewards, solution
             ), index
         for member in members:
             assert member.as_tree() == literal_as_tree(member), index
             members_seen += 1
     assert members_seen == sum(map(literal_nfd_count, acceptance_corpus))
-    assert unnamed_seen > 100, unnamed_seen
 
 
 def test_serialize_matches_the_nested_string_fold(acceptance_corpus):
@@ -1929,21 +1694,6 @@ def test_prune_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_c
     assert outcomes["pruned"] > 500 and outcomes["NotAPartition"] > 500, outcomes
 
 
-def test_same_up_to_chance_order_matches_the_literal_recursion(acceptance_corpus):
-    verdicts = Counter()
-    for index, tree in enumerate(acceptance_corpus):
-        other = acceptance_corpus[index - 1]
-        rewrites = [
-            equivalent_rewrite(tree, subseed("canon", index, k), k % 2 + 1) for k in range(6)
-        ]
-        pairs = [(tree, other)] + [(tree, r) for r in rewrites] + [(r, tree) for r in rewrites]
-        for first, second in pairs:
-            same = same_up_to_chance_order(first, second)
-            assert same == literal_same_up_to_chance_order(first, second), index
-            verdicts[same] += 1
-    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
-
-
 @pytest.mark.parametrize(
     "label",
     # an inconsistent tree cannot be built, so the enumerator never sees one
@@ -1955,15 +1705,12 @@ def test_same_up_to_chance_order_matches_the_literal_recursion(acceptance_corpus
 )
 def test_the_enumerator_fails_as_the_literal_recursion_on_crafted_trees(label):
     tree = DecisionTree(*INCONSISTENT_TREES[label])
-    literal_members = tuple(
-        NormalFormDecision.of(tree, dict(c)) for c, _ in literal_strategies(tree)
-    )
-    assert nfd(tree) == literal_members
-    assert gamb(tree) == literal_enumerator_gamb(tree)
-    first = tree.index.position
-    for hooks, literal_hooks in (
-        ({"select": distinct}, {"select": distinct}),
-        ({"keep_arc": lambda v: first[v] == 0}, {"keep_arc": lambda arc: arc[-1] == 0}),
-    ):
-        pairs = path_pairs(tree, strategies(tree, **hooks))
-        assert pairs == literal_strategies(tree, **literal_hooks)
+    members = nfd(tree)
+    assert members == literal_nfd(tree)
+    assert gamb(tree) == literal_gamb(tree)
+    # the `keep_arc` hook, first children only, and the `select` hook
+    extensive = extract_extensive(tree, [m for m in members if not any(i for _, i in m.choices)])
+    assert nfd_of_extensive(extensive) == literal_nfd_of_extensive(extensive)
+    rule = PointwiseDominance(ChoiceContext(RewardTable({"x": 0, "y": 1, "z": 2})))
+    backward = back_opt(tree, rule)
+    assert (backward.solution, backward.induced, backward.stats) == literal_back_opt(tree, rule)

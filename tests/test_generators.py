@@ -33,9 +33,10 @@ from treechoice.trees import (
     Leaf,
     gamb,
     nfd_count,
-    same_up_to_chance_order,
     validate,
 )
+
+from conftest import same_up_to_chance_order
 
 SMALL = GenConfig(max_depth=3, omega_range=(2, 5), nfd_ceiling=200)
 

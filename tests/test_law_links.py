@@ -26,8 +26,10 @@ CORPUS_CONFIG = GenConfig(max_depth=3, omega_range=(2, 5), nfd_ceiling=120)
 SEED = 2024
 
 
-def corpus(count=25):
-    return tree_corpus(CORPUS_CONFIG, SEED, count)
+@pytest.fixture(scope="module")
+def corpus():
+    """The law links' own corpus: 25 trees, smaller than the acceptance ones."""
+    return tree_corpus(CORPUS_CONFIG, SEED, 25)
 
 
 def rule_for(tree, name, index):
@@ -48,10 +50,10 @@ def test_conditioning_property_for_dominance_and_eu():
     assert corroborates("eu_max", P.P1_conditioning)
 
 
-def test_core_properties_imply_perfectness_for_eu():
+def test_core_properties_imply_perfectness_for_eu(corpus):
     # P1, P2, P3 corroborated, so subtree perfectness must hold corpus-wide
     assert all(corroborates("eu_max", p) for p in (P.P1_conditioning, P.P2_intersection, P.P3_mixture))
-    for i, tree in enumerate(corpus()):
+    for i, tree in enumerate(corpus):
         report = check_subtree_perfectness(tree, rule_for(tree, "eu_max", i))
         assert report.perfect, f"joint counterexample at corpus tree {i}"
 
@@ -59,7 +61,7 @@ def test_core_properties_imply_perfectness_for_eu():
 @pytest.mark.parametrize(
     "name", ["eu_max", "pointwise_dominance", "maximality", "e_admissibility"]
 )
-def test_backward_properties_imply_backward_induction(name):
+def test_backward_properties_imply_backward_induction(name, corpus):
     for prop in (
         P.P7_backward_conditioning,
         P.P8_insensitivity,
@@ -67,15 +69,15 @@ def test_backward_properties_imply_backward_induction(name):
         P.P10_backward_mixture,
     ):
         assert corroborates(name, prop), f"{name} unexpectedly violates {prop}"
-    for i, tree in enumerate(corpus()):
+    for i, tree in enumerate(corpus):
         rule = rule_for(tree, name, i)
         assert back_opt(tree, rule).solution == norm_opt(tree, rule).solution
 
 
-def test_backward_properties_imply_weak_perfectness():
+def test_backward_properties_imply_weak_perfectness(corpus):
     for prop in (P.P7_backward_conditioning, P.P9_preservation, P.P10_backward_mixture):
         assert corroborates("pointwise_dominance", prop)
-    for i, tree in enumerate(corpus()):
+    for i, tree in enumerate(corpus):
         rule = rule_for(tree, "pointwise_dominance", i)
         assert check_subtree_perfectness(tree, rule, weak=True).perfect
 
@@ -149,8 +151,8 @@ def test_p11_agrees_with_p8_and_p9():
         assert p11 == (p8 and p9)
 
 
-def test_solution_invariance_across_rewrites():
-    for i, tree in enumerate(corpus(10)):
+def test_solution_invariance_across_rewrites(corpus):
+    for i, tree in enumerate(corpus[:10]):
         for name in ("eu_max", "maximality"):
             rule = rule_for(tree, name, i)
             reference = induced_gambles(norm_opt(tree, rule).solution)
@@ -163,8 +165,8 @@ def test_solution_invariance_across_rewrites():
                 assert variant_gambles == reference
 
 
-def test_structural_laws_on_corpus():
-    for i, tree in enumerate(corpus()):
+def test_structural_laws_on_corpus(corpus):
+    for i, tree in enumerate(corpus):
         members = nfd(tree)
         assert gamb(tree) == GambleSet(m.gamble for m in members)
         rule = rule_for(tree, "pointwise_dominance", i)
@@ -174,8 +176,8 @@ def test_structural_laws_on_corpus():
         )
 
 
-def test_backward_members_restrict_into_subtree_backward_solutions():
-    for i, tree in enumerate(corpus(8)):
+def test_backward_members_restrict_into_subtree_backward_solutions(corpus):
+    for i, tree in enumerate(corpus[:8]):
         rule = rule_for(tree, "pointwise_dominance", i)
         solution = back_opt(tree, rule).solution
         for v, _ in tree.nodes():
@@ -188,8 +190,8 @@ def test_backward_members_restrict_into_subtree_backward_solutions():
             assert restricted <= sub_solution
 
 
-def test_plan_reduction_on_corpus():
-    for i, tree in enumerate(corpus(15)):
+def test_plan_reduction_on_corpus(corpus):
+    for i, tree in enumerate(corpus[:15]):
         rule = rule_for(tree, "eu_max", i)
         solution = norm_opt(tree, rule).solution
         chosen = induced_gambles(solution)

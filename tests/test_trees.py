@@ -32,10 +32,11 @@ from treechoice.trees import (
     nfd_count,
     prune_impossible_branches,
     restrict_solution,
-    same_up_to_chance_order,
     strategically_equivalent,
     validate,
 )
+
+from conftest import same_up_to_chance_order
 
 W2 = PossibilitySpace(("a1", "a2"))
 A = W2.event(["a1"])
