@@ -60,6 +60,7 @@ of a solution on its own, with its own copy of the subtree; the library
 cuts the subtree once per call.
 """
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -996,54 +997,81 @@ def unmemoized_select(rule, gambles, given):
     return chosen
 
 
-@pytest.mark.parametrize("name", sorted(RULES))
-def test_score_table_keeps_every_instance_check(name, monkeypatch):
-    """Each scored check equals the plain checker's, and each of its
-    selects a fresh unscored select."""
+@functools.cache
+def score_table_sweep(name):
+    """One sweep, 25 instances per property, for both score-table tests: each
+    scored check against the plain checker, and each of its selects against
+    a fresh unscored select. Returns the mismatches and counts they assert."""
+    sweep = SimpleNamespace(
+        check_mismatches=[],
+        verdicts=Counter(),
+        select_mismatches=[],
+        selects=Counter(),
+        repeats=Counter(),
+    )
     answers = {}  # this check's scored rule -> {(gamble set, event): its first answer}
-    selects, repeats = Counter(), Counter()
     memoized = rules.ChoiceRule.select
 
     def compared(self, gambles, given):
         chosen = memoized(self, gambles, given)
         if self.selections is not None:
-            assert chosen == unmemoized_select(self, gambles, given), (gambles, given)
             table = answers.setdefault(self, {})
-            repeats[prop] += (gambles, given) in table
+            sweep.repeats[prop] += (gambles, given) in table
+            fresh = unmemoized_select(self, gambles, given)
             # a repeat is answered from the table, which has one entry per pair
-            assert table.setdefault((gambles, given), chosen) is chosen
-            assert len(self.selections) == len(table)
-            selects[prop] += 1
+            first = table.setdefault((gambles, given), chosen)
+            if chosen != fresh or first is not chosen or len(self.selections) != len(table):
+                sweep.select_mismatches.append((prop, index, gambles, given))
+            sweep.selects[prop] += 1
         return chosen
 
-    monkeypatch.setattr(rules.ChoiceRule, "select", compared)
     policy = seeded_rule_policy(name)
-    verdicts = Counter()
-    for prop in PropertyId:
-        for index in range(25):
-            instance = random_gamble_instance(
-                prop, GenConfig(), seed=subseed("diff-table", prop.value, index)
-            )
-            rule = policy(
-                instance.space,
-                reward_table_for_instance(instance),
-                rng_for("diff-table", name, prop.value, index),
-            )
-            for candidate_rule, candidate in with_shrink_candidates(rule, instance):
-                answers.clear()  # each check scores on its own copy of the rule
-                try:
-                    expected = plain_check(prop, candidate_rule, candidate)
-                except MalformedInstance:
-                    with pytest.raises(MalformedInstance):
-                        check_property_instance(prop, candidate_rule, candidate)
-                    continue
-                check = check_property_instance(prop, candidate_rule, candidate)
-                assert check_as_text(check) == check_as_text(expected), (prop, index)
-                assert candidate_rule.scores is None  # the table is the check's own
-                verdicts[check.holds, check.vacuous] += 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rules.ChoiceRule, "select", compared)
+        for prop in PropertyId:
+            for index in range(25):
+                instance = random_gamble_instance(
+                    prop, GenConfig(), seed=subseed("diff-table", prop.value, index)
+                )
+                rule = policy(
+                    instance.space,
+                    reward_table_for_instance(instance),
+                    rng_for("diff-table", name, prop.value, index),
+                )
+                for candidate_rule, candidate in with_shrink_candidates(rule, instance):
+                    answers.clear()  # each check scores on its own copy of the rule
+                    try:
+                        expected = plain_check(prop, candidate_rule, candidate)
+                    except MalformedInstance:
+                        try:
+                            check_property_instance(prop, candidate_rule, candidate)
+                        except MalformedInstance:
+                            continue
+                        sweep.check_mismatches.append((prop, index, "not malformed"))
+                        continue
+                    check = check_property_instance(prop, candidate_rule, candidate)
+                    if check_as_text(check) != check_as_text(expected):
+                        sweep.check_mismatches.append((prop, index, check_as_text(check)))
+                    if candidate_rule.scores is not None:  # the table is the check's own
+                        sweep.check_mismatches.append((prop, index, "scores kept"))
+                    sweep.verdicts[check.holds, check.vacuous] += 1
+    return sweep
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_score_table_keeps_every_instance_check(name):
+    sweep = score_table_sweep(name)
+    assert sweep.check_mismatches == []
+    verdicts = sweep.verdicts
     assert verdicts[True, False] > 100 and verdicts[True, True] > 10, verdicts
-    assert set(selects) == set(PropertyId), selects
-    assert sum(repeats.values()) > 100, repeats
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_every_scored_select_equals_a_fresh_unscored_select(name):
+    sweep = score_table_sweep(name)
+    assert sweep.select_mismatches == []
+    assert set(sweep.selects) == set(PropertyId), sweep.selects
+    assert sum(sweep.repeats.values()) > 100, sweep.repeats
 
 
 def literal_from_literals(symbols):
