@@ -294,17 +294,16 @@ _CHECKERS: dict[PropertyId, Callable[[ChoiceRule, Instance], InstanceCheck]] = {
 def check_property_instance(
     prop: PropertyId, rule: ChoiceRule, instance: Instance
 ) -> InstanceCheck:
-    """Evaluate the property literally on one instance; its `select` calls
-    share one score table (`with_scores`) and `validate`'s verdicts."""
+    """Evaluate the property literally on one instance. The rule keeps
+    `validate`'s verdicts and its `select` calls share the rule's tables."""
     expected_shape = INSTANCE_SHAPES[prop]
     if not isinstance(instance, expected_shape):
         raise MalformedInstance(
             f"{prop.value} takes a {expected_shape.__name__}, "
             f"got {type(instance).__name__}"
         )
-    scored = rule.with_scores()
-    scored.consistent.update(instance.validate())
-    return _CHECKERS[prop](scored, instance)
+    rule.consistent.update(instance.validate())
+    return _CHECKERS[prop](rule, instance)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ returned.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -148,7 +147,11 @@ class ChoiceRule:
 
     Subclasses implement `_select`; `select` wraps it with the shared
     contract checks (non-empty input, non-empty event, event-consistency)
-    and returns a canonical GambleSet.
+    and returns a canonical GambleSet. A rule's answer depends only on its
+    context, the gamble set and the event, so the rule keeps its tables for
+    as long as it lives: each (gamble, event) is scored once, and each
+    (gamble set, event) is checked (unless in `consistent`) and selected
+    from once.
     """
 
     name = "abstract"
@@ -159,35 +162,24 @@ class ChoiceRule:
             if getattr(context, requirement) is None:
                 raise MissingContext(f"rule {self.name!r} needs {requirement}")
         self.context = context
-        self.scores: Optional[dict] = None  # see `with_scores`
-        self.selections: Optional[dict] = None
-        self.consistent: Optional[set] = None  # (gamble frozenset, event) pairs
-
-    def with_scores(self) -> ChoiceRule:
-        """A copy of this rule whose `select` calls share one fresh table:
-        over the copy's life each (gamble, event) is scored once, and each
-        (gamble set, event) is checked (unless in `consistent`) and selected
-        from once."""
-        scored = copy(self)
-        scored.scores, scored.selections, scored.consistent = {}, {}, set()
-        return scored
+        self.scores: dict = {}  # event -> (its columns, {gamble: row})
+        self.selections: dict = {}  # (gamble frozenset, event) -> GambleSet
+        self.consistent: set = set()  # (gamble frozenset, event) pairs
 
     def select(self, gambles: GambleSet, given: Event) -> GambleSet:
-        if self.selections is not None:
-            # a frozenset caches its hash; equal sets are equal GambleSets
-            key = (gambles._lookup, given)
-            chosen = self.selections.get(key)
-            if chosen is None:
-                chosen = self.selections[key] = self._checked_select(gambles, given)
-            return chosen
-        return self._checked_select(gambles, given)
+        # a frozenset caches its hash; equal sets are equal GambleSets
+        key = (gambles._lookup, given)
+        chosen = self.selections.get(key)
+        if chosen is None:
+            chosen = self.selections[key] = self._checked_select(gambles, given)
+        return chosen
 
     def _checked_select(self, gambles: GambleSet, given: Event) -> GambleSet:
         if len(gambles) == 0:
             raise EmptySet("cannot select from an empty gamble set")
         if given.is_empty:
             raise EmptyEvent("cannot select conditional on the empty event")
-        if self.consistent is None or (gambles._lookup, given) not in self.consistent:
+        if (gambles._lookup, given) not in self.consistent:
             verdict = check_a_consistency(gambles, given)
             if not verdict:
                 raise InconsistentSet(
@@ -203,19 +195,19 @@ class ChoiceRule:
 
     def _rows(self, gambles, given, masses) -> dict[Gamble, tuple[Fraction, ...]]:
         """Each gamble's conditional expectations given `given`, one per
-        distinct mass function in `masses` (a rule always passes the same
-        list). The event's columns (`event_column`) are built once per call;
-        with a score table, once per event, kept beside the event's rows."""
-        scores = {} if self.scores is None else self.scores
-        if given not in scores:
+        distinct mass function in `masses`. The rule's score table keeps, for
+        as long as the rule lives, each event's columns (`event_column`, built
+        once per event) beside its rows, keyed by the event alone: that is
+        correct only because a rule always passes the same list."""
+        if given not in self.scores:
             masses = [p for i, p in enumerate(masses) if p not in masses[:i]]
-            scores[given] = [event_column(p, given) for p in masses], {}
-        columns, table = scores[given]
+            self.scores[given] = [event_column(p, given) for p in masses], {}
+        columns, table = self.scores[given]
         utilities = self.context.utilities
         for g in gambles:
             if g not in table:
                 table[g] = tuple(column_expectation(c, g, utilities) for c in columns)
-        return table if self.scores is None else {g: table[g] for g in gambles}
+        return {g: table[g] for g in gambles}
 
     def rebind(self, context: ChoiceContext) -> "ChoiceRule":
         return type(self)(context)

@@ -965,22 +965,12 @@ def test_mass_sum_check_matches_fraction_sum():
 
 
 # ---------------------------------------------------------------------------
-# One score table per instance check, against the plain-`select` checkers
-
-
-def plain_check(prop, rule, instance):
-    """The property's checker on the rule itself: no shared score table."""
-    instance.validate()
-    return laws._CHECKERS[prop](rule, instance)
-
-
-def check_as_text(check):
-    return (check.prop, check.holds, check.vacuous, json.dumps(jsonable(check.witness)))
+# A rule's tables over its whole life, against the table-free `select`
 
 
 def unmemoized_select(rule, gambles, given):
-    """`select` before checks kept their selections: the contract checks and
-    `_select`, on a copy of the rule with no tables."""
+    """The table-free select: the contract checks and `_select`, on a fresh
+    rebind of the rule for each call."""
     fresh = rule.rebind(rule.context)
     if len(gambles) == 0:
         raise EmptySet("cannot select from an empty gamble set")
@@ -997,11 +987,24 @@ def unmemoized_select(rule, gambles, given):
     return chosen
 
 
+def plain_check(prop, rule, instance):
+    """The property's checker on a rule whose `select` is the table-free one:
+    it shares no table with `rule`."""
+    instance.validate()
+    plain = SimpleNamespace(select=functools.partial(unmemoized_select, rule))
+    return laws._CHECKERS[prop](plain, instance)
+
+
+def check_as_text(check):
+    return (check.prop, check.holds, check.vacuous, json.dumps(jsonable(check.witness)))
+
+
 @functools.cache
 def score_table_sweep(name):
     """One sweep, 25 instances per property, for both score-table tests: each
-    scored check against the plain checker, and each of its selects against
-    a fresh unscored select. Returns the mismatches and counts they assert."""
+    check against the plain checker, and each of its selects against the
+    table-free select. A rule serves an instance and its shrink candidates,
+    bar the rebound ones. Returns the mismatches and counts they assert."""
     sweep = SimpleNamespace(
         check_mismatches=[],
         verdicts=Counter(),
@@ -1009,20 +1012,20 @@ def score_table_sweep(name):
         selects=Counter(),
         repeats=Counter(),
     )
-    answers = {}  # this check's scored rule -> {(gamble set, event): its first answer}
+    answers = {}  # rule -> {(gamble set, event): its first answer}
     memoized = rules.ChoiceRule.select
 
     def compared(self, gambles, given):
         chosen = memoized(self, gambles, given)
-        if self.selections is not None:
-            table = answers.setdefault(self, {})
-            sweep.repeats[prop] += (gambles, given) in table
-            fresh = unmemoized_select(self, gambles, given)
-            # a repeat is answered from the table, which has one entry per pair
-            first = table.setdefault((gambles, given), chosen)
-            if chosen != fresh or first is not chosen or len(self.selections) != len(table):
-                sweep.select_mismatches.append((prop, index, gambles, given))
-            sweep.selects[prop] += 1
+        table = answers.setdefault(self, {})
+        sweep.repeats[prop] += (gambles, given) in table
+        fresh = unmemoized_select(self, gambles, given)
+        # a repeat within the rule's life is answered from the table, which
+        # has one entry per pair
+        first = table.setdefault((gambles, given), chosen)
+        if chosen != fresh or first is not chosen or len(self.selections) != len(table):
+            sweep.select_mismatches.append((prop, index, gambles, given))
+        sweep.selects[prop] += 1
         return chosen
 
     policy = seeded_rule_policy(name)
@@ -1038,8 +1041,8 @@ def score_table_sweep(name):
                     reward_table_for_instance(instance),
                     rng_for("diff-table", name, prop.value, index),
                 )
+                answers.clear()
                 for candidate_rule, candidate in with_shrink_candidates(rule, instance):
-                    answers.clear()  # each check scores on its own copy of the rule
                     try:
                         expected = plain_check(prop, candidate_rule, candidate)
                     except MalformedInstance:
@@ -1052,8 +1055,6 @@ def score_table_sweep(name):
                     check = check_property_instance(prop, candidate_rule, candidate)
                     if check_as_text(check) != check_as_text(expected):
                         sweep.check_mismatches.append((prop, index, check_as_text(check)))
-                    if candidate_rule.scores is not None:  # the table is the check's own
-                        sweep.check_mismatches.append((prop, index, "scores kept"))
                     sweep.verdicts[check.holds, check.vacuous] += 1
     return sweep
 

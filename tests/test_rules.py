@@ -306,16 +306,15 @@ def test_a_score_table_keeps_events_apart(name):
     y = Gamble(W4, ("1", "5", "5", "5"))
     context = ChoiceContext(NUMERIC, probability=UNIFORM4, credal=(UNIFORM4, UNIFORM4))
     rule = make_rule(name, context)
-    scored = rule.with_scores()
     inner = W4.event(["w1", "w2"])
     for given, winner in ((W4.omega, y), (inner, x), (W4.omega, y)):
-        chosen = scored.select(GambleSet([x, y]), given)
-        assert chosen == rule.select(GambleSet([x, y]), given) == GambleSet([winner])
+        chosen = rule.select(GambleSet([x, y]), given)
+        assert chosen == rule.rebind(context).select(GambleSet([x, y]), given)
+        assert chosen == GambleSet([winner])
     # one dict of rows per event, one row per gamble, beside one column per
     # distinct mass function: the credal list repeats UNIFORM4
-    assert [len(rows) for _, rows in scored.scores.values()] == [2, 2]
-    assert [len(columns) for columns, _ in scored.scores.values()] == [1, 1]
-    assert rule.scores is None
+    assert [len(rows) for _, rows in rule.scores.values()] == [2, 2]
+    assert [len(columns) for columns, _ in rule.scores.values()] == [1, 1]
 
 
 @pytest.mark.parametrize("name", sorted(RULES))
@@ -329,16 +328,21 @@ def test_a_scored_rule_selects_from_each_set_once_per_event(monkeypatch, name):
     monkeypatch.setattr(
         type(rule), "_select", lambda self, *args: runs.append(args) or select(self, *args)
     )
-    scored = rule.with_scores()
-    first = scored.select(GambleSet([x, y]), W4.omega)
-    # an equal set built anew is the same key; the earlier answer comes back
-    assert scored.select(GambleSet([y, x]), W4.omega) is first
+    # outside any instance check, a repeated select returns the earlier
+    # answer, even for an equal set built anew: the rule keeps its tables
+    first = rule.select(GambleSet([x, y]), W4.omega)
+    assert rule.select(GambleSet([y, x]), W4.omega) is first
     inner = W4.event(["w1", "w2"])
-    assert scored.select(GambleSet([x, y]), inner) == rule.select(GambleSet([x, y]), inner)
-    assert len(runs) == 3  # twice for the scored copy, once for the rule
-    assert rule.select(GambleSet([x, y]), W4.omega) == first and len(runs) == 4
+    fresh = rule.rebind(context)
+    assert rule.select(GambleSet([x, y]), inner) == fresh.select(GambleSet([x, y]), inner)
+    assert len(runs) == 3  # twice for the rule, once for the rebound one
     # a failed contract check is not kept: it fails again
     for _ in range(2):
         with pytest.raises(InconsistentSet):
-            scored.select(GambleSet([x]), W4.event(["w2", "w3"]))
-    assert len(scored.selections) == 2 and rule.selections is None
+            rule.select(GambleSet([x]), W4.event(["w2", "w3"]))
+    assert len(rule.selections) == 2 and len(fresh.selections) == 1
+    # a rebound rule starts with empty tables, even on the same context
+    rule.consistent.add((frozenset([x, y]), W4.omega))
+    rebound = rule.rebind(rule.context)
+    assert type(rebound) is type(rule) and rebound.context is rule.context
+    assert (rebound.scores, rebound.selections, rebound.consistent) == ({}, {}, set())
