@@ -46,7 +46,7 @@ class UnknownNode(TreechoiceError):
 
 
 class EnumerationLimitExceeded(TreechoiceError):
-    """Normal form decision enumeration would exceed the configured cap."""
+    """A walk would hold more than `trees.ENUMERATION_CAP` strategies or candidates."""
 
 
 class MissingContext(TreechoiceError):

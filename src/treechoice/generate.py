@@ -30,7 +30,7 @@ from .props import (
 )
 from .rules import ChoiceContext, ChoiceRule, MassFunction, make_rule
 from .trees import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     Chance,
     Decision,
     DecisionTree,
@@ -96,7 +96,7 @@ class GenConfig:
             raise ValueError("generation bounds must be positive")
         if self.omega_range[0] > self.omega_range[1]:
             raise ValueError("empty possibility-space size range")
-        if self.nfd_ceiling > DEFAULT_ENUMERATION_CAP:
+        if self.nfd_ceiling > ENUMERATION_CAP:
             raise ValueError("ceiling exceeds the enumeration cap")
 
 

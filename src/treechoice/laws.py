@@ -28,7 +28,6 @@ from .props import (
 from .rules import ChoiceRule
 from .solve import SolveReport, norm_opt
 from .trees import (
-    DEFAULT_ENUMERATION_CAP,
     Chance,
     Decision,
     DecisionTree,
@@ -294,15 +293,15 @@ _CHECKERS: dict[PropertyId, Callable[[ChoiceRule, Instance], InstanceCheck]] = {
 def check_property_instance(
     prop: PropertyId, rule: ChoiceRule, instance: Instance
 ) -> InstanceCheck:
-    """Evaluate the property literally on one instance. The rule keeps
-    `validate`'s verdicts and its `select` calls share the rule's tables."""
+    """Evaluate the property literally on one instance; its `select` calls
+    share the rule's tables."""
     expected_shape = INSTANCE_SHAPES[prop]
     if not isinstance(instance, expected_shape):
         raise MalformedInstance(
             f"{prop.value} takes a {expected_shape.__name__}, "
             f"got {type(instance).__name__}"
         )
-    rule.consistent.update(instance.validate())
+    instance.validate()
     return _CHECKERS[prop](rule, instance)
 
 
@@ -484,15 +483,12 @@ class PerfectionReport:
 
 
 def check_subtree_perfectness(
-    tree: DecisionTree,
-    rule: ChoiceRule,
-    weak: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    tree: DecisionTree, rule: ChoiceRule, weak: bool = False
 ) -> PerfectionReport:
     """Compare optimize-then-restrict against restrict-then-optimize at every
     node reached by the root solution. Strong perfectness demands equality,
     the weak variant only inclusion of the restriction."""
-    root_report = norm_opt(tree, rule, cap)
+    root_report = norm_opt(tree, rule)
     comparisons = []
     for v, _ in tree.nodes():
         path = tree.path_of(v)
@@ -500,7 +496,7 @@ def check_subtree_perfectness(
         if not restricted:  # no member reaches the node
             continue
         if v:  # solved on the restricted members' own copy of the subtree
-            subtree_solution = norm_opt(next(iter(restricted)).tree, rule, cap).solution
+            subtree_solution = norm_opt(next(iter(restricted)).tree, rule).solution
         else:
             subtree_solution = root_report.solution
         ok = (

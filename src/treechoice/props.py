@@ -52,10 +52,9 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInstance(message)
 
 
-def _require_consistent(gambles, event: Event, what: str) -> tuple:
+def _require_consistent(gambles, event: Event, what: str) -> None:
     verdict = check_a_consistency(gambles, event)
     _require(bool(verdict), f"{what} is not consistent with {event!r}")
-    return frozenset(gambles), event
 
 
 def _restrict(value, space: PossibilitySpace, kept: Sequence[int]):
@@ -80,8 +79,7 @@ class InstanceShape:
     Every field of a shape is a gamble, a gamble set, an event or a tuple of
     these, all over the space of its `given` event. Restriction, gamble
     listing and witness JSON read the fields in declaration order; `shape`
-    names the shape in witness JSON. `validate` checks the preconditions and
-    returns the (frozenset of gambles, event) pairs it found A-consistent.
+    names the shape in witness JSON. `validate` checks the preconditions.
     """
 
     shape: ClassVar[str]
@@ -96,6 +94,15 @@ class InstanceShape:
         values = (_restrict(getattr(self, f.name), space, kept) for f in fields(self))
         return type(self)(*values)
 
+    def _without_each_gamble(self, name: str) -> Iterator[InstanceShape]:
+        """The instance without each gamble of its gamble set `name` in turn,
+        while that set stays non-empty."""
+        gambles = getattr(self, name)
+        for g in gambles:
+            rest = [x for x in gambles if x != g]
+            if rest:
+                yield replace(self, **{name: GambleSet(rest)})
+
 
 @dataclass(frozen=True)
 class ConditioningInstance(InstanceShape):
@@ -106,16 +113,13 @@ class ConditioningInstance(InstanceShape):
     gambles: GambleSet
     given: Event
 
-    def validate(self) -> list:
+    def validate(self) -> None:
         _require(not self.given.is_empty, "conditioning event is empty")
         _require(len(self.gambles) > 0, "gamble set is empty")
-        return [_require_consistent(self.gambles, self.given, "gamble set")]
+        _require_consistent(self.gambles, self.given, "gamble set")
 
     def drop_gamble_candidates(self) -> Iterator[ConditioningInstance]:
-        for g in self.gambles:
-            rest = [x for x in self.gambles if x != g]
-            if rest:
-                yield replace(self, gambles=GambleSet(rest))
+        return self._without_each_gamble("gambles")
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,11 @@ class SubsetInstance(InstanceShape):
     subset: GambleSet
     given: Event
 
-    def validate(self) -> list:
+    def validate(self) -> None:
         _require(not self.given.is_empty, "conditioning event is empty")
         _require(len(self.subset) > 0, "subset is empty")
         _require(self.subset.issubset(self.gambles), "subset not within the set")
-        return [_require_consistent(self.gambles, self.given, "gamble set")]
+        _require_consistent(self.gambles, self.given, "gamble set")
 
     def drop_gamble_candidates(self) -> Iterator[SubsetInstance]:
         for g in self.gambles:
@@ -155,20 +159,17 @@ class MixtureInstance(InstanceShape):
     part: Event
     given: Event
 
-    def validate(self) -> list:
+    def validate(self) -> None:
         inside = self.part & self.given
         outside = self.part.complement() & self.given
         _require(not inside.is_empty, "part does not meet the conditioning event")
         _require(not outside.is_empty, "part covers the conditioning event")
         _require(len(self.gambles) > 0, "gamble set is empty")
-        inner = _require_consistent(self.gambles, inside, "gamble set")
-        return [inner, _require_consistent([self.other], outside, "the off-part gamble")]
+        _require_consistent(self.gambles, inside, "gamble set")
+        _require_consistent([self.other], outside, "the off-part gamble")
 
     def drop_gamble_candidates(self) -> Iterator[MixtureInstance]:
-        for g in self.gambles:
-            rest = [x for x in self.gambles if x != g]
-            if rest:
-                yield replace(self, gambles=GambleSet(rest))
+        return self._without_each_gamble("gambles")
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,11 @@ class FamilyInstance(InstanceShape):
     def _union(self) -> GambleSet:
         return GambleSet(g for part in self.parts for g in part)
 
-    def validate(self) -> list:
+    def validate(self) -> None:
         _require(not self.given.is_empty, "conditioning event is empty")
         _require(len(self.parts) > 0, "family is empty")
         _require(all(len(p) > 0 for p in self.parts), "family contains an empty set")
-        return [_require_consistent(self.union(), self.given, "family union")]
+        _require_consistent(self.union(), self.given, "family union")
 
     def drop_gamble_candidates(self) -> Iterator[FamilyInstance]:
         for index, part in enumerate(self.parts):
@@ -220,25 +221,19 @@ class BackwardConditioningInstance(InstanceShape):
     given: Event
     others: GambleSet
 
-    def validate(self) -> list:
+    def validate(self) -> None:
         inside = self.part & self.given
         outside = self.part.complement() & self.given
         _require(not inside.is_empty, "part does not meet the conditioning event")
         _require(not outside.is_empty, "part covers the conditioning event")
         _require(len(self.gambles) > 0, "gamble set is empty")
         _require(len(self.others) > 0, "off-part set is empty")
-        inner = _require_consistent(self.gambles, inside, "gamble set")
-        return [inner, _require_consistent(self.others, outside, "off-part set")]
+        _require_consistent(self.gambles, inside, "gamble set")
+        _require_consistent(self.others, outside, "off-part set")
 
     def drop_gamble_candidates(self) -> Iterator[BackwardConditioningInstance]:
-        for g in self.gambles:
-            rest = [x for x in self.gambles if x != g]
-            if rest:
-                yield replace(self, gambles=GambleSet(rest))
-        for z in self.others:
-            rest = [x for x in self.others if x != z]
-            if rest:
-                yield replace(self, others=GambleSet(rest))
+        yield from self._without_each_gamble("gambles")
+        yield from self._without_each_gamble("others")
 
 
 @dataclass(frozen=True)
@@ -252,17 +247,15 @@ class SetSumInstance(InstanceShape):
     parts: tuple[GambleSet, ...]
     given: Event
 
-    def validate(self) -> list:
+    def validate(self) -> None:
         _require(len(self.partition) == len(self.parts), "one set per block required")
         _require(is_partition(list(self.partition)), "blocks do not partition the space")
         _require(not self.given.is_empty, "conditioning event is empty")
-        checked = []
         for block, part in zip(self.partition, self.parts):
             inside = block & self.given
             _require(not inside.is_empty, "a block misses the conditioning event")
             _require(len(part) > 0, "a block's gamble set is empty")
-            checked.append(_require_consistent(part, inside, "a block's gamble set"))
-        return checked
+            _require_consistent(part, inside, "a block's gamble set")
 
     def drop_gamble_candidates(self) -> Iterator[SetSumInstance]:
         for index, part in enumerate(self.parts):

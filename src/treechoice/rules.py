@@ -150,8 +150,7 @@ class ChoiceRule:
     and returns a canonical GambleSet. A rule's answer depends only on its
     context, the gamble set and the event, so the rule keeps its tables for
     as long as it lives: each (gamble, event) is scored once, and each
-    (gamble set, event) is checked (unless in `consistent`) and selected
-    from once.
+    (gamble set, event) is checked and selected from once.
     """
 
     name = "abstract"
@@ -164,7 +163,6 @@ class ChoiceRule:
         self.context = context
         self.scores: dict = {}  # event -> (its columns, {gamble: row})
         self.selections: dict = {}  # (gamble frozenset, event) -> GambleSet
-        self.consistent: set = set()  # (gamble frozenset, event) pairs
 
     def select(self, gambles: GambleSet, given: Event) -> GambleSet:
         # a frozenset caches its hash; equal sets are equal GambleSets
@@ -179,13 +177,12 @@ class ChoiceRule:
             raise EmptySet("cannot select from an empty gamble set")
         if given.is_empty:
             raise EmptyEvent("cannot select conditional on the empty event")
-        if (gambles._lookup, given) not in self.consistent:
-            verdict = check_a_consistency(gambles, given)
-            if not verdict:
-                raise InconsistentSet(
-                    "gamble set is not consistent with the conditioning event",
-                    witness=verdict.witness,
-                )
+        verdict = check_a_consistency(gambles, given)
+        if not verdict:
+            raise InconsistentSet(
+                "gamble set is not consistent with the conditioning event",
+                witness=verdict.witness,
+            )
         chosen = GambleSet(self._select(gambles, given))
         assert 0 < len(chosen) and chosen.issubset(gambles)
         return chosen

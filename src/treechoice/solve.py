@@ -11,13 +11,12 @@ from .errors import EmptySolution
 from .model import Event, Gamble, GambleSet, PossibilitySpace
 from .rules import ChoiceRule
 from .trees import (
-    DEFAULT_ENUMERATION_CAP,
     Decision,
     DecisionTree,
     NormalFormDecision,
     Strategy,
-    capped_nfd_count,
     distinct,
+    nfd_count,
     strategies,
 )
 
@@ -74,21 +73,20 @@ def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
     return keep
 
 
-def norm_opt(
-    tree: DecisionTree, rule: ChoiceRule, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SolveReport:
+def norm_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
     """The normal form operator: keep exactly those strategies whose induced
     gamble the rule selects from the tree's gamble set given its event.
 
     One walk keeps a pair per distinct gamble at every node, which yields
     the gamble set; the rule selects from it; a second walk expands only
     the strategies of the chosen gambles. When every strategy has its own
-    gamble, the first walk kept them all and the second is skipped."""
-    total = capped_nfd_count(tree, cap)
-    pool_pairs = strategies(tree, cap, select=distinct)
+    gamble, the first walk kept them all and the second is skipped. The
+    strategy count is a fold; no walk lists every strategy."""
+    total = nfd_count(tree)
+    pool_pairs = strategies(tree, select=distinct)
     pool, chosen, kept = _optimal(tree, rule, pool_pairs, 0)
     if len(pool_pairs) < total:
-        kept = strategies(tree, cap, select=_agreeing(tree, {g.values for g in chosen}))
+        kept = strategies(tree, select=_agreeing(tree, {g.values for g in chosen}))
     solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
     assert _gamble_set(tree.space, kept) == chosen
     return SolveReport(
@@ -104,9 +102,7 @@ def norm_opt(
     )
 
 
-def back_opt(
-    tree: DecisionTree, rule: ChoiceRule, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SolveReport:
+def back_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
     """Backward induction: solve every subtree, glue the survivors, and
     re-apply the rule at each node on the glued candidates' gambles."""
     stages: list[dict] = []
@@ -118,7 +114,7 @@ def back_opt(
         )
         return kept
 
-    survivors = strategies(tree, cap, select=keep_optimal)
+    survivors = strategies(tree, select=keep_optimal)
     solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in survivors)
     return SolveReport(
         solution=solution,
@@ -169,11 +165,9 @@ def extract_extensive(
     return ExtensiveSolution(tree, kept, frozenset(pruned), frozenset(unreachable))
 
 
-def nfd_of_extensive(
-    extensive: ExtensiveSolution, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Solution:
+def nfd_of_extensive(extensive: ExtensiveSolution) -> Solution:
     """All strategies of the source tree that only use kept decision arcs."""
-    pairs = strategies(extensive.tree, cap, keep_arc=extensive.kept_arcs.__contains__)
+    pairs = strategies(extensive.tree, keep_arc=extensive.kept_arcs.__contains__)
     return frozenset(NormalFormDecision(extensive.tree, choices) for choices, _ in pairs)
 
 
@@ -193,13 +187,11 @@ class ExtensiveEquivalence:
 
 
 def equivalence_for_solution(
-    tree: DecisionTree,
-    solution: Iterable[NormalFormDecision],
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    tree: DecisionTree, solution: Iterable[NormalFormDecision]
 ) -> ExtensiveEquivalence:
     members = frozenset(solution)
     extensive = extract_extensive(tree, members)
-    expanded = nfd_of_extensive(extensive, cap)
+    expanded = nfd_of_extensive(extensive)
     extra = sorted(expanded - members, key=lambda m: m.choices)
     return ExtensiveEquivalence(
         equal=not extra,
@@ -210,7 +202,7 @@ def equivalence_for_solution(
 
 
 def check_normal_extensive_equivalence(
-    tree: DecisionTree, rule: ChoiceRule, cap: int = DEFAULT_ENUMERATION_CAP
+    tree: DecisionTree, rule: ChoiceRule
 ) -> ExtensiveEquivalence:
-    report = norm_opt(tree, rule, cap)
-    return equivalence_for_solution(tree, report.solution, cap)
+    report = norm_opt(tree, rule)
+    return equivalence_for_solution(tree, report.solution)

@@ -47,7 +47,7 @@ from .model import (
 Path = tuple[int, ...]
 Strategy = tuple[tuple[tuple[int, int], ...], tuple[str, ...]]  # (choices, values)
 
-DEFAULT_ENUMERATION_CAP = 100_000
+ENUMERATION_CAP = 100_000
 
 T = TypeVar("T")
 
@@ -328,16 +328,6 @@ def nfd_count(tree: DecisionTree) -> int:
     )
 
 
-def capped_nfd_count(tree: DecisionTree, cap: int) -> int:
-    """`nfd_count`, refused up front when it exceeds `cap`."""
-    total = nfd_count(tree)
-    if total > cap:
-        raise EnumerationLimitExceeded(
-            f"{total} normal form decisions exceed the cap of {cap}"
-        )
-    return total
-
-
 @dataclass(frozen=True)
 class NormalFormDecision:
     """A strategy: one kept arc at every reachable decision node of `tree`.
@@ -410,7 +400,6 @@ class NormalFormDecision:
 
 def strategies(
     tree: DecisionTree,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     keep_arc: Optional[Callable[[int], bool]] = None,
     select: Optional[Callable[[int, list[Strategy]], list[Strategy]]] = None,
 ) -> list[Strategy]:
@@ -426,11 +415,9 @@ def strategies(
     `keep_arc(arc)` drops the decision arcs (named by the child's id) it
     rejects: extensive forms, single strategies. `select(id, candidates)`
     keeps some candidates of every non-leaf node, children first: backward
-    induction. Without hooks the count is checked against `cap` up front,
-    otherwise at each chance node.
+    induction. A walk holds at most `ENUMERATION_CAP` pairs per chance node:
+    a larger product of its branches' lists is refused before it is built.
     """
-    if keep_arc is None and select is None:
-        capped_nfd_count(tree, cap)
     size = tree.space.size
     noun = "strategies" if select is None else "glued candidates"
     nodes, parent = tree.index.nodes, tree.index.parent
@@ -452,9 +439,9 @@ def strategies(
                 for i in event.indices():
                     owner[i] = b
             count = math.prod(map(len, below))
-            if count > cap:
+            if count > ENUMERATION_CAP:
                 raise EnumerationLimitExceeded(
-                    f"{count} {noun} exceed the cap of {cap}"
+                    f"{count} {noun} exceed the cap of {ENUMERATION_CAP}"
                 )
             candidates = [
                 (
@@ -472,11 +459,16 @@ def strategies(
     )
 
 
-def nfd(
-    tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[NormalFormDecision, ...]:
-    """Enumerate all normal form decisions, in canonical (choice-sorted) order."""
-    return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree, cap))
+def nfd(tree: DecisionTree) -> tuple[NormalFormDecision, ...]:
+    """Enumerate all normal form decisions, in canonical (choice-sorted) order.
+    The one walk that holds every strategy: their count is checked against
+    the cap up front."""
+    total = nfd_count(tree)
+    if total > ENUMERATION_CAP:
+        raise EnumerationLimitExceeded(
+            f"{total} normal form decisions exceed the cap of {ENUMERATION_CAP}"
+        )
+    return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree))
 
 
 def distinct(v: int, candidates: list[Strategy]) -> list[Strategy]:
@@ -489,12 +481,10 @@ def _values(v: int, candidates: list[Strategy]) -> list[Strategy]:
     return [((), values) for values in dict.fromkeys(values for _, values in candidates)]
 
 
-def gamb(tree: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP) -> GambleSet:
+def gamb(tree: DecisionTree) -> GambleSet:
     """The set of normal form gambles: the root pool of the enumeration
-    that keeps one choice-free pair per distinct gamble at every node. The
-    strategy count is checked against `cap` up front, as in `nfd`."""
-    capped_nfd_count(tree, cap)
-    pairs = strategies(tree, cap, select=_values)
+    that keeps one choice-free pair per distinct gamble at every node."""
+    pairs = strategies(tree, select=_values)
     return GambleSet(Gamble(tree.space, values) for _, values in pairs)
 
 
@@ -515,13 +505,11 @@ class EquivalenceVerdict:
         return self.gambles_equal
 
 
-def strategically_equivalent(
-    t1: DecisionTree, t2: DecisionTree, cap: int = DEFAULT_ENUMERATION_CAP
-) -> EquivalenceVerdict:
+def strategically_equivalent(t1: DecisionTree, t2: DecisionTree) -> EquivalenceVerdict:
     """Compare induced gamble sets (and, additionally, conditioning events)."""
     if t1.space != t2.space:
         raise SpaceMismatch("trees over different possibility spaces")
-    return EquivalenceVerdict(gamb(t1, cap), gamb(t2, cap), t1.root_event == t2.root_event)
+    return EquivalenceVerdict(gamb(t1), gamb(t2), t1.root_event == t2.root_event)
 
 
 def restrict_solution(

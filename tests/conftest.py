@@ -3,10 +3,10 @@ from pathlib import Path
 import pytest
 
 from treechoice.generate import GenConfig, tree_corpus
-from treechoice.model import GambleSet
+from treechoice.model import GambleSet, PossibilitySpace
 from treechoice.rules import ChoiceContext, ChoiceRule, make_rule
 from treechoice.textio import parse_context_file, parse_tree_file
-from treechoice.trees import Decision, Leaf
+from treechoice.trees import Chance, Decision, DecisionTree, Leaf
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SEED = 20110916
@@ -76,6 +76,17 @@ def gambles_by_values(gamble_set: GambleSet):
 def path_choices(member):
     """A strategy's (decision node path, kept index) pairs, in id order."""
     return tuple((member.tree.path_of(v), i) for v, i in member.choices)
+
+
+def over_cap_tree(rewards):
+    """A chance node over two states, each branch a 317-leaf decision whose
+    leaves cycle through `rewards`: 317**2 = 100,489 strategies, just over
+    the enumeration cap, in 637 nodes."""
+    space = PossibilitySpace(("s", "t"))
+    branch = Decision(tuple(Leaf(rewards[i % len(rewards)]) for i in range(317)))
+    return DecisionTree.over(
+        space, Chance(((space.event(["s"]), branch), (space.event(["t"]), branch)))
+    )
 
 
 def same_up_to_chance_order(t1, t2):

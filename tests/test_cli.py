@@ -22,6 +22,7 @@ LAKE_PROB = str(FIXTURES / "lake_uniform.prob")
 INCOMP_PROB = str(FIXTURES / "incomparable_uniform.prob")
 INCOMP_CREDAL = str(FIXTURES / "incomparable_credal.ctx")
 OVERLAPPING = str(FIXTURES / "rejected" / "overlapping_events.tree")
+WIDE = str(FIXTURES / "over_cap" / "wide_chance.tree")
 
 
 def run(capsys, *argv):
@@ -354,6 +355,27 @@ def test_every_command_rejects_a_tree_whose_branch_events_overlap(capsys, comman
         "error": "chance branch events must partition the space at node [1]",
         "type": "NotAPartition",
     }
+
+
+def test_commands_answer_on_a_tree_past_the_strategy_cap(capsys):
+    # 10^6 strategies over 729 distinct gambles: only `solve --full`, which
+    # lists every strategy, refuses
+    argv = ("--tree", WIDE, "--rule", "pointwise_dominance")
+    code, payload = run_json(capsys, "solve", *argv)
+    assert code == 0
+    assert payload["stats"]["nfd_count"] == 10**6
+    assert payload["stats"]["solution_count"] == 4096
+    code, payload = run_json(capsys, "solve", *argv, "--full")
+    assert code == 2 and payload["type"] == "EnumerationLimitExceeded"
+    for weak in ((), ("--weak",)):
+        code, payload = run_json(capsys, "check-perfect", *argv, *weak)
+        assert code == 0 and payload["perfect"] and payload["nodes_checked"] == 31
+    code, payload = run_json(capsys, "compare-backward", *argv)
+    assert code == 0 and payload["equal"]
+    code, _ = run(capsys, "export-dot", *argv, "--solution")
+    assert code == 0
+    code, payload = run_json(capsys, "equiv", "--tree", WIDE, "--tree2", WIDE)
+    assert code == 0 and payload["equivalent"]
 
 
 def test_the_consistency_check_is_not_an_assert():

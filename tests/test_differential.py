@@ -127,9 +127,9 @@ from treechoice.rules import (
     PointwiseDominance,
 )
 from treechoice.solve import (
+    ExtensiveSolution,
     back_opt,
     extract_extensive,
-    induced_gambles,
     nfd_of_extensive,
     norm_opt,
 )
@@ -162,7 +162,7 @@ from treechoice.textio import (
     parse_tree_file,
 )
 
-from conftest import FIXTURES, path_choices
+from conftest import FIXTURES, over_cap_tree, path_choices
 from test_acceptance import rule_for
 
 CONFIG = GenConfig(max_depth=4, omega_range=(2, 6), nfd_ceiling=250)
@@ -455,22 +455,43 @@ def test_solvers_match_literal_oracle(acceptance_corpus, name, monkeypatch):
     assert set(calls_by_walks) == {1, 2}, calls_by_walks
 
 
-def test_enumeration_caps_keep_their_messages(lake_doc, lake_eu):
-    tree = lake_doc.tree
-    with pytest.raises(EnumerationLimitExceeded, match="^6 normal form decisions "):
-        nfd(tree, cap=5)
-    with pytest.raises(EnumerationLimitExceeded, match="^6 normal form decisions "):
-        norm_opt(tree, lake_eu, cap=5)
-    with pytest.raises(EnumerationLimitExceeded, match=" glued candidates exceed "):
-        back_opt(tree, lake_eu, cap=1)
-    full = extract_extensive(tree, nfd(tree))
-    with pytest.raises(EnumerationLimitExceeded, match=" strategies exceed the cap of 1$"):
-        nfd_of_extensive(full, cap=1)
+def test_enumeration_caps_keep_their_messages():
+    tree = over_cap_tree(["1"])
+    nodes, parent = tree.index.nodes, tree.index.parent
+    every_arc = frozenset(
+        v for v in range(1, len(nodes)) if isinstance(nodes[parent[v]], Decision)
+    )
+    full = ExtensiveSolution(tree, every_arc, frozenset(), frozenset())
     with pytest.raises(
-        EnumerationLimitExceeded, match="^6 normal form decisions exceed the cap of 5$"
+        EnumerationLimitExceeded, match="^100489 strategies exceed the cap of 100000$"
     ):
-        gamb(tree, cap=5)
-    assert induced_gambles(nfd(tree, cap=6)) == gamb(tree)
+        nfd_of_extensive(full)
+    # 317 distinct rewards per branch: the distinct pool itself is over the
+    # cap, and the walk that builds it refuses at the chance node
+    rewards = [str(i) for i in range(317)]
+    tree = over_cap_tree(rewards)
+    rule = EuMax(
+        ChoiceContext(
+            RewardTable.from_literals(rewards), probability=MassFunction.uniform(tree.space)
+        )
+    )
+    for walk in (gamb, lambda tree: norm_opt(tree, rule)):
+        with pytest.raises(
+            EnumerationLimitExceeded,
+            match="^100489 glued candidates exceed the cap of 100000$",
+        ):
+            walk(tree)
+
+
+def test_the_normal_form_walks_past_the_strategy_cap():
+    # 100,489 strategies over 9 distinct gambles: neither solver holds them all
+    tree = over_cap_tree(["a", "b", "c"])
+    rewards = RewardTable({"a": 2, "b": 1, "c": 0})
+    rule = EuMax(ChoiceContext(rewards, probability=MassFunction.uniform(tree.space)))
+    normal = norm_opt(tree, rule)
+    assert (normal.solution, normal.induced, normal.stats) == literal_norm_opt(tree, rule)
+    assert normal.stats["nfd_count"] == 100489 and len(normal.solution) == 106 * 106
+    assert back_opt(tree, rule).solution == normal.solution
 
 
 @pytest.mark.parametrize("index", range(60))
@@ -1319,6 +1340,10 @@ def test_node_walk_matches_the_literal_recursions(acceptance_corpus):
         assert walked == list(literal_nodes(tree)), index
         assert validate(tree) is literal_validate(tree) is tree
         assert gamb(tree) == literal_gamb(tree), index
+        # each reward a strategy takes comes from a leaf it reaches, and
+        # every state of that leaf's non-empty event inside the root event
+        # reaches it: a solver's pool is consistent with its node's event
+        assert check_a_consistency(gamb(tree), tree.root_event), index
         document = document_for(tree, rewards)
         literal = literal_document_for(tree, rewards)
         assert (document.events, document.root_event_name) == (

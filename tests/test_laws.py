@@ -467,9 +467,9 @@ def test_path_independence_scores_each_union_member_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_an_instance_check_tests_each_set_for_consistency_once(monkeypatch, name):
-    # `validate` checks A-consistency first; the check's `select` calls take
-    # its verdicts and check only the (set, event) pairs it did not
-    from treechoice import model, props, rules
+    # the check's `select` calls test each (set, event) they are asked about
+    # once: the rule's selection table answers a repeat without a check
+    from treechoice import model, rules
 
     calls = Counter()
 
@@ -478,7 +478,6 @@ def test_an_instance_check_tests_each_set_for_consistency_once(monkeypatch, name
         calls[frozenset(gambles), event] += 1
         return model.check_a_consistency(gambles, event)
 
-    monkeypatch.setattr(props, "check_a_consistency", counted)
     monkeypatch.setattr(rules, "check_a_consistency", counted)
     policy = seeded_rule_policy(name)
     for prop in PropertyId:

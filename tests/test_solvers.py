@@ -30,7 +30,7 @@ from treechoice.trees import (
     nfd_count,
 )
 
-from conftest import FussyPairsRule, path_choices
+from conftest import FussyPairsRule, over_cap_tree, path_choices
 
 
 def values_of(report):
@@ -269,13 +269,22 @@ def test_solving_conditions_on_the_root_event():
     assert back_opt(doc.tree, rule).solution == report.solution
 
 
-def test_caps_propagate_through_both_solvers(lake_doc, lake_eu):
+def test_caps_propagate_through_both_solvers():
     from treechoice.errors import EnumerationLimitExceeded
 
-    with pytest.raises(EnumerationLimitExceeded):
-        norm_opt(lake_doc.tree, lake_eu, cap=3)
-    with pytest.raises(EnumerationLimitExceeded):
-        back_opt(lake_doc.tree, lake_eu, cap=3)
+    # every strategy has the one gamble, so both solutions hold all
+    # 100,489 strategies: each solver refuses the chance node's product
+    tree = over_cap_tree(["1"])
+    rule = make_rule(
+        "eu_max",
+        ChoiceContext(RewardTable({"1": 1}), probability=MassFunction.uniform(tree.space)),
+    )
+    for solver in (norm_opt, back_opt):
+        with pytest.raises(
+            EnumerationLimitExceeded,
+            match="^100489 glued candidates exceed the cap of 100000$",
+        ):
+            solver(tree, rule)
 
 
 def test_solvers_agree_on_larger_trees():
@@ -293,9 +302,7 @@ def test_solvers_agree_on_larger_trees():
     for i in range(10):
         tree = random_consistent_tree(config, seed=subseed("big", i))
         rule = policy(tree.space, reward_table_for_tree(tree), rng_for("bigctx", i))
-        assert back_opt(tree, rule, cap=5000).solution == norm_opt(
-            tree, rule, cap=5000
-        ).solution
+        assert back_opt(tree, rule).solution == norm_opt(tree, rule).solution
 
 
 def chain_tree(link, depth):

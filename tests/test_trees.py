@@ -36,7 +36,7 @@ from treechoice.trees import (
     validate,
 )
 
-from conftest import same_up_to_chance_order
+from conftest import over_cap_tree, same_up_to_chance_order
 
 W2 = PossibilitySpace(("a1", "a2"))
 A = W2.event(["a1"])
@@ -165,8 +165,11 @@ def test_nfd_gambles_are_singletons(lake_doc):
 
 
 def test_nfd_cap():
-    with pytest.raises(EnumerationLimitExceeded):
-        nfd(incomparable_tree(), cap=2)
+    # the one walk that lists every strategy counts them up front
+    with pytest.raises(
+        EnumerationLimitExceeded, match="^100489 normal form decisions exceed the cap of 100000$"
+    ):
+        nfd(over_cap_tree(["a", "b", "c"]))
 
 
 def test_gamb_equals_union_over_nfd(incomparable_doc, lake_doc, cross_doc):
