@@ -58,7 +58,6 @@ from .laws import (
 )
 from .generate import (
     GenConfig,
-    equivalent_rewrite,
     random_consistent_tree,
     random_gamble_instance,
     seeded_rule_policy,

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import TreechoiceError
-from .generate import GenConfig, seeded_rule_policy
+from .generate import seeded_rule_policy
 from .laws import check_subtree_perfectness, falsify_property
 from .props import PropertyId
 from .rules import ChoiceContext, ChoiceRule, RULES, make_rule
@@ -57,6 +57,8 @@ def _print(report: dict) -> None:
 def _cmd_solve(args) -> int:
     doc = _load_document(args.tree)
     rule = _build_rule(args.rule, doc, args.context)
+    # nfd refuses a tree past the cap: list first, so a refusal costs no solve
+    members = nfd(doc.tree) if args.full else None
     solver = back_opt if args.method == "backward" else norm_opt
     report = solver(doc.tree, rule)
     payload = {
@@ -68,8 +70,8 @@ def _cmd_solve(args) -> int:
         "induced_gambles": gamble_set_json(report.induced),
         "stats": jsonable(report.stats),
     }
-    if args.full:
-        payload["nfd"] = [member_json(m) for m in nfd(doc.tree)]
+    if members is not None:
+        payload["nfd"] = [member_json(m) for m in members]
     _print(payload)
     return 0
 
@@ -137,13 +139,10 @@ def _cmd_check_properties(args) -> int:
             f"--credal-size must be at least 1, got {args.credal_size}"
         )
     policy = seeded_rule_policy(args.rule, credal_size=args.credal_size)
-    config = GenConfig()
     reports = []
     any_violated = False
     for prop in props:
-        report = falsify_property(
-            prop, policy, config=config, budget=args.budget, seed=args.seed
-        )
+        report = falsify_property(prop, policy, budget=args.budget, seed=args.seed)
         entry = {
             "property": prop.value,
             "id": prop.name,

@@ -1,5 +1,5 @@
-"""Deterministic random generation: consistent trees, gamble-preserving
-rewrites, property instances, and seeded rule contexts.
+"""Deterministic random generation: consistent trees, property instances,
+and seeded rule contexts.
 
 Everything is a pure function of (config, seed); sub-seeds are derived by
 hashing, never by Python's salted `hash`.
@@ -36,7 +36,6 @@ from .trees import (
     DecisionTree,
     Leaf,
     Node,
-    Path,
     nfd_count,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "rng_for",
     "random_consistent_tree",
     "tree_corpus",
-    "equivalent_rewrite",
     "random_gamble_instance",
     "reward_table_for_instance",
     "random_mass_function",
@@ -189,79 +187,6 @@ def tree_corpus(config: GenConfig, seed: int, count: int) -> list[DecisionTree]:
         random_consistent_tree(config, subseed(seed, "corpus", i))
         for i in range(count)
     ]
-
-
-def _replace_node(root: Node, path: Path, new: Node) -> Node:
-    """`root` with the node at `path` replaced by `new`: walk down the path,
-    then rebuild each node on it from the bottom up."""
-    above: list[tuple[Node, int]] = []
-    for index in path:
-        if isinstance(root, Leaf):
-            raise ValueError("path walks through a leaf")
-        above.append((root, index))
-        root = root.children[index] if isinstance(root, Decision) else root.branches[index][1]
-    for parent, index in reversed(above):
-        if isinstance(parent, Decision):
-            children = list(parent.children)
-            children[index] = new
-            new = Decision(tuple(children))
-        else:
-            branches = list(parent.branches)
-            branches[index] = (branches[index][0], new)
-            new = Chance(tuple(branches))
-    return new
-
-
-def _rewrite_candidates(tree: DecisionTree) -> list[tuple[str, int, Optional[int]]]:
-    """(kind, node id, child index) for every rewrite the tree allows."""
-    out: list[tuple[str, int, Optional[int]]] = []
-    for v, node in tree.nodes():
-        out.append(("wrap", v, None))
-        if isinstance(node, Decision):
-            if len(node.children) >= 2:
-                out.append(("permute_decision", v, None))
-            if len(node.children) == 1:
-                out.append(("unwrap", v, None))
-            for i, child in enumerate(node.children):
-                if isinstance(child, Decision):
-                    out.append(("flatten", v, i))
-        if isinstance(node, Chance) and len(node.branches) >= 2:
-            out.append(("permute_chance", v, None))
-    return out
-
-
-def equivalent_rewrite(tree: DecisionTree, seed: int, steps: int = 1) -> DecisionTree:
-    """Apply gamble-preserving rewrites: permute decision children, flatten
-    nested decisions, insert/remove unary decision prefixes, permute chance
-    branches. The result stays consistent with the same conditioning event
-    and the same gamble set."""
-    current = tree
-    rng = rng_for("rewrite", seed)
-    for _ in range(steps):
-        kind, v, extra = rng.choice(_rewrite_candidates(current))
-        node = current.index.nodes[v]
-        if kind == "wrap":
-            new: Node = Decision((node,))
-        elif kind == "unwrap":
-            new = node.children[0]
-        elif kind == "permute_decision":
-            order = list(range(len(node.children)))
-            rng.shuffle(order)
-            new = Decision(tuple(node.children[i] for i in order))
-        elif kind == "permute_chance":
-            order = list(range(len(node.branches)))
-            rng.shuffle(order)
-            new = Chance(tuple(node.branches[i] for i in order))
-        else:  # flatten child `extra` into this decision node
-            child = node.children[extra]
-            spliced = (
-                node.children[:extra] + child.children + node.children[extra + 1:]
-            )
-            new = Decision(spliced)
-        current = DecisionTree(
-            current.space, _replace_node(current.root, current.path_of(v), new), current.root_event
-        )
-    return current
 
 
 def _consistent_gamble(

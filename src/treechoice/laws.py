@@ -60,12 +60,6 @@ def _violated(prop: PropertyId, witness: dict) -> InstanceCheck:
     return InstanceCheck(prop, False, witness=witness)
 
 
-def _mix(instance: MixtureInstance, on_part: Gamble) -> Gamble:
-    return combine_on_partition(
-        [(instance.part, on_part), (instance.part.complement(), instance.other)]
-    )
-
-
 def _check_conditioning(rule: ChoiceRule, inst: ConditioningInstance) -> InstanceCheck:
     prop = PropertyId.P1_conditioning
     selected = rule.select(inst.gambles, inst.given)
@@ -86,13 +80,40 @@ def _check_conditioning(rule: ChoiceRule, inst: ConditioningInstance) -> Instanc
     return _holds(prop, vacuous=not premise_fired)
 
 
+def _subset_selections(
+    rule: ChoiceRule, inst: SubsetInstance
+) -> tuple[GambleSet, GambleSet, Optional[GambleSet]]:
+    """P2's and P9's premise: the selection from the set, its members in the
+    subset, and the selection from the subset; None in place of the last
+    when no selected gamble is in the subset, so the premise never fires."""
+    sel_all = rule.select(inst.gambles, inst.given)
+    kept = sel_all.intersection(inst.subset)
+    if len(kept) == 0:
+        return sel_all, kept, None
+    return sel_all, kept, rule.select(inst.subset, inst.given)
+
+
+def _mixture_selections(
+    rule: ChoiceRule, inst: MixtureInstance
+) -> tuple[GambleSet, GambleSet, GambleSet]:
+    """P3's and P10's sets: the selection from the gambles mixed with the
+    continuation off the part, the selection on the part, and that
+    selection mixed."""
+
+    def mixed(gambles: GambleSet) -> GambleSet:
+        off_part = (inst.part.complement(), inst.other)
+        return GambleSet(combine_on_partition([(inst.part, x), off_part]) for x in gambles)
+
+    lhs = rule.select(mixed(inst.gambles), inst.given)
+    inner = rule.select(inst.gambles, inst.part & inst.given)
+    return lhs, inner, mixed(inner)
+
+
 def _check_intersection(rule: ChoiceRule, inst: SubsetInstance) -> InstanceCheck:
     prop = PropertyId.P2_intersection
-    sel_all = rule.select(inst.gambles, inst.given)
-    expected = sel_all.intersection(inst.subset)
-    if len(expected) == 0:
+    sel_all, expected, sel_sub = _subset_selections(rule, inst)
+    if sel_sub is None:
         return _holds(prop, vacuous=True)
-    sel_sub = rule.select(inst.subset, inst.given)
     if sel_sub == expected:
         return _holds(prop)
     return _violated(
@@ -103,9 +124,7 @@ def _check_intersection(rule: ChoiceRule, inst: SubsetInstance) -> InstanceCheck
 
 def _check_mixture(rule: ChoiceRule, inst: MixtureInstance) -> InstanceCheck:
     prop = PropertyId.P3_mixture
-    lhs = rule.select(GambleSet(_mix(inst, x) for x in inst.gambles), inst.given)
-    inner = rule.select(inst.gambles, inst.part & inst.given)
-    rhs = GambleSet(_mix(inst, x) for x in inner)
+    lhs, inner, rhs = _mixture_selections(rule, inst)
     if lhs == rhs:
         return _holds(prop)
     return _violated(prop, {"expected": rhs, "actual": lhs, "inner_selection": inner})
@@ -225,11 +244,9 @@ def _check_insensitivity(rule: ChoiceRule, inst: SubsetInstance) -> InstanceChec
 
 def _check_preservation(rule: ChoiceRule, inst: SubsetInstance) -> InstanceCheck:
     prop = PropertyId.P9_preservation
-    sel_all = rule.select(inst.gambles, inst.given)
-    lower = sel_all.intersection(inst.subset)
-    if len(lower) == 0:
+    sel_all, lower, sel_sub = _subset_selections(rule, inst)
+    if sel_sub is None:
         return _holds(prop, vacuous=True)
-    sel_sub = rule.select(inst.subset, inst.given)
     if lower.issubset(sel_sub):
         return _holds(prop)
     return _violated(
@@ -239,9 +256,7 @@ def _check_preservation(rule: ChoiceRule, inst: SubsetInstance) -> InstanceCheck
 
 def _check_backward_mixture(rule: ChoiceRule, inst: MixtureInstance) -> InstanceCheck:
     prop = PropertyId.P10_backward_mixture
-    lhs = rule.select(GambleSet(_mix(inst, x) for x in inst.gambles), inst.given)
-    inner = rule.select(inst.gambles, inst.part & inst.given)
-    rhs = GambleSet(_mix(inst, x) for x in inner)
+    lhs, inner, rhs = _mixture_selections(rule, inst)
     if lhs.issubset(rhs):
         return _holds(prop)
     return _violated(prop, {"upper_bound": rhs, "actual": lhs, "inner_selection": inner})

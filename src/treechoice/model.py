@@ -55,9 +55,6 @@ class PossibilitySpace:
             bits |= 1 << self.index(label)
         return Event(self, bits)
 
-    def atom(self, label: str) -> Event:
-        return Event(self, 1 << self.index(label))
-
     @property
     def omega(self) -> Event:
         return Event(self, (1 << self.size) - 1)
@@ -87,10 +84,6 @@ class Event:
         _same_space(self.space, other.space)
         return Event(self.space, self.bits & other.bits)
 
-    def __or__(self, other: Event) -> Event:
-        _same_space(self.space, other.space)
-        return Event(self.space, self.bits | other.bits)
-
     def complement(self) -> Event:
         return Event(self.space, self.space.omega.bits & ~self.bits)
 
@@ -101,10 +94,6 @@ class Event:
     @property
     def is_omega(self) -> bool:
         return self.bits == self.space.omega.bits
-
-    def issubset(self, other: Event) -> bool:
-        _same_space(self.space, other.space)
-        return self.bits & ~other.bits == 0
 
     def contains_index(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
@@ -183,14 +172,6 @@ class RewardTable:
     def items(self):
         return self._entries.items()
 
-    def merged(self, other: RewardTable) -> RewardTable:
-        joint = dict(self._entries)
-        for symbol, value in other.items():
-            if symbol in joint and joint[symbol] != value:
-                raise DuplicateDefinition(symbol)
-            joint[symbol] = value
-        return RewardTable(joint)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RewardTable) and self._entries == other._entries
 
@@ -215,10 +196,6 @@ class Gamble:
     @classmethod
     def constant(cls, space: PossibilitySpace, reward: str) -> Gamble:
         return cls(space, (reward,) * space.size)
-
-    @classmethod
-    def of(cls, space: PossibilitySpace, assignment: Mapping[str, str]) -> Gamble:
-        return cls(space, tuple(assignment[s] for s in space.states))
 
     def preimage(self, reward: str) -> Event:
         bits = 0
@@ -273,10 +250,6 @@ class GambleSet:
             for g in unique[1:]:
                 _same_space(space, g.space)
         self._members = tuple(unique)
-
-    @property
-    def members(self) -> tuple[Gamble, ...]:
-        return self._members
 
     @property
     def space(self) -> PossibilitySpace:

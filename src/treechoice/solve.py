@@ -53,9 +53,6 @@ class SolveReport:
     method: str
     stats: dict
 
-    def members(self) -> tuple[NormalFormDecision, ...]:
-        return tuple(sorted(self.solution, key=lambda m: m.choices))
-
 
 def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
     """A `select` hook keeping the pairs that agree with some chosen gamble

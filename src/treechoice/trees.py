@@ -154,8 +154,7 @@ class DecisionTree:
         cls, space: PossibilitySpace, root: Node, root_event: Event, index: NodeIndex
     ) -> DecisionTree:
         """A tree built without the consistency check: for a part of a
-        consistent tree, whose nodes keep the events they had there, and
-        for the parts `prune_impossible_branches` walks to repair them."""
+        consistent tree, whose nodes keep the events they had there."""
         tree = object.__new__(cls)
         tree.__dict__.update(space=space, root=root, root_event=root_event, index=index)
         return tree
@@ -203,12 +202,6 @@ class DecisionTree:
         """The subtree rooted at node `v`, carrying its accumulated event."""
         root, index = self.index.nodes[v], self.index.below(v)
         return DecisionTree._unchecked(self.space, root, self.event_of(v), index)
-
-    def node_at(self, path: Path) -> Node:
-        return self.index.nodes[self.id_of(path)]
-
-    def event_at(self, path: Path) -> Event:
-        return self.event_of(self.id_of(path))
 
     def subtree_at(self, path: Path) -> DecisionTree:
         return self.subtree_of(self.id_of(path))
@@ -284,41 +277,6 @@ def validate(tree: DecisionTree) -> DecisionTree:
     return tree
 
 
-def prune_impossible_branches(
-    space: PossibilitySpace, root: Node, root_event: Event
-) -> DecisionTree:
-    """The tree of these parts with every chance branch that conflicts with
-    its accumulated history event dropped.
-
-    The freed event mass is folded into the first surviving sibling so every
-    chance node still carries a partition of the space; the result is
-    consistent whenever the root event is non-empty and the branch events
-    partition the space. Opt-in repair for parts the `DecisionTree`
-    constructor rejects; construction itself never prunes.
-    """
-    if root_event.is_empty:
-        raise EmptySubtreeEvent(())
-    parts = DecisionTree._unchecked(space, root, root_event, NodeIndex.of(space, root))
-
-    def rebuild(node: Node, v: int, below: list) -> Node:
-        if isinstance(node, Decision):
-            return Decision(tuple(below))
-        kept = [(e, child) for (e, _), child in zip(node.branches, below) if child is not None]
-        # fold the impossible mass into the first surviving branch so the
-        # branch events still partition the whole space
-        bits = kept[0][0].bits
-        for (event, _), child in zip(node.branches, below):
-            if child is None:
-                bits |= event.bits
-        kept[0] = (Event(space, bits), kept[0][1])
-        return Chance(tuple(kept))
-
-    def possible(v: int) -> bool:
-        return bool(root_event.bits & parts.index.routed[v])
-
-    return DecisionTree(space, parts.fold(lambda node: node, rebuild, possible), root_event)
-
-
 def nfd_count(tree: DecisionTree) -> int:
     """Number of normal form decisions: products at chance nodes, sums at
     decision nodes."""
@@ -367,22 +325,6 @@ class NormalFormDecision:
         arcs = frozenset(self.arcs())
         ((_, values),) = strategies(self.tree, keep_arc=arcs.__contains__)
         return Gamble(self.tree.space, values)
-
-    def as_tree(self) -> DecisionTree:
-        """Materialize the strategy as a tree whose decision nodes are unary."""
-        index, choice = self.tree.index, self.choice_map
-
-        def chosen(v: int) -> bool:
-            u = index.parent[v]
-            return not isinstance(index.nodes[u], Decision) or index.position[v] == choice[u]
-
-        def build(node: Node, v: int, below: list[Optional[Node]]) -> Node:
-            if isinstance(node, Decision):
-                return Decision((below[choice[v]],))
-            return Chance(tuple((event, b) for (event, _), b in zip(node.branches, below)))
-
-        root = self.tree.fold(lambda node: node, build, chosen)
-        return DecisionTree(self.tree.space, root, self.tree.root_event)
 
     def __hash__(self) -> int:
         # the members of a solution share one tree: hashing it would walk

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from treechoice.generate import GenConfig, tree_corpus
+from treechoice.generate import GenConfig, rng_for, tree_corpus
 from treechoice.model import GambleSet, PossibilitySpace
 from treechoice.rules import ChoiceContext, ChoiceRule, make_rule
 from treechoice.textio import parse_context_file, parse_tree_file
@@ -105,6 +105,79 @@ def same_up_to_chance_order(t1, t2):
         return ids.setdefault(key, len(ids))
 
     return t1.fold(canon, canon) == t2.fold(canon, canon)
+
+
+def replace_node(root, path, new):
+    """`root` with the node at `path` replaced by `new`: walk down the path,
+    then rebuild each node on it from the bottom up."""
+    above = []
+    for index in path:
+        if isinstance(root, Leaf):
+            raise ValueError("path walks through a leaf")
+        above.append((root, index))
+        root = root.children[index] if isinstance(root, Decision) else root.branches[index][1]
+    for parent, index in reversed(above):
+        if isinstance(parent, Decision):
+            children = list(parent.children)
+            children[index] = new
+            new = Decision(tuple(children))
+        else:
+            branches = list(parent.branches)
+            branches[index] = (branches[index][0], new)
+            new = Chance(tuple(branches))
+    return new
+
+
+def _rewrite_candidates(tree):
+    """(kind, node id, child index) for every rewrite the tree allows."""
+    out = []
+    for v, node in tree.nodes():
+        out.append(("wrap", v, None))
+        if isinstance(node, Decision):
+            if len(node.children) >= 2:
+                out.append(("permute_decision", v, None))
+            if len(node.children) == 1:
+                out.append(("unwrap", v, None))
+            for i, child in enumerate(node.children):
+                if isinstance(child, Decision):
+                    out.append(("flatten", v, i))
+        if isinstance(node, Chance) and len(node.branches) >= 2:
+            out.append(("permute_chance", v, None))
+    return out
+
+
+def equivalent_rewrite(tree, seed, steps=1):
+    """Apply gamble-preserving rewrites: permute decision children, flatten
+    nested decisions, insert/remove unary decision prefixes, permute chance
+    branches. The result stays consistent with the same conditioning event
+    and the same gamble set."""
+    current = tree
+    rng = rng_for("rewrite", seed)
+    for _ in range(steps):
+        kind, v, extra = rng.choice(_rewrite_candidates(current))
+        node = current.index.nodes[v]
+        if kind == "wrap":
+            new = Decision((node,))
+        elif kind == "unwrap":
+            new = node.children[0]
+        elif kind == "permute_decision":
+            order = list(range(len(node.children)))
+            rng.shuffle(order)
+            new = Decision(tuple(node.children[i] for i in order))
+        elif kind == "permute_chance":
+            order = list(range(len(node.branches)))
+            rng.shuffle(order)
+            new = Chance(tuple(node.branches[i] for i in order))
+        else:  # flatten child `extra` into this decision node
+            child = node.children[extra]
+            spliced = (
+                node.children[:extra] + child.children + node.children[extra + 1:]
+            )
+            new = Decision(spliced)
+        current = DecisionTree(
+            current.space, replace_node(current.root, current.path_of(v), new), current.root_event
+        )
+    return current
 
 
 class FussyPairsRule(ChoiceRule):

@@ -8,7 +8,6 @@ import functools
 import time
 
 from treechoice.generate import (
-    equivalent_rewrite,
     reward_table_for_tree,
     rng_for,
     seeded_rule_policy,
@@ -26,7 +25,7 @@ from treechoice.solve import (
 )
 from treechoice.trees import gamb, nfd, restrict_solution
 
-from conftest import CORPUS_CONFIG, SEED, path_choices
+from conftest import CORPUS_CONFIG, SEED, equivalent_rewrite, path_choices
 
 P = PropertyId
 

@@ -378,6 +378,18 @@ def test_commands_answer_on_a_tree_past_the_strategy_cap(capsys):
     assert code == 0 and payload["equivalent"]
 
 
+def test_solve_full_refuses_before_the_solver_runs(capsys, monkeypatch):
+    from treechoice import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "norm_opt", lambda *args: calls.append(args))
+    code, payload = run_json(
+        capsys, "solve", "--tree", WIDE, "--rule", "pointwise_dominance", "--full"
+    )
+    assert code == 2 and payload["type"] == "EnumerationLimitExceeded"
+    assert calls == []
+
+
 def test_the_consistency_check_is_not_an_assert():
     # python -O strips assert statements, not the constructor's check
     env = dict(os.environ)

@@ -45,12 +45,12 @@ event in one pass, spells reduced integer pairs, leaves validation to
 
 The literal node walks and folds are the recursions the tree readers and
 builders were written as: preorder, consistency with the accumulated event
-passed down, reachability, event naming, the strategy count, a strategy as
-a tree, pruning, the DOT text and the rewrite generator's path
-replacement. The library reads one iterative walk, `DecisionTree.nodes`,
-and folds on one explicit stack, `DecisionTree.fold`. The nested-string
-fold writes a document's tree expression by copying each child's text into
-its parent's; the library writes the pieces into one list.
+passed down, reachability, event naming, the strategy count, the DOT text
+and the path replacement of the tests' rewrite generator. The library
+reads one iterative walk, `DecisionTree.nodes`, and folds on one explicit
+stack, `DecisionTree.fold`. The nested-string fold writes a document's
+tree expression by copying each child's text into its parent's; the
+library writes the pieces into one list.
 
 Consistency is checked by the `DecisionTree` constructor, so the literal
 consistency recursion reads a tree's parts, and the crafted and broken
@@ -145,7 +145,6 @@ from treechoice.trees import (
     gamb,
     nfd,
     nfd_count,
-    prune_impossible_branches,
     restrict_solution,
     strategies,
     validate,
@@ -162,7 +161,7 @@ from treechoice.textio import (
     parse_tree_file,
 )
 
-from conftest import FIXTURES, over_cap_tree, path_choices
+from conftest import FIXTURES, over_cap_tree, path_choices, replace_node
 from test_acceptance import rule_for
 
 CONFIG = GenConfig(max_depth=4, omega_range=(2, 6), nfd_ceiling=250)
@@ -1471,7 +1470,7 @@ def broken_variants(tree):
             _, first = node.branches[0]
             for event in (tree.space.omega, tree.space.empty_event):
                 broken = Chance(((event, first),) + node.branches[1:])
-                root = generate._replace_node(tree.root, tree.path_of(v), broken)
+                root = replace_node(tree.root, tree.path_of(v), broken)
                 yield tree.space, root, tree.root_event
 
 
@@ -1488,9 +1487,9 @@ def test_validate_matches_the_literal_recursion_on_broken_corpus_trees(acceptanc
 def test_subtrees_equal_the_checked_trees_of_their_parts(acceptance_corpus):
     subtrees = 0
     for index, tree in enumerate(acceptance_corpus):
-        for path in map(tree.path_of, range(len(tree.index.nodes))):
-            checked = DecisionTree(tree.space, tree.node_at(path), tree.event_at(path))
-            assert tree.subtree_at(path) == checked, (index, path)
+        for v, node in tree.nodes():
+            checked = DecisionTree(tree.space, node, tree.event_of(v))
+            assert tree.subtree_at(tree.path_of(v)) == checked, (index, v)
             subtrees += 1
     assert subtrees > 2000, subtrees
 
@@ -1539,51 +1538,6 @@ def literal_nfd_count(tree):
         return sum(count(child) for child in node.children)
 
     return count(tree.root)
-
-
-def literal_as_tree(member):
-    """The strategy as a tree with unary decision nodes, by recursion."""
-
-    def build(node, path):
-        if isinstance(node, Leaf):
-            return node
-        if isinstance(node, Decision):
-            index = choices[path]
-            return Decision((build(node.children[index], path + (index,)),))
-        return Chance(
-            tuple(
-                (event, build(child, path + (i,)))
-                for i, (event, child) in enumerate(node.branches)
-            )
-        )
-
-    tree, choices = member.tree, path_map(member)
-    return DecisionTree(tree.space, build(tree.root, ()), tree.root_event)
-
-
-def literal_prune_impossible_branches(space, root, root_event):
-    """Impossible branches dropped by recursion, the accumulated event
-    passed down; the freed mass widens the first surviving branch."""
-    if root_event.is_empty:
-        raise EmptySubtreeEvent(())
-
-    def walk(node, ev):
-        if isinstance(node, Leaf):
-            return node
-        if isinstance(node, Decision):
-            return Decision(tuple(walk(c, ev) for c in node.children))
-        kept = [(event, child) for event, child in node.branches if not (ev & event).is_empty]
-        dropped_bits = 0
-        for event, _ in node.branches:
-            if (ev & event).is_empty:
-                dropped_bits |= event.bits
-        first_event, first_child = kept[0]
-        widened = Event(space, first_event.bits | dropped_bits)
-        rebuilt = [(widened, walk(first_child, ev & first_event))]
-        rebuilt.extend((event, walk(child, ev & event)) for event, child in kept[1:])
-        return Chance(tuple(rebuilt))
-
-    return DecisionTree(space, walk(root, root_event), root_event)
 
 
 def nested_fold_serialize(document):
@@ -1683,9 +1637,7 @@ def test_fold_matches_the_literal_recursions(acceptance_corpus):
             assert export_dot(tree, rewards, solution) == literal_export_dot(
                 tree, rewards, solution
             ), index
-        for member in members:
-            assert member.as_tree() == literal_as_tree(member), index
-            members_seen += 1
+        members_seen += len(members)
     assert members_seen == sum(map(literal_nfd_count, acceptance_corpus))
 
 
@@ -1727,7 +1679,7 @@ def test_replace_node_matches_the_literal_recursion(acceptance_corpus):
     for index, tree in enumerate(acceptance_corpus):
         for path in map(tree.path_of, range(len(tree.index.nodes))):
             for where in (path, path + (0,), path + (5,)):
-                got = outcome(generate._replace_node, tree.root, where, Leaf("z"))
+                got = outcome(replace_node, tree.root, where, Leaf("z"))
                 expected = outcome(literal_replace_node, tree.root, where, Leaf("z"))
                 if isinstance(got, tuple):
                     # an error: compare types only, as an index error's
@@ -1736,16 +1688,6 @@ def test_replace_node_matches_the_literal_recursion(acceptance_corpus):
                 assert got == expected, index
                 outcomes[got.__name__ if isinstance(got, type) else "replaced"] += 1
     assert min(outcomes[k] for k in ("replaced", "IndexError", "ValueError")) > 500, outcomes
-
-
-def test_prune_matches_the_literal_recursion_on_broken_corpus_trees(acceptance_corpus):
-    outcomes = Counter()
-    for index, tree in enumerate(acceptance_corpus):
-        for variant in broken_variants(tree):
-            pruned = outcome(prune_impossible_branches, *variant)
-            assert pruned == outcome(literal_prune_impossible_branches, *variant), index
-            outcomes[pruned[0].__name__ if isinstance(pruned, tuple) else "pruned"] += 1
-    assert outcomes["pruned"] > 500 and outcomes["NotAPartition"] > 500, outcomes
 
 
 @pytest.mark.parametrize(

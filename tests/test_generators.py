@@ -4,10 +4,8 @@ import sys
 
 import pytest
 
-from treechoice import generate
 from treechoice.generate import (
     GenConfig,
-    equivalent_rewrite,
     random_consistent_tree,
     random_gamble_instance,
     reward_table_for_tree,
@@ -36,7 +34,7 @@ from treechoice.trees import (
     validate,
 )
 
-from conftest import same_up_to_chance_order
+from conftest import equivalent_rewrite, replace_node, same_up_to_chance_order
 
 SMALL = GenConfig(max_depth=3, omega_range=(2, 5), nfd_ceiling=200)
 
@@ -99,10 +97,10 @@ def test_rewrites_walk_a_chain_deeper_than_the_recursion_limit():
         return DecisionTree.over(space, node)
 
     tree = chain(Leaf("1"))
-    replaced = generate._replace_node(tree.root, (1,) * depth, Leaf("2"))
+    replaced = replace_node(tree.root, (1,) * depth, Leaf("2"))
     assert same_up_to_chance_order(DecisionTree.over(space, replaced), chain(Leaf("2")))
     with pytest.raises(ValueError, match="path walks through a leaf"):
-        generate._replace_node(tree.root, (1,) * depth + (0,), Leaf("2"))
+        replace_node(tree.root, (1,) * depth + (0,), Leaf("2"))
     rewritten = equivalent_rewrite(tree, seed=subseed("deep"), steps=3)
     assert not same_up_to_chance_order(rewritten, tree)
     assert rewritten.root_event == tree.root_event and gamb(rewritten) == gamb(tree)

@@ -119,7 +119,7 @@ def test_document_for_names_a_proper_root_event():
 
     base = random_consistent_tree(GenConfig(max_depth=2), seed=subseed("re", 0))
     conditioned = validate(
-        DecisionTree(base.space, base.root, base.space.atom(base.space.states[0]))
+        DecisionTree(base.space, base.root, base.space.event(base.space.states[:1]))
     )
     doc = document_for(conditioned)
     text = doc.serialize()

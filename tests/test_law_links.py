@@ -5,7 +5,6 @@ import pytest
 
 from treechoice.generate import (
     GenConfig,
-    equivalent_rewrite,
     reward_table_for_tree,
     rng_for,
     seeded_rule_policy,
@@ -19,7 +18,7 @@ from treechoice.rules import ChoiceContext
 from treechoice.solve import back_opt, induced_gambles, norm_opt
 from treechoice.trees import gamb, nfd, restrict_solution
 
-from conftest import FussyPairsRule
+from conftest import FussyPairsRule, equivalent_rewrite
 
 P = PropertyId
 CORPUS_CONFIG = GenConfig(max_depth=3, omega_range=(2, 5), nfd_ceiling=120)

