@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -55,7 +56,7 @@ class PossibilitySpace:
             bits |= 1 << self.index(label)
         return Event(self, bits)
 
-    @property
+    @cached_property
     def omega(self) -> Event:
         return Event(self, (1 << self.size) - 1)
 
@@ -79,6 +80,10 @@ class Event:
     def __post_init__(self):
         if self.bits < 0 or self.bits >> self.space.size:
             raise ValueError("event bits outside the space")
+        object.__setattr__(self, "_hash", hash(self.bits))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __and__(self, other: Event) -> Event:
         _same_space(self.space, other.space)
@@ -138,18 +143,24 @@ def require_partition(events: Sequence[Event]) -> None:
 _rational_literal = lru_cache(maxsize=1024)(Fraction)
 
 
+class _BySymbol(dict):
+    def __missing__(self, symbol: str):
+        raise UnknownReference(symbol)
+
+
 class RewardTable:
     """Maps reward symbols to exact rational utilities."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, Fraction | int | str]):
-        table = {}
-        for symbol, value in entries.items():
-            if symbol in table:
-                raise DuplicateDefinition(symbol)
-            table[symbol] = value if isinstance(value, Fraction) else Fraction(value)
-        self._entries = dict(sorted(table.items()))
+        table = {s: u if isinstance(u, Fraction) else Fraction(u) for s, u in entries.items()}
+        self._entries = _BySymbol(sorted(table.items()))
+
+    def units(self) -> Mapping[str, int]:
+        """Each utility times L, the least common multiple of their denominators."""
+        common = lcm(*(u.denominator for u in self._entries.values()))
+        return _BySymbol((s, u.numerator * common // u.denominator) for s, u in self.items())
 
     @classmethod
     def from_literals(cls, symbols: Iterable[str]) -> RewardTable:
@@ -158,10 +169,7 @@ class RewardTable:
         return cls({s: _rational_literal(s) for s in set(symbols)})
 
     def utility(self, symbol: str) -> Fraction:
-        try:
-            return self._entries[symbol]
-        except KeyError:
-            raise UnknownReference(symbol) from None
+        return self._entries[symbol]
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._entries
@@ -192,6 +200,13 @@ class Gamble:
     def __post_init__(self):
         if len(self.values) != self.space.size:
             raise ValueError("gamble must assign a reward to every state")
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # a str's hash differs between processes: hash anew
+        return Gamble, (self.space, self.values)
 
     @classmethod
     def constant(cls, space: PossibilitySpace, reward: str) -> Gamble:
@@ -245,17 +260,9 @@ class GambleSet:
     def __init__(self, gambles: Iterable[Gamble]):
         self._lookup = frozenset(gambles)
         unique = sorted(self._lookup, key=lambda g: g.values)
-        if len(unique) > 1:
-            space = unique[0].space
-            for g in unique[1:]:
-                _same_space(space, g.space)
+        for g in unique[1:]:
+            _same_space(unique[0].space, g.space)
         self._members = tuple(unique)
-
-    @property
-    def space(self) -> PossibilitySpace:
-        if not self._members:
-            raise EmptyInputSet("empty gamble set has no space")
-        return self._members[0].space
 
     def __iter__(self) -> Iterator[Gamble]:
         return iter(self._members)

@@ -1,18 +1,19 @@
 """Conditional set-valued choice rules over exact rational contexts.
 
 Every rule maps a non-empty, event-consistent gamble set to a non-empty
-subset of it, conditional on a non-empty event. All arithmetic is exact
-(`fractions.Fraction`); ties are never broken, the full optimal set is
-returned.
+subset of it, conditional on a non-empty event. All arithmetic is exact:
+`fractions.Fraction` in the context, whole numbers in the rules'
+comparisons. Ties are never broken; the full optimal set is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import eq, ge, gt, itemgetter
-from typing import Callable, Optional, Sequence
+from operator import eq, ge, gt, itemgetter, mul
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyEvent,
@@ -68,32 +69,35 @@ class MassFunction:
         return MassFunction(space, tuple(self.masses[i] / total for i in kept))
 
 
-def event_column(p: MassFunction, event: Event) -> tuple[tuple, Fraction]:
-    """`p` as seen from the non-empty `event`: the (index, mass) pair of each
-    of its states, and P(event)."""
+def event_columns(masses: Sequence[MassFunction], event: Event) -> list[tuple[int, ...]]:
+    """One column per mass function p: the weights p(ω)/P(event) of the
+    event's states, all times the least S > 0 that makes every one whole."""
     if event.is_empty:
         raise EmptyEvent("cannot condition on the empty event")
-    if event.space != p.space:
+    if any(p.space != event.space for p in masses):
         raise SpaceMismatch("event over a different space")
-    weights = tuple((i, p.masses[i]) for i in event.indices())
-    return weights, sum((m for _, m in weights), Fraction(0))
+    states = tuple(event.indices())
+    totals = [sum(p.masses[i] for i in states) for p in masses]
+    weights = [[p.masses[i] / total for i in states] for p, total in zip(masses, totals)]
+    scale = lcm(*(w.denominator for column in weights for w in column))
+    return [tuple(w.numerator * (scale // w.denominator) for w in c) for c in weights]
 
 
-def column_expectation(column, gamble: Gamble, utilities: RewardTable) -> Fraction:
-    """One row entry, Σ_{i∈A} m_i·u(g_i) / P(A), for a column of `event_column`."""
-    weights, total = column
-    values, utility = gamble.values, utilities.utility
-    return sum((m * utility(values[i]) for i, m in weights), Fraction(0)) / total
+def column_expectation(column: tuple[int, ...], points: Sequence[int]) -> int:
+    """One row entry: Σ_{ω∈A} W_ω·U(g(ω)) = S·L·E_p[u(g) | A] for a column W, units U."""
+    return sum(map(mul, column, points))
 
 
 def conditional_expectation(
     p: MassFunction, gamble: Gamble, event: Event, utilities: RewardTable
 ) -> Fraction:
-    """Exact E_p[u(gamble) | event]: `p` is strictly positive, so every
-    non-empty event conditions it."""
+    """Exact E_p[u(gamble) | event], a `Fraction`: `p` is strictly positive,
+    so every non-empty event conditions it."""
     if gamble.space != event.space:
         raise SpaceMismatch("gamble over a different space")
-    return column_expectation(event_column(p, event), gamble, utilities)
+    (column,) = event_columns([p], event)
+    points = [utilities.utility(gamble.values[i]) for i in event.indices()]
+    return column_expectation(column, points) / sum(column)
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ class ChoiceContext:
 
 
 def undominated(
-    rows: dict[Gamble, tuple],
-    score: Callable[[tuple], Fraction],
+    rows: dict[Gamble, Sequence[int]],
+    score: Callable[[Sequence[int]], int],
     dominates: Callable[[tuple, tuple], bool],
 ) -> list[Gamble]:
     """The gambles whose row no other row dominates, for a strict partial
@@ -132,7 +136,7 @@ def undominated(
     `score`. Visited by falling score, each row is tested only against the
     undominated rows kept so far: a dominated dominator is itself dominated
     by a kept row (transitivity). Ties are never broken."""
-    front: list[tuple] = []
+    front: list[Sequence[int]] = []
     kept = []
     for gamble in sorted(rows, key=lambda g: score(rows[g]), reverse=True):
         row = rows[gamble]
@@ -190,20 +194,21 @@ class ChoiceRule:
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
         raise NotImplementedError
 
-    def _rows(self, gambles, given, masses) -> dict[Gamble, tuple[Fraction, ...]]:
-        """Each gamble's conditional expectations given `given`, one per
-        distinct mass function in `masses`. The rule's score table keeps, for
-        as long as the rule lives, each event's columns (`event_column`, built
-        once per event) beside its rows, keyed by the event alone: that is
-        correct only because a rule always passes the same list."""
+    @cached_property
+    def units(self) -> Mapping[str, int]:  # built on the first score, not with the rule
+        return self.context.utilities.units()
+
+    def _rows(self, gambles, given, masses) -> dict[Gamble, tuple[int, ...]]:
+        """Each gamble's row: S·L times its expectation given `given` under each distinct mass
+        function in `masses`; kept for the rule's life, keyed by the event (one list per rule)."""
         if given not in self.scores:
-            masses = [p for i, p in enumerate(masses) if p not in masses[:i]]
-            self.scores[given] = [event_column(p, given) for p in masses], {}
+            self.scores[given] = event_columns(list(dict.fromkeys(masses)), given), {}
         columns, table = self.scores[given]
-        utilities = self.context.utilities
+        units, states = self.units, tuple(given.indices())
         for g in gambles:
             if g not in table:
-                table[g] = tuple(column_expectation(c, g, utilities) for c in columns)
+                points = [units[g.values[i]] for i in states]
+                table[g] = tuple(column_expectation(c, points) for c in columns)
         return {g: table[g] for g in gambles}
 
     def rebind(self, context: ChoiceContext) -> "ChoiceRule":
@@ -233,8 +238,8 @@ class PointwiseDominance(ChoiceRule):
     name = "pointwise_dominance"
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        utility, states = self.context.utilities.utility, tuple(given.indices())
-        rows = {g: tuple(utility(g.values[i]) for i in states) for g in gambles}
+        units, states = self.units, tuple(given.indices())
+        rows = {g: [units[g.values[i]] for i in states] for g in gambles}
         return undominated(rows, sum, lambda y, x: y != x and all(map(ge, y, x)))
 
 

@@ -15,9 +15,12 @@ checked through them: no hook by `nfd`, `select` by `back_opt` and `gamb`,
 `keep_arc` by `nfd_of_extensive`.
 
 The literal conditional expectation sums p(ω)u(g(ω)) and p(ω) over the
-event's states on every call. The library builds each event's columns
-(state indices, their masses, P(A)) once per `select`, or once per event
-under a score table, and computes each row entry from them.
+event's states on every call, in `Fraction`s. The library builds each
+event's integer columns (the weights p(ω)/P(A) of its states under one
+scale S shared by the event's columns) once per event under a score
+table, and computes each row entry as one integer dot product with the
+gamble's utilities times L, the table's common denominator: the entry is
+S·L times the literal expectation.
 
 The literal rules compare every pair of gambles, recomputing conditional
 expectations or utilities for each pair, as maximality, pointwise
@@ -63,6 +66,7 @@ cuts the subtree once per call.
 import functools
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -1154,8 +1158,11 @@ NUMERIC_RULES = ["e_admissibility", "eu_max", "gamma_maximin", "interval_dominan
 
 @pytest.fixture
 def literal_rows(monkeypatch):
-    """Every `_rows` entry is compared with the literal sum; the list
-    collects the number of rows of each call."""
+    """Every `_rows` entry is compared with the literal sum. All columns of
+    the event sum to one positive scale S, and each entry is an `int`, S·L
+    times the literal conditional expectation, where L is the least common
+    multiple of the reward table's denominators. The list collects the
+    number of rows of each call."""
     sizes = []
     fast = rules.ChoiceRule._rows
 
@@ -1163,9 +1170,17 @@ def literal_rows(monkeypatch):
         rows = fast(self, gambles, given, masses)
         distinct = list(dict.fromkeys(masses))
         utilities = self.context.utilities
+        columns, _ = self.scores[given]
+        (scale,) = {sum(column) for column in columns}
+        assert scale > 0 and len(columns) == len(distinct), given
+        scale *= math.lcm(*(u.denominator for _, u in utilities.items()))
         assert list(rows) == list(gambles), given
         for g, row in rows.items():
-            literal = [literal_conditional_expectation(p, g, given, utilities) for p in distinct]
+            literal = [
+                scale * literal_conditional_expectation(p, g, given, utilities)
+                for p in distinct
+            ]
+            assert all(type(entry) is int for entry in row), (g, given)
             assert list(row) == literal, (g, given)
         sizes.append(len(rows))
         return rows

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from treechoice.errors import (
     EmptyInputSet,
     NotAPartition,
     SpaceMismatch,
+    UnknownReference,
 )
 from treechoice.model import (
     Event,
@@ -48,6 +50,26 @@ def test_cross_space_mixing_is_an_error():
     other = PossibilitySpace(("w1", "w2"))
     with pytest.raises(SpaceMismatch):
         E1 & other.omega
+
+
+def test_equal_values_hash_alike_and_other_spaces_stay_apart():
+    # an equal gamble or event built anew has the same hash; one over another
+    # space with the same values (or bits) is unequal and a distinct key
+    x, e = Gamble(W4, ("1", "0", "1", "0")), W4.event(["w1", "w3"])
+    assert (Gamble(W4, x.values), Event(W4, e.bits)) == (x, e)
+    assert (hash(Gamble(W4, x.values)), hash(Event(W4, e.bits))) == (hash(x), hash(e))
+    v4 = PossibilitySpace(("v1", "v2", "v3", "v4"))
+    for ours, theirs in ((x, Gamble(v4, x.values)), (e, Event(v4, e.bits))):
+        assert ours != theirs
+        assert len({ours: 0, theirs: 1}) == 2
+
+
+def test_an_unpickled_gamble_is_hashed_anew():
+    # a str tuple's hash differs between processes, so a pickled gamble must
+    # not carry its hash along
+    x = Gamble(W4, ("1", "0", "1", "0"))
+    object.__setattr__(x, "_hash", hash(x) + 1)  # as if hashed under another seed
+    assert hash(pickle.loads(pickle.dumps(x))) == hash(Gamble(W4, x.values))
 
 
 def test_partition_predicate():
@@ -192,8 +214,12 @@ def test_reward_table():
     table = RewardTable({"a": 1, "b": Fraction(3, 2)})
     assert table.utility("b") == Fraction(3, 2)
     assert "a" in table and "c" not in table
+    with pytest.raises(UnknownReference):
+        table.utility("c")
     literal = RewardTable.from_literals(["-3/2", "5"])
     assert literal.utility("-3/2") == Fraction(-3, 2)
+    # units: each utility times the least common multiple of the denominators
+    assert (table.units(), literal.units()) == ({"a": 2, "b": 3}, {"-3/2": -3, "5": 10})
 
 
 # -- property tests over small random partitions ----------------------------

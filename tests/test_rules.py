@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from operator import gt
 
 import pytest
 
@@ -9,9 +10,17 @@ from treechoice.errors import (
     InconsistentSet,
     MissingContext,
     SpaceMismatch,
+    UnknownReference,
 )
 from treechoice.generate import GenConfig, random_mass_function, rng_for
-from treechoice.model import Gamble, GambleSet, PossibilitySpace, RewardTable
+from treechoice.model import (
+    Event,
+    Gamble,
+    GambleSet,
+    PossibilitySpace,
+    RewardTable,
+    check_a_consistency,
+)
 from treechoice.rules import (
     ChoiceContext,
     MassFunction,
@@ -178,6 +187,81 @@ def _random_case(index):
     rewards = RewardTable.from_literals(pool)
     credal = tuple(random_mass_function(space, rng) for _ in range(rng.randint(2, 3)))
     return space, gambles, rewards, credal
+
+
+@pytest.mark.parametrize(
+    "name, pair, kept",
+    [
+        # lower expectations 1/2 and 1/3; scaled per column (by 2 and by 3)
+        # the rows would read (1, 2) and (1, 1), one minimum for both
+        ("gamma_maximin", [("0", "1"), ("1", "0")], ("0", "1")),
+        # (1, 1)'s lower 1 exceeds (0, 1)'s upper 2/3; scaled per column the
+        # rows would read (2, 3) and (1, 2), and the upper 2 reaches the lower 2
+        ("interval_dominance", [("0", "1"), ("1", "1")], ("1", "1")),
+    ],
+)
+def test_cross_column_rules_compare_entries_on_one_scale(name, pair, kept):
+    credal = (MassFunction.from_weights(W2, [1, 1]), MassFunction.from_weights(W2, [1, 2]))
+    rule = make_rule(name, ChoiceContext(NUMERIC, credal=credal))
+    chosen = rule.select(GambleSet(Gamble(W2, values) for values in pair), W2.omega)
+    assert chosen == GambleSet([Gamble(W2, kept)])
+
+
+def literal_choice(name, context, gambles, given):
+    """Rule `name`'s choice as its definition reads, from `Fraction` rows."""
+    masses = (context.probability,) if name == "eu_max" else context.credal
+    rows = {
+        g: [conditional_expectation(p, g, given, context.utilities) for p in masses]
+        for g in gambles
+    }
+    if name in ("eu_max", "gamma_maximin"):
+        best = max(min(row) for row in rows.values())
+        return [g for g, row in rows.items() if min(row) == best]
+    if name == "e_admissibility":
+        best = [max(column) for column in zip(*rows.values())]
+        return [g for g, row in rows.items() if any(map(Fraction.__eq__, row, best))]
+    if name == "maximality":
+        return [x for x in gambles if not any(all(map(gt, rows[y], rows[x])) for y in gambles)]
+    assert name == "interval_dominance"
+    return [x for x in gambles if not any(min(rows[y]) > max(rows[x]) for y in gambles)]
+
+
+W3_STATES = PossibilitySpace(("s1", "s2", "s3"))
+# denominators 7, 11 and 13, so each column would have its own scale
+COPRIME = tuple(
+    MassFunction.from_weights(W3_STATES, weights) for weights in ([1, 2, 4], [2, 4, 5], [3, 4, 6])
+)
+SIGNED = RewardTable(
+    {"a": "-3/7", "b": "5/11", "c": "-2/13", "d": 0, "e": "1/3", "f": "2/3"}
+)
+# (f, d, d) and (d, e, d) tie under the first two mass functions given omega
+TIED = [Gamble(W3_STATES, ("f", "d", "d")), Gamble(W3_STATES, ("d", "e", "d"))]
+
+
+@pytest.mark.parametrize("index", range(30))
+def test_numeric_rules_choose_as_literal_fraction_rows_do(index):
+    rng = rng_for("shared-scale", index)
+    given = Event(W3_STATES, rng.randint(1, 7))
+    pool = [
+        g
+        for g in map(Gamble, itertools.repeat(W3_STATES), itertools.product("abcdef", repeat=3))
+        if check_a_consistency([g], given)
+    ]
+    drawn = rng.sample(pool, min(len(pool), rng.randint(2, 7)))
+    gambles = GambleSet(drawn + [g for g in TIED if g in pool])
+    context = ChoiceContext(SIGNED, probability=COPRIME[index % 3], credal=COPRIME)
+    for name in ("eu_max", "maximality", "e_admissibility", "gamma_maximin", "interval_dominance"):
+        chosen = make_rule(name, context).select(gambles, given)
+        assert chosen == GambleSet(literal_choice(name, context, gambles, given)), name
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_a_reward_missing_from_the_table_is_an_unknown_reference(name):
+    gamble = Gamble(W4, ("1", "7", "1", "7"))  # NUMERIC has no reward "7"
+    context = ChoiceContext(NUMERIC, probability=UNIFORM4, credal=(UNIFORM4,))
+    with pytest.raises(UnknownReference) as raised:
+        make_rule(name, context).select(GambleSet([gamble]), W4.omega)
+    assert raised.value.name == "7"
 
 
 def test_credal_rules_separate_on_a_crafted_instance():
