@@ -19,6 +19,7 @@ Rationals are serialized as `p/q` in lowest terms, integers bare.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,9 +45,10 @@ from .trees import (
 
 RESERVED = set("(),:=#")
 
-# The deepest decision/chance nest a tree document may hold. The parser is
-# the only reader that recurses, two frames a level where it builds the
-# nodes: from the CLI, one level deeper exceeds the default recursion limit.
+# The deepest decision/chance nest a tree document may hold. No reader
+# recurses once per level, so this is an input bound, not a stack limit: the
+# deepest nest on which `check-perfect`, quadratic in the depth, still answers
+# in seconds.
 MAX_TREE_DEPTH = 493
 
 
@@ -121,89 +123,98 @@ def _parse_rational(text: str, line_no: int, col: int) -> Fraction:
         raise TreeSyntaxError(f"not a rational: {text!r}", line_no, col) from None
 
 
-class _ExprParser:
-    """Recursive-descent parser for one tree expression."""
+# A token is a name, one other character that is not white space, or the
+# end of the text; a search for the next token skips white space.
+_TOKEN = re.compile(r"[^\s(),:=#]+|\S|\Z")
 
-    def __init__(self, text: str, line_no: int, col_offset: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-        self.col_offset = col_offset
+# What must follow each head, as a stack whose top is the next token: `expr`
+# is a whole expression, and `more` is a `,` and one more child, or the `)`
+# that closes the node.
+_AFTER_HEAD = {
+    "leaf": [")", "reward", "("],
+    "decision": ["more", "expr", "("],
+    "chance": ["more", "expr", ":", "event", "("],
+}
 
-    def error(self, message: str) -> TreeSyntaxError:
-        return TreeSyntaxError(message, self.line_no, self.col_offset + self.pos + 1)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _scan_tree(text: str, line_no: int, offset: int) -> list[list]:
+    """Check a tree expression's syntax in one pass over its tokens, and list
+    its nodes in preorder as [event of the branch the node starts, or None;
+    head; reward (at a leaf) or child count]."""
+    nodes: list[list] = []
+    open_nodes: list[list] = []  # the decision/chance nodes not yet closed
+    todo = ["end", "expr"]  # what the rest of the text must spell, as above
+    label = None  # the event named by the branch whose expression comes next
+    for match in _TOKEN.finditer(text):
+        token, col, want = match[0], match.start(), todo.pop()
+        error = None
+        if want in ("expr", "reward", "event") and (not token or token in RESERVED):
+            error = "expected a name"
+        elif want == "reward":
+            nodes[-1][2] = token
+        elif want == "event":
+            label = token
+        elif want == "expr":
+            if token not in _AFTER_HEAD:
+                error, col = f"expected leaf/decision/chance, got {token!r}", col + len(token)
+            elif token != "leaf" and len(open_nodes) == MAX_TREE_DEPTH:
+                error = f"decision/chance nodes nested deeper than the limit of {MAX_TREE_DEPTH}"
+                col += len(token)
+            else:
+                if open_nodes:
+                    open_nodes[-1][2] += 1
+                nodes.append([label, token, 0])
+                if token != "leaf":
+                    open_nodes.append(nodes[-1])
+                todo += _AFTER_HEAD[token]
+                label = None
+        elif want == "more":
+            if token == ",":
+                todo += _AFTER_HEAD[open_nodes[-1][1]][:-1]  # as after the head, less its `(`
+            elif token == ")":
+                open_nodes.pop()
+            else:
+                error = "expected ')'"
+        elif want == "end":
+            error = "trailing input after tree expression" if token else None
+        elif token != want:
+            error = f"expected {want!r}"
+        if error:
+            raise TreeSyntaxError(error, line_no, offset + col + 1)
+    return nodes
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, char: str) -> None:
-        self.skip_ws()
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def atom(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c.isspace() or c in RESERVED:
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.text[start:self.pos]
-
-    def parse(self) -> "_Expr":
-        expr = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input after tree expression")
-        return expr
-
-    def expr(self, depth: int = 0) -> "_Expr":
-        head = self.atom()
+def _build_tree(
+    nodes: list[list], table: RewardTable, events: tuple[tuple[str, Event], ...]
+) -> Node:
+    """The nodes a preorder listing spells. References resolve in preorder,
+    each branch's event before its subtree; the nodes are built bottom-up."""
+    branch_events = []
+    for label, head, arg in nodes:
+        branch_events.append(None if label is None else _event_named(events, label))
+        if head == "leaf" and arg not in table:
+            raise UnknownReference(arg)
+    built: list = []  # finished subtrees, the first child on top
+    for (_, head, arg), event in zip(reversed(nodes), reversed(branch_events)):
         if head == "leaf":
-            self.expect("(")
-            reward = self.atom()
-            self.expect(")")
-            return ("leaf", reward)
-        if head in ("decision", "chance") and depth == MAX_TREE_DEPTH:
-            raise self.error(
-                f"decision/chance nodes nested deeper than the limit of {MAX_TREE_DEPTH}"
-            )
-        if head == "decision":
-            self.expect("(")
-            children = [self.expr(depth + 1)]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.expr(depth + 1))
-                self.skip_ws()
-            self.expect(")")
-            return ("decision", children)
-        if head == "chance":
-            self.expect("(")
-            branches = []
-            while True:
-                # one frame per level: a branch is parsed in place
-                name = self.atom()
-                self.expect(":")
-                branches.append((name, self.expr(depth + 1)))
-                self.skip_ws()
-                if self.peek() != ",":
-                    break
-                self.pos += 1
-            self.expect(")")
-            return ("chance", branches)
-        raise self.error(f"expected leaf/decision/chance, got {head!r}")
+            node = Leaf(arg)
+        else:
+            below = tuple(built.pop() for _ in range(arg))
+            node = Decision(below) if head == "decision" else Chance(below)
+        built.append(node if event is None else (event, node))
+    return built[0]
 
 
-_Expr = tuple
+def _definition(rest: str, line_no: int, into: dict, shape: str) -> tuple[str, str]:
+    """The name and value of a `<name> = <value>` line, once it is known to
+    be well formed and to define a name not yet in `into`."""
+    name, eq, value = rest.partition("=")
+    name, value = name.strip(), value.strip()
+    if not eq or not name or not value:
+        raise TreeSyntaxError(f"expected `{shape}`", line_no, 1)
+    if name in into:
+        raise DuplicateDefinition(name)
+    return name, value
 
 
 def parse_tree_file(text: str) -> TreeDocument:
@@ -211,10 +222,9 @@ def parse_tree_file(text: str) -> TreeDocument:
     consistent."""
     states: Optional[tuple[str, ...]] = None
     rewards: dict[str, Fraction] = {}
-    reward_order: list[str] = []
-    events: list[tuple[str, tuple[str, ...]]] = []
+    events: dict[str, tuple[str, ...]] = {}
     root_event_name: Optional[str] = None
-    tree_expr = None
+    nodes = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -230,22 +240,11 @@ def parse_tree_file(text: str) -> TreeDocument:
                 raise TreeSyntaxError("omega needs at least one state", line_no, 1)
             states = tuple(labels)
         elif keyword == "reward":
-            name, eq, value = rest.partition("=")
-            name = name.strip()
-            if not eq or not name or not value.strip():
-                raise TreeSyntaxError("expected `reward <name> = <value>`", line_no, 1)
-            if name in rewards:
-                raise DuplicateDefinition(name)
-            rewards[name] = _parse_rational(value.strip(), line_no, 1)
-            reward_order.append(name)
+            name, value = _definition(rest, line_no, rewards, "reward <name> = <value>")
+            rewards[name] = _parse_rational(value, line_no, 1)
         elif keyword == "event":
-            name, eq, labels = rest.partition("=")
-            name = name.strip()
-            if not eq or not name or not labels.split():
-                raise TreeSyntaxError("expected `event <name> = <label>+`", line_no, 1)
-            if any(name == existing for existing, _ in events):
-                raise DuplicateDefinition(name)
-            events.append((name, tuple(labels.split())))
+            name, value = _definition(rest, line_no, events, "event <name> = <label>+")
+            events[name] = tuple(value.split())
         elif keyword == "root_event":
             if root_event_name is not None:
                 raise DuplicateDefinition("root_event")
@@ -256,43 +255,31 @@ def parse_tree_file(text: str) -> TreeDocument:
             eq_pos = raw.find("=")
             if eq_pos < 0 or not rest.startswith("="):
                 raise TreeSyntaxError("expected `tree = <expr>`", line_no, 1)
-            if tree_expr is not None:
+            if nodes is not None:
                 raise DuplicateDefinition("tree")
-            body = raw[eq_pos + 1:]
-            expr_text = _strip_comment(body)
+            expr_text = _strip_comment(raw[eq_pos + 1:])
             if not expr_text.strip():
                 raise TreeSyntaxError("empty tree expression", line_no, eq_pos + 2)
-            tree_expr = _ExprParser(expr_text, line_no, eq_pos + 1).parse()
+            nodes = _scan_tree(expr_text, line_no, eq_pos + 1)
         else:
             raise TreeSyntaxError(f"unknown directive {keyword!r}", line_no, 1)
 
     if states is None:
         raise TreeSyntaxError("missing omega declaration", 1, 1)
-    if tree_expr is None:
+    if nodes is None:
         raise TreeSyntaxError("missing tree expression", 1, 1)
 
     space = PossibilitySpace(states)
     table = RewardTable(rewards)
-    named_events = tuple((name, space.event(labels)) for name, labels in events)
-
-    def build(expr) -> Node:
-        kind = expr[0]
-        if kind == "leaf":
-            if expr[1] not in table:
-                raise UnknownReference(expr[1])
-            return Leaf(expr[1])
-        if kind == "decision":
-            return Decision(tuple(build(e) for e in expr[1]))
-        return Chance(tuple((_event_named(named_events, n), build(e)) for n, e in expr[1]))
-
+    named_events = tuple((name, space.event(labels)) for name, labels in events.items())
     root_event = space.omega
     if root_event_name is not None:
         root_event = _event_named(named_events, root_event_name)
-    tree = DecisionTree(space, build(tree_expr), root_event)
+    tree = DecisionTree(space, _build_tree(nodes, table, named_events), root_event)
     return TreeDocument(
         space=space,
         rewards=table,
-        reward_order=tuple(reward_order),
+        reward_order=tuple(rewards),
         events=named_events,
         root_event_name=root_event_name,
         tree=tree,
@@ -348,39 +335,23 @@ class ContextDocument:
 def parse_context_file(text: str) -> ContextDocument:
     probability: dict[str, Fraction] = {}
     credal: list[dict[str, Fraction]] = []
-    current: Optional[dict[str, Fraction]] = None
-
-    def parse_prob(rest: str, line_no: int, into: dict[str, Fraction]) -> None:
-        name, eq, value = rest.partition("=")
-        name = name.strip()
-        if not eq or not name or not value.strip():
-            raise TreeSyntaxError("expected `prob <label> = p/q`", line_no, 1)
-        if name in into:
-            raise DuplicateDefinition(name)
-        into[name] = _parse_rational(value.strip(), line_no, 1)
+    current: Optional[dict[str, Fraction]] = None  # the open credal block's masses
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        if current is None:
-            if line == "credal {":
-                current = {}
-            elif line.startswith("prob "):
-                parse_prob(line[len("prob "):], line_no, probability)
-            else:
-                raise TreeSyntaxError(f"unexpected line {line!r}", line_no, 1)
+        if line.startswith("prob "):
+            into = probability if current is None else current
+            name, value = _definition(line[len("prob "):], line_no, into, "prob <label> = p/q")
+            into[name] = _parse_rational(value, line_no, 1)
+        elif current is None and line == "credal {":
+            current = {}
+        elif current is not None and line in ("} {", "}"):
+            credal.append(current)
+            current = {} if line == "} {" else None
         else:
-            if line == "} {":
-                credal.append(current)
-                current = {}
-            elif line == "}":
-                credal.append(current)
-                current = None
-            elif line.startswith("prob "):
-                parse_prob(line[len("prob "):], line_no, current)
-            else:
-                raise TreeSyntaxError(f"unexpected line {line!r}", line_no, 1)
+            raise TreeSyntaxError(f"unexpected line {line!r}", line_no, 1)
     if current is not None:
         raise TreeSyntaxError("unterminated credal block", line_no, 1)
     return ContextDocument(

@@ -516,11 +516,17 @@ def test_check_properties_stdout_is_pinned_and_repeats_in_one_process(capsys, ru
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == CHECK_PROPERTIES_STDOUT[rule]
 
 
-def cli_process(*argv):
+def cli_process(*argv, recursion_limit=None):
+    """The CLI in a child process; `recursion_limit` is set once the CLI is
+    imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    run = ["-m", "treechoice.cli"]
+    if recursion_limit is not None:
+        limit = f"sys.setrecursionlimit({recursion_limit})"
+        run = ["-c", f"import sys, treechoice.cli as cli; {limit}; cli.main()"]
     return subprocess.Popen(
-        [sys.executable, "-m", "treechoice.cli", *argv],
+        [sys.executable, *run, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -602,3 +608,194 @@ def test_the_depth_limit_is_the_deepest_nest_the_solvers_and_the_check_handle(tm
                 assert proc.returncode == 2, (argv, report)
                 assert report["type"] == "TreeSyntaxError", (argv, report)
                 assert "nested deeper than the limit of 493" in report["error"]
+
+
+@pytest.mark.parametrize("head", ["decision(", "chance(E: "])
+def test_no_command_recurses_once_a_level(tmp_path, head):
+    """Every command that reads a tree answers on the deepest nest allowed
+    with the recursion limit cut to 120, far below its depth."""
+    path = tmp_path / "limit.tree"
+    path.write_text(nest_document(head, MAX_TREE_DEPTH))
+    rule = ("--rule", "pointwise_dominance")
+    commands = [
+        ("solve", *rule),
+        ("solve", "--method", "backward", *rule),
+        ("check-perfect", *rule),
+        ("compare-backward", *rule),
+        ("export-dot", "--solution", *rule),
+        ("equiv", "--tree2", str(path)),
+    ]
+    procs = [cli_process(*argv, "--tree", str(path), recursion_limit=120) for argv in commands]
+    for argv, proc in zip(commands, procs):
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b""), (argv, out[-300:], err[-300:])
+
+
+HEAD = "omega a b\nreward z = 0\nevent E = a b\n"
+DEEPER = "decision(" * (MAX_TREE_DEPTH + 1) + "leaf(z)" + ")" * (MAX_TREE_DEPTH + 1)
+
+# One malformed document per reader message, each with the error text and
+# type that the recursive-descent reader reported for it.
+MALFORMED_TREES = {
+    "a name": (
+        HEAD + "tree = leaf()\n", "line 4, col 13: expected a name", "TreeSyntaxError"
+    ),
+    "an open paren": (
+        HEAD + "tree = leaf z\n", "line 4, col 13: expected '('", "TreeSyntaxError"
+    ),
+    "a colon": (
+        HEAD + "tree = chance(E leaf(z))\n", "line 4, col 17: expected ':'", "TreeSyntaxError"
+    ),
+    "a close paren": (
+        HEAD + "tree = decision(leaf(z) leaf(z))\n",
+        "line 4, col 25: expected ')'",
+        "TreeSyntaxError",
+    ),
+    "a known head": (
+        HEAD + "tree = node(leaf(z))\n",
+        "line 4, col 12: expected leaf/decision/chance, got 'node'",
+        "TreeSyntaxError",
+    ),
+    "no trailing input": (
+        HEAD + "tree = leaf(z))  \n",
+        "line 4, col 15: trailing input after tree expression",
+        "TreeSyntaxError",
+    ),
+    "the depth limit": (
+        HEAD + f"tree = {DEEPER}\n",
+        "line 4, col 4453: decision/chance nodes nested deeper than the limit of 493",
+        "TreeSyntaxError",
+    ),
+    "an expression": (
+        HEAD + "tree =   # nothing here\n",
+        "line 4, col 7: empty tree expression",
+        "TreeSyntaxError",
+    ),
+    "a tree line": (
+        HEAD + "tree leaf(z)\n", "line 4, col 1: expected `tree = <expr>`", "TreeSyntaxError"
+    ),
+    "a reward line": (
+        "omega a b\nreward z 0\ntree = leaf(z)\n",
+        "line 2, col 1: expected `reward <name> = <value>`",
+        "TreeSyntaxError",
+    ),
+    "an event line": (
+        HEAD + "event F =\ntree = leaf(z)\n",
+        "line 4, col 1: expected `event <name> = <label>+`",
+        "TreeSyntaxError",
+    ),
+    "a rational": (
+        "omega a b\nreward z = 1/0\ntree = leaf(z)\n",
+        "line 2, col 1: not a rational: '1/0'",
+        "TreeSyntaxError",
+    ),
+    "a root event": (
+        HEAD + "root_event\ntree = leaf(z)\n",
+        "line 4, col 1: expected `root_event <event-name>`",
+        "TreeSyntaxError",
+    ),
+    "a state": (
+        "omega\nreward z = 0\ntree = leaf(z)\n",
+        "line 1, col 1: omega needs at least one state",
+        "TreeSyntaxError",
+    ),
+    "a directive": (
+        HEAD + "blorp x\ntree = leaf(z)\n",
+        "line 4, col 1: unknown directive 'blorp'",
+        "TreeSyntaxError",
+    ),
+    "an omega line": (
+        "reward z = 0\ntree = leaf(z)\n",
+        "line 1, col 1: missing omega declaration",
+        "TreeSyntaxError",
+    ),
+    "a tree": (HEAD, "line 1, col 1: missing tree expression", "TreeSyntaxError"),
+    "one reward": (
+        HEAD + "reward z = 1\ntree = leaf(z)\n", "duplicate definition: 'z'", "DuplicateDefinition"
+    ),
+    "one event": (
+        HEAD + "event E = a\ntree = leaf(z)\n", "duplicate definition: 'E'", "DuplicateDefinition"
+    ),
+    "one omega": (
+        HEAD + "omega a\ntree = leaf(z)\n", "duplicate definition: 'omega'", "DuplicateDefinition"
+    ),
+    "one root event": (
+        HEAD + "root_event E\nroot_event E\ntree = leaf(z)\n",
+        "duplicate definition: 'root_event'",
+        "DuplicateDefinition",
+    ),
+    "one tree": (
+        HEAD + "tree = leaf(z)\ntree = leaf(z)\n",
+        "duplicate definition: 'tree'",
+        "DuplicateDefinition",
+    ),
+    # references resolve in preorder, the root event first and each
+    # branch's event before its subtree
+    "a known event": (
+        HEAD + "tree = chance(BAD: leaf(unknown))\n",
+        "unknown reference: 'BAD'",
+        "UnknownReference",
+    ),
+    "a known reward": (
+        HEAD + "tree = decision(leaf(unknown), chance(BAD: leaf(z)))\n",
+        "unknown reference: 'unknown'",
+        "UnknownReference",
+    ),
+    "a known root event": (
+        HEAD + "root_event F\ntree = chance(BAD: leaf(unknown))\n",
+        "unknown reference: 'F'",
+        "UnknownReference",
+    ),
+    # the tree line is checked where it stands, before the lines after it
+    "the tree line first": (
+        HEAD + "tree = leaf(\nblorp\n", "line 4, col 13: expected a name", "TreeSyntaxError"
+    ),
+}
+
+MALFORMED_CONTEXTS = {
+    "a prob line": (
+        "prob a1 =\n", "line 1, col 1: expected `prob <label> = p/q`", "TreeSyntaxError"
+    ),
+    "a rational prob": (
+        "prob a1 = one half\n", "line 1, col 1: not a rational: 'one half'", "TreeSyntaxError"
+    ),
+    "one prob": (
+        "prob a1 = 1/2\nprob a1 = 1/2\n", "duplicate definition: 'a1'", "DuplicateDefinition"
+    ),
+    "one prob in a block": (
+        "credal {\nprob a1 = 1/2\n} {\nprob a2 = 1\nprob a2 = 0\n}\n",
+        "duplicate definition: 'a2'",
+        "DuplicateDefinition",
+    ),
+    "a known line": (
+        "prob a1 = 1/2\nprobability a2 = 1/2\n",
+        "line 2, col 1: unexpected line 'probability a2 = 1/2'",
+        "TreeSyntaxError",
+    ),
+    "a closed block": (
+        "credal {\nprob a1 = 1\n", "line 2, col 1: unterminated credal block", "TreeSyntaxError"
+    ),
+}
+
+
+def error_report(error, kind):
+    return '{\n  "command": "solve",\n  "error": "' + error + '",\n  "type": "' + kind + '"\n}\n'
+
+
+@pytest.mark.parametrize("name", MALFORMED_TREES)
+def test_malformed_tree_reports_stay_byte_identical(capsys, tmp_path, name):
+    document, error, kind = MALFORMED_TREES[name]
+    path = tmp_path / "malformed.tree"
+    path.write_text(document)
+    assert run(capsys, "solve", "--tree", str(path), "--rule", "pointwise_dominance") == (
+        2, error_report(error, kind)
+    )
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONTEXTS)
+def test_malformed_context_reports_stay_byte_identical(capsys, tmp_path, name):
+    document, error, kind = MALFORMED_CONTEXTS[name]
+    path = tmp_path / "malformed.ctx"
+    path.write_text(document)
+    argv = ("solve", "--tree", INCOMP, "--rule", "maximality", "--context", str(path))
+    assert run(capsys, *argv) == (2, error_report(error, kind))

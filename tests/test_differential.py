@@ -55,6 +55,13 @@ stack, `DecisionTree.fold`. The nested-string fold writes a document's
 tree expression by copying each child's text into its parent's; the
 library writes the pieces into one list.
 
+The literal reader parses a tree expression by recursive descent into a
+tuple AST and builds the nodes from it by recursion, once a level each,
+and reads context lines in two branches, inside and outside a credal
+block. The library checks the expression's syntax in one loop over its
+tokens, with an explicit stack of what must follow, and builds the nodes
+from their preorder listing in a second loop.
+
 Consistency is checked by the `DecisionTree` constructor, so the literal
 consistency recursion reads a tree's parts, and the crafted and broken
 trees are (space, root, root_event) parts that construction must reject
@@ -67,6 +74,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -76,6 +84,7 @@ import pytest
 
 from treechoice import generate, laws, props, rules, solve
 from treechoice.errors import (
+    DuplicateDefinition,
     EmptyEvent,
     EmptySet,
     EmptySubtreeEvent,
@@ -86,6 +95,7 @@ from treechoice.errors import (
     NotAPartition,
     SpaceMismatch,
     TreechoiceError,
+    TreeSyntaxError,
     UnknownReference,
 )
 from treechoice.generate import (
@@ -154,6 +164,8 @@ from treechoice.trees import (
     validate,
 )
 from treechoice.textio import (
+    MAX_TREE_DEPTH,
+    ContextDocument,
     TreeDocument,
     document_for,
     event_json,
@@ -162,7 +174,9 @@ from treechoice.textio import (
     gamble_set_json,
     instance_json,
     jsonable,
+    parse_context_file,
     parse_tree_file,
+    serialize_context,
 )
 
 from conftest import FIXTURES, over_cap_tree, path_choices, replace_node
@@ -1725,3 +1739,336 @@ def test_the_enumerator_fails_as_the_literal_recursion_on_crafted_trees(label):
     rule = PointwiseDominance(ChoiceContext(RewardTable({"x": 0, "y": 1, "z": 2})))
     backward = back_opt(tree, rule)
     assert (backward.solution, backward.induced, backward.stats) == literal_back_opt(tree, rule)
+
+
+LITERAL_RESERVED = set("(),:=#")
+
+
+class LiteralExprParser:
+    """Recursive-descent parser for one tree expression, into a tuple AST."""
+
+    def __init__(self, text, line_no, col_offset):
+        self.text = text
+        self.pos = 0
+        self.line_no = line_no
+        self.col_offset = col_offset
+
+    def error(self, message):
+        return TreeSyntaxError(message, self.line_no, self.col_offset + self.pos + 1)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, char):
+        self.skip_ws()
+        if self.peek() != char:
+            raise self.error(f"expected {char!r}")
+        self.pos += 1
+
+    def atom(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c.isspace() or c in LITERAL_RESERVED:
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a name")
+        return self.text[start:self.pos]
+
+    def parse(self):
+        expr = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("trailing input after tree expression")
+        return expr
+
+    def expr(self, depth=0):
+        head = self.atom()
+        if head == "leaf":
+            self.expect("(")
+            reward = self.atom()
+            self.expect(")")
+            return ("leaf", reward)
+        if head in ("decision", "chance") and depth == MAX_TREE_DEPTH:
+            raise self.error(f"{NESTED_DEEPER} {MAX_TREE_DEPTH}")
+        if head == "decision":
+            self.expect("(")
+            children = [self.expr(depth + 1)]
+            self.skip_ws()
+            while self.peek() == ",":
+                self.pos += 1
+                children.append(self.expr(depth + 1))
+                self.skip_ws()
+            self.expect(")")
+            return ("decision", children)
+        if head == "chance":
+            self.expect("(")
+            branches = []
+            while True:
+                name = self.atom()
+                self.expect(":")
+                branches.append((name, self.expr(depth + 1)))
+                self.skip_ws()
+                if self.peek() != ",":
+                    break
+                self.pos += 1
+            self.expect(")")
+            return ("chance", branches)
+        raise self.error(f"expected leaf/decision/chance, got {head!r}")
+
+
+def literal_strip_comment(line):
+    cut = line.find("#")
+    return line if cut < 0 else line[:cut]
+
+
+def literal_rational(text, line_no):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise TreeSyntaxError(f"not a rational: {text!r}", line_no, 1) from None
+
+
+def literal_event_named(events, name):
+    for label, event in events:
+        if label == name:
+            return event
+    raise UnknownReference(name)
+
+
+def literal_parse_tree_file(text):
+    """A tree document read line by line, its tree expression parsed into a
+    tuple AST by recursive descent and built from it by recursion."""
+    states = None
+    rewards = {}
+    reward_order = []
+    events = []
+    root_event_name = None
+    tree_expr = None
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = literal_strip_comment(raw).strip()
+        if not line:
+            continue
+        keyword, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if keyword == "omega":
+            if states is not None:
+                raise DuplicateDefinition("omega")
+            labels = rest.split()
+            if not labels:
+                raise TreeSyntaxError("omega needs at least one state", line_no, 1)
+            states = tuple(labels)
+        elif keyword == "reward":
+            name, eq, value = rest.partition("=")
+            name = name.strip()
+            if not eq or not name or not value.strip():
+                raise TreeSyntaxError("expected `reward <name> = <value>`", line_no, 1)
+            if name in rewards:
+                raise DuplicateDefinition(name)
+            rewards[name] = literal_rational(value.strip(), line_no)
+            reward_order.append(name)
+        elif keyword == "event":
+            name, eq, labels = rest.partition("=")
+            name = name.strip()
+            if not eq or not name or not labels.split():
+                raise TreeSyntaxError("expected `event <name> = <label>+`", line_no, 1)
+            if any(name == existing for existing, _ in events):
+                raise DuplicateDefinition(name)
+            events.append((name, tuple(labels.split())))
+        elif keyword == "root_event":
+            if root_event_name is not None:
+                raise DuplicateDefinition("root_event")
+            if not rest:
+                raise TreeSyntaxError("expected `root_event <event-name>`", line_no, 1)
+            root_event_name = rest
+        elif keyword == "tree":
+            eq_pos = raw.find("=")
+            if eq_pos < 0 or not rest.startswith("="):
+                raise TreeSyntaxError("expected `tree = <expr>`", line_no, 1)
+            if tree_expr is not None:
+                raise DuplicateDefinition("tree")
+            expr_text = literal_strip_comment(raw[eq_pos + 1:])
+            if not expr_text.strip():
+                raise TreeSyntaxError("empty tree expression", line_no, eq_pos + 2)
+            tree_expr = LiteralExprParser(expr_text, line_no, eq_pos + 1).parse()
+        else:
+            raise TreeSyntaxError(f"unknown directive {keyword!r}", line_no, 1)
+
+    if states is None:
+        raise TreeSyntaxError("missing omega declaration", 1, 1)
+    if tree_expr is None:
+        raise TreeSyntaxError("missing tree expression", 1, 1)
+
+    space = PossibilitySpace(states)
+    table = RewardTable(rewards)
+    named_events = tuple((name, space.event(labels)) for name, labels in events)
+
+    def build(expr):
+        kind = expr[0]
+        if kind == "leaf":
+            if expr[1] not in table:
+                raise UnknownReference(expr[1])
+            return Leaf(expr[1])
+        if kind == "decision":
+            return Decision(tuple(build(e) for e in expr[1]))
+        return Chance(tuple((literal_event_named(named_events, n), build(e)) for n, e in expr[1]))
+
+    root_event = space.omega
+    if root_event_name is not None:
+        root_event = literal_event_named(named_events, root_event_name)
+    return TreeDocument(
+        space=space,
+        rewards=table,
+        reward_order=tuple(reward_order),
+        events=named_events,
+        root_event_name=root_event_name,
+        tree=DecisionTree(space, build(tree_expr), root_event),
+    )
+
+
+def literal_parse_context_file(text):
+    """A context document read line by line, one branch per block state."""
+    probability = {}
+    credal = []
+    current = None
+
+    def parse_prob(rest, line_no, into):
+        name, eq, value = rest.partition("=")
+        name = name.strip()
+        if not eq or not name or not value.strip():
+            raise TreeSyntaxError("expected `prob <label> = p/q`", line_no, 1)
+        if name in into:
+            raise DuplicateDefinition(name)
+        into[name] = literal_rational(value.strip(), line_no)
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = literal_strip_comment(raw).strip()
+        if not line:
+            continue
+        if current is None:
+            if line == "credal {":
+                current = {}
+            elif line.startswith("prob "):
+                parse_prob(line[len("prob "):], line_no, probability)
+            else:
+                raise TreeSyntaxError(f"unexpected line {line!r}", line_no, 1)
+        else:
+            if line == "} {":
+                credal.append(current)
+                current = {}
+            elif line == "}":
+                credal.append(current)
+                current = None
+            elif line.startswith("prob "):
+                parse_prob(line[len("prob "):], line_no, current)
+            else:
+                raise TreeSyntaxError(f"unexpected line {line!r}", line_no, 1)
+    if current is not None:
+        raise TreeSyntaxError("unterminated credal block", line_no, 1)
+    return ContextDocument(
+        probability=probability if probability else None,
+        credal=tuple(credal) if credal else None,
+    )
+
+
+def mutations(text, rng, count):
+    """`count` copies of `text`, each with one character deleted, one of
+    `(),:= #\\t` or a letter inserted, or a span cut out."""
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(text))
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(text[:i] + text[i + 1:])
+        elif kind == 1:
+            out.append(text[:i] + rng.choice("(),:= #\tx") + text[i:])
+        else:
+            out.append(text[:i] + text[rng.randrange(i, len(text) + 1):])
+    return out
+
+
+def read_outcome(read, serialize, text):
+    """The serialized document a reader gives, or the type and message of
+    its error."""
+    try:
+        return serialize(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def error_kind(outcome):
+    """An outcome's error message without its position or the name it quotes,
+    or "read"."""
+    if isinstance(outcome, str):
+        return "read"
+    kind, message = outcome
+    if kind is not TreeSyntaxError:
+        return kind.__name__
+    message = message.partition(": ")[2]
+    return message if re.fullmatch(r"expected '.'", message) else message.split(" '")[0]
+
+
+NESTED_DEEPER = "decision/chance nodes nested deeper than the limit of"
+
+
+def test_the_reader_matches_the_recursive_descent_parser(acceptance_corpus):
+    trees = [
+        document_for(tree, reward_table_for_tree(tree)).serialize() for tree in acceptance_corpus
+    ]
+    contexts = []
+    for tree in acceptance_corpus[:100]:
+        rng = rng_for("context", tree.space.states)
+        masses = [{s: Fraction(rng.randrange(1, 9)) for s in tree.space.states} for _ in range(3)]
+        masses = [{s: m / sum(block.values()) for s, m in block.items()} for block in masses]
+        contexts.append(serialize_context(ContextDocument(masses[0], tuple(masses[1:]))))
+    for path in sorted(FIXTURES.rglob("*")):
+        if path.is_file():
+            (trees if path.suffix == ".tree" else contexts).append(path.read_text())
+    kinds = Counter()
+
+    def compare(literal, reader, serialize, text):
+        expected = read_outcome(literal, serialize, text)
+        assert read_outcome(reader, serialize, text) == expected, text
+        kinds[reader.__name__, error_kind(expected)] += 1
+
+    for documents, literal, reader, serialize in [
+        (trees, literal_parse_tree_file, parse_tree_file, TreeDocument.serialize),
+        (contexts, literal_parse_context_file, parse_context_file, serialize_context),
+    ]:
+        for index, text in enumerate(documents):
+            for mutated in [text, *mutations(text, rng_for("mutate", reader.__name__, index), 60)]:
+                compare(literal, reader, serialize, mutated)
+    # one level past the depth limit, unmutated: a mutation could leave a
+    # nest within the limit, which the literal build, two frames a level,
+    # cannot read under the default recursion limit
+    depth = MAX_TREE_DEPTH + 1
+    for head in ("decision(", "chance(E: "):
+        nest = head * depth + "leaf(z)" + ")" * depth
+        text = f"omega a b\nreward z = 0\nevent E = a b\ntree = {nest}\n"
+        compare(literal_parse_tree_file, parse_tree_file, TreeDocument.serialize, text)
+    assert kinds["parse_tree_file", f"{NESTED_DEEPER} {MAX_TREE_DEPTH}"] == 2
+    tree_kinds = [
+        "read", "UnknownReference", "DuplicateDefinition", "NotAPartition",
+        "expected a name", "expected '('", "expected ')'", "expected ':'",
+        "expected leaf/decision/chance, got", "trailing input after tree expression",
+        "empty tree expression", "expected `tree = <expr>`", "missing tree expression",
+        "expected `reward <name> = <value>`", "expected `event <name> = <label>+`",
+        "not a rational:", "unknown directive",
+    ]
+    context_kinds = [
+        "read", "DuplicateDefinition", "expected `prob <label> = p/q`", "not a rational:",
+        "unexpected line", "unterminated credal block",
+    ]
+    for reader, expected in [
+        ("parse_tree_file", tree_kinds),
+        ("parse_context_file", context_kinds),
+    ]:
+        assert min(kinds[reader, kind] for kind in expected) >= 4, kinds
+    assert sum(kinds.values()) == 61 * (len(trees) + len(contexts)) + 2

@@ -1,3 +1,5 @@
+import gc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,20 @@ FIXTURE_NAMES = ["incomparable.tree", "lake.tree", "cross.tree", "leaf.tree"]
 def test_fixture_round_trip_bit_exact(name):
     text = (FIXTURES / name).read_text()
     assert parse_tree_file(text).serialize() == text
+
+
+def test_parsing_leaves_no_closure_for_the_cyclic_collector():
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name in FIXTURE_NAMES:
+            parse_tree_file((FIXTURES / name).read_text())
+        gc.collect()
+        kinds = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kinds["function"] == kinds["cell"] == 0, kinds
 
 
 def test_parse_incomparable_semantics(incomparable_doc):
