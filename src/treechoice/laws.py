@@ -26,15 +26,18 @@ from .props import (
     SubsetInstance,
 )
 from .rules import ChoiceRule
-from .solve import SolveReport, norm_opt
+from .solve import SolveReport, agreeing, norm_opt, optimal
 from .trees import (
     Chance,
     Decision,
     DecisionTree,
+    Leaf,
     NormalFormDecision,
     Path,
     chance_expansion,
+    distinct_values,
     restrict_solution,
+    strategies,
 )
 
 CORROBORATED = "corroborated"
@@ -475,12 +478,12 @@ def divergence_tree_for_mixture_witness(instance: MixtureInstance) -> DecisionTr
 @dataclass(frozen=True)
 class NodeComparison:
     """One node's verdict: the subtree's own solution vs the restriction of
-    the root solution to that node."""
+    the root solution to that node, both listed only where the node fails."""
 
     node: Path
     ok: bool
-    subtree_solution: frozenset[NormalFormDecision]
-    restricted: frozenset[NormalFormDecision]
+    subtree_solution: Optional[frozenset[NormalFormDecision]] = None
+    restricted: Optional[frozenset[NormalFormDecision]] = None
 
 
 @dataclass(frozen=True)
@@ -501,23 +504,43 @@ def check_subtree_perfectness(
     tree: DecisionTree, rule: ChoiceRule, weak: bool = False
 ) -> PerfectionReport:
     """Compare optimize-then-restrict against restrict-then-optimize at every
-    node reached by the root solution. Strong perfectness demands equality,
-    the weak variant only inclusion of the restriction."""
+    node reached by the root solution, in preorder. Strong perfectness
+    demands equality, the weak variant only inclusion of the restriction.
+
+    Both sides are unions of gamble classes of the node's pool, by a swap.
+    Let the root member m reach node v, and the strategy s of T_v induce a
+    gamble agreeing with m's on the states routed to v. Put s into m in
+    place of m's choices in T_v: no other state enters T_v, so the result
+    induces m's gamble, is a root member, reaches v and restricts to s. So
+    the restriction holds the strategies of T_v whose gamble agrees there
+    with a reaching member's, the node's solution those whose gamble the
+    rule chooses from the pool. By the same swap at a decision node u, its
+    child c is reached by the gambles reaching u that agree, on the states
+    routed to u, with a gamble of c's pool; a chance child by its parent's.
+    Member sets are listed only where a node fails."""
     root_report = norm_opt(tree, rule)
+    # each node's distinct gambles, one choice-free pair apiece
+    size, nodes, parent = tree.space.size, tree.index.nodes, tree.index.parent
+    pools = {v: [((), (n.reward,) * size)] for v, n in tree.nodes() if isinstance(n, Leaf)}
+    strategies(tree, select=lambda v, pairs: pools.setdefault(v, distinct_values(v, pairs)))
+    reaching = [[((), g.values) for g in root_report.induced]]  # root gambles, per node
     comparisons = []
-    for v, _ in tree.nodes():
-        path = tree.path_of(v)
-        restricted = restrict_solution(root_report.solution, path)
-        if not restricted:  # no member reaches the node
+    for v, node in tree.nodes():
+        if v:
+            u = parent[v]
+            decides = reaching[u] and isinstance(nodes[u], Decision)
+            reaching.append(agreeing(tree, pools[v], u, reaching[u]) if decides else reaching[u])
+        if not reaching[v]:
             continue
-        if v:  # solved on the restricted members' own copy of the subtree
-            subtree_solution = norm_opt(next(iter(restricted)).tree, rule).solution
-        else:
-            subtree_solution = root_report.solution
-        ok = (
-            restricted <= subtree_solution
-            if weak
-            else restricted == subtree_solution
+        ok = isinstance(node, Leaf)  # its one strategy on both sides
+        if not ok:  # both filter the pool, in its order
+            restricted = agreeing(tree, reaching[v], v, pools[v])
+            _, _, chosen = optimal(tree, rule, pools[v], v)
+            ok = restricted == chosen or weak and set(restricted) <= set(chosen)
+        path = tree.path_of(v)
+        members = () if ok else (
+            norm_opt(tree.subtree_of(v), rule).solution,
+            restrict_solution(root_report.solution, path),
         )
-        comparisons.append(NodeComparison(path, ok, subtree_solution, restricted))
+        comparisons.append(NodeComparison(path, ok, *members))
     return PerfectionReport(weak=weak, root=root_report, comparisons=tuple(comparisons))

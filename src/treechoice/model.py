@@ -6,6 +6,7 @@ finite possibility space, and utilities are exact `fractions.Fraction`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -305,18 +306,9 @@ def gamble_set_sum(
         raise ValueError("one gamble set per partition block required")
     if any(len(s) == 0 for s in sets):
         raise EmptyInputSet("every block needs a non-empty gamble set")
-    space = partition[0].space
-    combined: list[list[Optional[str]]] = [[None] * space.size]
-    for event, gset in zip(partition, sets):
-        nxt = []
-        for values in combined:
-            for g in gset:
-                merged = list(values)
-                for i in event.indices():
-                    merged[i] = g.values[i]
-                nxt.append(merged)
-        combined = nxt
-    return GambleSet(Gamble(space, tuple(v)) for v in combined)
+    return GambleSet(
+        combine_on_partition(list(zip(partition, combo))) for combo in itertools.product(*sets)
+    )
 
 
 @dataclass(frozen=True)

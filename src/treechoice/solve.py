@@ -4,6 +4,7 @@ and the normal/extensive equivalence check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -32,7 +33,7 @@ def _gamble_set(space: PossibilitySpace, pairs: Iterable[Strategy]) -> GambleSet
     return GambleSet(Gamble(space, values) for values in {v for _, v in pairs})
 
 
-def _optimal(
+def optimal(
     tree: DecisionTree, rule: ChoiceRule, pairs: list[Strategy], v: int
 ) -> tuple[GambleSet, GambleSet, list[Strategy]]:
     """The candidate pool at node `v`, the rule's choice from it given the
@@ -54,20 +55,16 @@ class SolveReport:
     stats: dict
 
 
-def _agreeing(tree: DecisionTree, chosen: set[tuple[str, ...]]):
-    """A `select` hook keeping the pairs that agree with some chosen gamble
-    on the states routed to their node (`NodeIndex.routed`): elsewhere a
-    node's values never reach the root. At the root every state counts, and
-    the test is exact membership."""
-    routed = tree.index.routed
-
-    def keep(v: int, candidates: list[Strategy]) -> list[Strategy]:
-        states = Event(tree.space, routed[v]) if v else tree.space.omega
-        on_routed = itemgetter(*states.indices())
-        wanted = {on_routed(values) for values in chosen}
-        return [pair for pair in candidates if on_routed(pair[1]) in wanted]
-
-    return keep
+def agreeing(
+    tree: DecisionTree, chosen: list[Strategy], v: int, candidates: list[Strategy]
+) -> list[Strategy]:
+    """The candidates that agree with some chosen pair's gamble on the states
+    routed to node `v` (`NodeIndex.routed`): elsewhere the node's values
+    never reach the root. Every state is routed to the root. Bound to its
+    first two arguments, a `select` hook."""
+    on_routed = itemgetter(*Event(tree.space, tree.index.routed[v]).indices())
+    wanted = {on_routed(values) for _, values in chosen}
+    return [pair for pair in candidates if on_routed(pair[1]) in wanted]
 
 
 def norm_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
@@ -81,9 +78,9 @@ def norm_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
     strategy count is a fold; no walk lists every strategy."""
     total = nfd_count(tree)
     pool_pairs = strategies(tree, select=distinct)
-    pool, chosen, kept = _optimal(tree, rule, pool_pairs, 0)
+    pool, chosen, kept = optimal(tree, rule, pool_pairs, 0)
     if len(pool_pairs) < total:
-        kept = strategies(tree, select=_agreeing(tree, {g.values for g in chosen}))
+        kept = strategies(tree, select=partial(agreeing, tree, kept))
     solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
     assert _gamble_set(tree.space, kept) == chosen
     return SolveReport(
@@ -105,7 +102,7 @@ def back_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
     stages: list[dict] = []
 
     def keep_optimal(v: int, candidates: list[Strategy]) -> list[Strategy]:
-        _, _, kept = _optimal(tree, rule, candidates, v)
+        _, _, kept = optimal(tree, rule, candidates, v)
         stages.append(
             {"node": list(tree.path_of(v)), "candidates": len(candidates), "kept": len(kept)}
         )

@@ -46,9 +46,9 @@ from .trees import (
 RESERVED = set("(),:=#")
 
 # The deepest decision/chance nest a tree document may hold. No reader
-# recurses once per level, so this is an input bound, not a stack limit: the
-# deepest nest on which `check-perfect`, quadratic in the depth, still answers
-# in seconds.
+# recurses once per level, so this is an input bound, not a stack limit: a
+# solution's arc-path listing, the DOT node names and the enumerator's choice
+# tuples still grow faster than the depth.
 MAX_TREE_DEPTH = 493
 
 

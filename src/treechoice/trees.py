@@ -118,18 +118,6 @@ class NodeIndex(NamedTuple):
             end[parent[v]] = max(end[parent[v]], end[v])
         return cls(nodes, parent, position, tuple(end), routed)
 
-    def below(self, v: int) -> NodeIndex:
-        """The index of the subtree at `v`: the slice [v, end(v)) renumbered
-        from 0. Its `routed` bits still count the chance arcs above `v`."""
-        stop = self.end[v]
-        return NodeIndex(
-            self.nodes[v:stop],
-            (-1,) + tuple(u - v for u in self.parent[v + 1 : stop]),
-            (0,) + self.position[v + 1 : stop],
-            tuple(e - v for e in self.end[v:stop]),
-            self.routed[v:stop],
-        )
-
 
 @dataclass(frozen=True)
 class DecisionTree:
@@ -150,12 +138,11 @@ class DecisionTree:
         validate(self)
 
     @classmethod
-    def _unchecked(
-        cls, space: PossibilitySpace, root: Node, root_event: Event, index: NodeIndex
-    ) -> DecisionTree:
-        """A tree built without the consistency check: for a part of a
+    def _unchecked(cls, space: PossibilitySpace, root: Node, root_event: Event) -> DecisionTree:
+        """A tree indexed without the consistency check: for a part of a
         consistent tree, whose nodes keep the events they had there."""
         tree = object.__new__(cls)
+        index = NodeIndex.of(space, root)
         tree.__dict__.update(space=space, root=root, root_event=root_event, index=index)
         return tree
 
@@ -199,9 +186,9 @@ class DecisionTree:
         return Event(self.space, self.root_event.bits & self.index.routed[v])
 
     def subtree_of(self, v: int) -> DecisionTree:
-        """The subtree rooted at node `v`, carrying its accumulated event."""
-        root, index = self.index.nodes[v], self.index.below(v)
-        return DecisionTree._unchecked(self.space, root, self.event_of(v), index)
+        """The subtree rooted at node `v`, carrying its accumulated event.
+        Its node `u` is this tree's node `v + u`, under the same event."""
+        return DecisionTree._unchecked(self.space, self.index.nodes[v], self.event_of(v))
 
     def subtree_at(self, path: Path) -> DecisionTree:
         return self.subtree_of(self.id_of(path))
@@ -418,7 +405,7 @@ def distinct(v: int, candidates: list[Strategy]) -> list[Strategy]:
     return list({values: (choices, values) for choices, values in candidates}.values())
 
 
-def _values(v: int, candidates: list[Strategy]) -> list[Strategy]:
+def distinct_values(v: int, candidates: list[Strategy]) -> list[Strategy]:
     """A `select` hook keeping one choice-free pair per distinct gamble."""
     return [((), values) for values in dict.fromkeys(values for _, values in candidates)]
 
@@ -426,7 +413,7 @@ def _values(v: int, candidates: list[Strategy]) -> list[Strategy]:
 def gamb(tree: DecisionTree) -> GambleSet:
     """The set of normal form gambles: the root pool of the enumeration
     that keeps one choice-free pair per distinct gamble at every node."""
-    pairs = strategies(tree, select=_values)
+    pairs = strategies(tree, select=distinct_values)
     return GambleSet(Gamble(tree.space, values) for _, values in pairs)
 
 

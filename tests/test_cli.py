@@ -591,8 +591,8 @@ def test_the_depth_limit_is_the_deepest_nest_the_solvers_and_the_check_handle(tm
         ("export-dot", "--solution", *rule),
         ("equiv", "--tree2", None),
     ]
-    # at the limit: both solvers and the perfectness check, which solves
-    # every node's subtree (seconds on this nest); one deeper: every command
+    # at the limit: both solvers and the perfectness check; one deeper:
+    # every command
     for path, count in ((at_limit, 3), (deeper, len(commands))):
         procs = [
             cli_process(*(str(path) if a is None else a for a in argv), "--tree", str(path))

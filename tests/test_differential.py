@@ -68,6 +68,11 @@ trees are (space, root, root_event) parts that construction must reject
 exactly as it does. The member-by-member restriction restricts each member
 of a solution on its own, with its own copy of the subtree; the library
 cuts the subtree once per call.
+
+The literal perfectness check solves the subtree copy of every node the
+root solution reaches and restricts the root solution to it. The library
+decides each node from the gamble pools of one walk and lists member sets
+only at a failing node.
 """
 
 import functools
@@ -144,6 +149,7 @@ from treechoice.solve import (
     ExtensiveSolution,
     back_opt,
     extract_extensive,
+    induced_gambles,
     nfd_of_extensive,
     norm_opt,
 )
@@ -177,9 +183,10 @@ from treechoice.textio import (
     parse_context_file,
     parse_tree_file,
     serialize_context,
+    solution_json,
 )
 
-from conftest import FIXTURES, over_cap_tree, path_choices, replace_node
+from conftest import FIXTURES, FussyPairsRule, over_cap_tree, path_choices, replace_node
 from test_acceptance import rule_for
 
 CONFIG = GenConfig(max_depth=4, omega_range=(2, 6), nfd_ceiling=250)
@@ -452,7 +459,7 @@ def test_solvers_match_literal_oracle(acceptance_corpus, name, monkeypatch):
     for index, tree in enumerate(acceptance_corpus):
         rule = rule_for(tree, name, index)
         normal = check_normal_form(tree, rule, index)
-        # the subtrees the perfectness check re-solves, under their own events
+        # the reached subtrees, each solved under its own event
         for v, _ in tree.nodes():
             if v and any(m.contains_node(v) for m in normal.solution):
                 check_normal_form(tree.subtree_of(v), rule, (index, v))
@@ -1402,16 +1409,20 @@ def test_node_ids_number_the_nodes_in_path_order(acceptance_corpus):
             sub = tree.subtree_at(path)
             stop = tree.index.end[v]
             assert stop - v == len(list(literal_nodes(sub))), (index, path)
-            # the subtree's index is the tree's slice [v, end), shifted by v
+            # the subtree numbers its nodes as the tree's slice [v, end),
+            # shifted by v
             shifted = [
-                (node, up - v, i, end - v, routed)
-                for node, up, i, end, routed in zip(*(column[v:stop] for column in tree.index))
+                (node, up - v, i, end - v)
+                for node, up, i, end in zip(*(column[v:stop] for column in tree.index[:4]))
             ]
             shifted[0] = (shifted[0][0], -1, 0) + shifted[0][3:]
-            assert list(zip(*sub.index)) == shifted, (index, path)
-            # and the numbering of a tree grown from the subtree's root
-            fresh = NodeIndex.of(tree.space, sub.root)
-            assert fresh[:4] == sub.index[:4], (index, path)
+            assert list(zip(*sub.index[:4])) == shifted, (index, path)
+            # its index is that of a tree grown from its root, whose routed
+            # bits start from the whole space
+            assert sub.index == NodeIndex.of(tree.space, sub.root), (index, path)
+            # and its root event carries the chance arcs above `v`
+            for u in range(stop - v):
+                assert sub.event_of(u) == tree.event_of(v + u), (index, path, u)
             subtrees += 1
     assert subtrees > 2000, subtrees
 
@@ -1547,6 +1558,142 @@ def test_restrict_solution_matches_the_member_by_member_restriction(acceptance_c
                 assert restricted == literal_restrict_solution(solution, path), (index, path)
                 sizes[min(len(restricted), 2)] += 1
     assert min(sizes.values()) > 1000, sizes
+
+
+def literal_check_subtree_perfectness(tree, rule, weak=False):
+    """Optimize-then-restrict against restrict-then-optimize at every node
+    reached by the root solution, as the definition reads: each reached
+    node's subtree copy solved on its own, the root solution restricted to
+    the node member by member."""
+    root = norm_opt(tree, rule)
+    comparisons = []
+    for v, _ in tree.nodes():
+        path = tree.path_of(v)
+        restricted = restrict_solution(root.solution, path)
+        if not restricted:
+            continue
+        subtree_solution = norm_opt(tree.subtree_of(v), rule).solution
+        ok = restricted <= subtree_solution if weak else restricted == subtree_solution
+        comparisons.append(laws.NodeComparison(path, ok, subtree_solution, restricted))
+    return laws.PerfectionReport(weak, root, tuple(comparisons))
+
+
+def members_json(members):
+    return solution_json(members), gamble_set_json(induced_gambles(members))
+
+
+@pytest.fixture
+def perfectness_differences(monkeypatch):
+    """Compare both checks, strong and weak, on each (tree, rule) given, and
+    count the root and per-node solves the gamble-pool check makes: one,
+    plus one per violating node. Returns the compare function and a counter
+    of checks, violations and subtrees with a root event not the whole
+    space."""
+    solves = []
+
+    def counted_norm_opt(tree, rule):
+        solves.append(tree)
+        return norm_opt(tree, rule)
+
+    monkeypatch.setattr(laws, "norm_opt", counted_norm_opt)
+    tally = Counter()
+
+    def compare(tree, rule, where):
+        for weak in (False, True):
+            solves.clear()
+            report = outcome(check_subtree_perfectness, tree, rule, weak)
+            literal = outcome(literal_check_subtree_perfectness, tree, rule, weak)
+            if isinstance(literal, tuple):  # the same error from both
+                assert report == literal, where
+                tally["errors"] += 1
+                continue
+            assert [(c.node, c.ok) for c in report.comparisons] == [
+                (c.node, c.ok) for c in literal.comparisons
+            ], (where, weak)
+            assert (report.perfect, len(report.comparisons)) == (
+                literal.perfect,
+                len(literal.comparisons),
+            ), (where, weak)
+            for mine, theirs in zip(report.violations(), literal.violations()):
+                assert members_json(mine.subtree_solution) == members_json(
+                    theirs.subtree_solution
+                ), (where, weak, mine.node)
+                assert members_json(mine.restricted) == members_json(theirs.restricted), (
+                    where,
+                    weak,
+                    mine.node,
+                )
+            assert len(solves) == 1 + len(report.violations()), (where, weak)
+            assert all(
+                c.subtree_solution is None and c.restricted is None
+                for c in report.comparisons
+                if c.ok
+            ), (where, weak)
+            tally["checks"] += 1
+            tally["violations"] += len(report.violations())
+            tally["narrowed"] += tree.root_event != tree.space.omega
+
+    return compare, tally
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_perfectness_from_pools_matches_the_literal_check_on_corpus(
+    acceptance_corpus, perfectness_differences, name
+):
+    compare, tally = perfectness_differences
+    for index, tree in enumerate(acceptance_corpus):
+        compare(tree, rule_for(tree, name, index), index)
+    assert tally["checks"] == 400 and tally["errors"] == 0, tally
+
+
+def test_perfectness_from_pools_matches_the_literal_check_under_fussy_pairs(
+    acceptance_corpus, perfectness_differences
+):
+    compare, tally = perfectness_differences
+    for index, tree in enumerate(acceptance_corpus):
+        compare(tree, FussyPairsRule(ChoiceContext(reward_table_for_tree(tree))), index)
+    assert tally["checks"] == 400 and tally["violations"] > 0, tally
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_perfectness_from_pools_matches_the_literal_check_on_subtrees(
+    acceptance_corpus, perfectness_differences, name
+):
+    compare, tally = perfectness_differences
+    for index, tree in enumerate(acceptance_corpus[:60]):
+        rule = rule_for(tree, name, index)
+        for v, node in tree.nodes():
+            if v and not isinstance(node, Leaf):
+                compare(tree.subtree_of(v), rule, (index, v))
+    assert tally["narrowed"] > 0 and tally["errors"] == 0, tally
+
+
+def test_perfectness_from_pools_matches_the_literal_check_on_fixtures(
+    perfectness_differences,
+):
+    compare, tally = perfectness_differences
+    contexts = [None] + sorted(FIXTURES.glob("*.ctx")) + sorted(FIXTURES.glob("*.prob"))
+    trees = sorted(FIXTURES.glob("*.tree")) + [FIXTURES / "over_cap" / "wide_chance.tree"]
+    for path in trees:
+        doc = parse_tree_file(path.read_text())
+        for context_path in contexts:
+            if context_path is None:
+                context = ChoiceContext(doc.rewards)
+            else:
+                document = parse_context_file(context_path.read_text())
+                context = outcome(document.bind, doc.space, doc.rewards)
+                if isinstance(context, tuple):  # states of another fixture
+                    continue
+            for name in sorted(RULES):
+                rule = outcome(RULES[name], context)
+                if not isinstance(rule, tuple):  # else it needs a mass function
+                    compare(doc.tree, rule, (path.name, context_path, name))
+    head = "omega a b\nreward z = 0\nevent E = a b\ntree = "
+    for nest in ("decision(", "chance(E: "):
+        text = head + nest * MAX_TREE_DEPTH + "leaf(z)" + ")" * MAX_TREE_DEPTH + "\n"
+        doc = parse_tree_file(text)
+        compare(doc.tree, RULES["pointwise_dominance"](ChoiceContext(doc.rewards)), nest)
+    assert tally["checks"] == 32 and tally["violations"] > 0, tally
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from treechoice.props import (
     SubsetInstance,
 )
 from treechoice.rules import RULES, ChoiceContext, MassFunction, make_rule
-from treechoice.solve import induced_gambles
+from treechoice.solve import induced_gambles, norm_opt
 from treechoice.trees import Decision, DecisionTree, Leaf, gamb
 
 from conftest import FIXTURES, FussyPairsRule
@@ -331,6 +331,24 @@ def test_subtree_perfectness_incomparable(incomparable_doc, incomparable_dominan
     }
     assert {g.values for g in induced_gambles(v.restricted)} == {("m2", "p2")}
     assert check_subtree_perfectness(incomparable_doc.tree, incomparable_eu).perfect
+
+
+def test_perfectness_solves_the_root_and_each_violating_node_only(
+    incomparable_doc, incomparable_dominance, monkeypatch
+):
+    solved = []
+
+    def counted_norm_opt(tree, rule):
+        solved.append(tree)
+        return norm_opt(tree, rule)
+
+    monkeypatch.setattr(laws, "norm_opt", counted_norm_opt)
+    for weak, solves in ((False, 2), (True, 1)):
+        solved.clear()
+        report = check_subtree_perfectness(incomparable_doc.tree, incomparable_dominance, weak)
+        assert len(solved) == solves == 1 + len(report.violations())
+        passing = [c for c in report.comparisons if c.ok]
+        assert passing and all(c.subtree_solution is c.restricted is None for c in passing)
 
 
 def test_subtree_perfectness_single_leaf(leaf_doc):

@@ -154,6 +154,14 @@ def test_gamble_set_sum_counts_all_pairs():
     assert len(out) == 4
 
 
+def test_gamble_set_sum_rejects_a_gamble_over_another_space():
+    a = PossibilitySpace(("a1", "a2"))
+    b = PossibilitySpace(("b1", "b2"))
+    block = GambleSet([Gamble(b, ("1", "2"))])
+    with pytest.raises(SpaceMismatch):
+        gamble_set_sum([a.event(["a1"]), a.event(["a2"])], [block, block])
+
+
 def test_gamble_set_sum_rejects_empty_block():
     xs = GambleSet([Gamble(W4, ("1",) * 4)])
     with pytest.raises(EmptyInputSet):
