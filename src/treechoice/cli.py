@@ -10,6 +10,7 @@ Reports are JSON with stable key order, printed to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -201,6 +202,7 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treechoice",
@@ -219,16 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_tree_rule(p)
     p.add_argument("--method", choices=["normal", "backward"], default="normal")
     p.add_argument("--full", action="store_true", help="embed the full strategy enumeration")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check-perfect", help="check subtree perfectness")
     add_tree_rule(p)
     p.add_argument("--weak", action="store_true", help="inclusion instead of equality")
-    p.set_defaults(func=_cmd_check_perfect)
 
     p = sub.add_parser("compare-backward", help="backward induction vs normal form")
     add_tree_rule(p)
-    p.set_defaults(func=_cmd_compare_backward)
 
     p = sub.add_parser("check-properties", help="falsify choice-function properties")
     p.add_argument("--rule", required=True, choices=sorted(RULES))
@@ -236,31 +235,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000, help="instances per property, >= 1")
     p.add_argument("--seed", type=int, default=0, help="draws the instances and rule contexts")
     p.add_argument("--credal-size", type=int, default=2, help="size of each credal list, >= 1")
-    p.set_defaults(func=_cmd_check_properties)
 
     p = sub.add_parser("equiv", help="strategic equivalence of two trees")
     p.add_argument("--tree", required=True)
     p.add_argument("--tree2", required=True)
-    p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("export-dot", help="Graphviz export")
     p.add_argument("--tree", required=True)
     p.add_argument("--solution", action="store_true", help="mark pruned arcs")
     p.add_argument("--rule", choices=sorted(RULES))
     p.add_argument("--context")
-    p.set_defaults(func=_cmd_export_dot)
 
     return parser
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        # by name per call: the parser outlives any later patch of a handler
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except BrokenPipeError:
         raise  # stdout is gone: no error report can reach it
     except Exception as exc:  # input errors, and any defect: never a traceback

@@ -261,7 +261,7 @@ def random_gamble_instance(
         try:
             return _build_instance(prop, config, rng)
         except GenerationRetryExhausted as exc:
-            last_error = exc
+            last_error = str(exc)  # a kept exception would hold this frame: a cycle
     raise GenerationRetryExhausted(
         f"could not build a valid {prop.value} instance: {last_error}"
     )

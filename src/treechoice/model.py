@@ -58,8 +58,12 @@ class PossibilitySpace:
         return Event(self, bits)
 
     @cached_property
+    def full_bits(self) -> int:
+        return (1 << self.size) - 1
+
+    @property
     def omega(self) -> Event:
-        return Event(self, (1 << self.size) - 1)
+        return Event(self, self.full_bits)  # uncached: kept on its space, a cycle
 
     @property
     def empty_event(self) -> Event:
@@ -91,7 +95,7 @@ class Event:
         return Event(self.space, self.bits & other.bits)
 
     def complement(self) -> Event:
-        return Event(self.space, self.space.omega.bits & ~self.bits)
+        return Event(self.space, self.space.full_bits & ~self.bits)
 
     @property
     def is_empty(self) -> bool:
@@ -99,7 +103,7 @@ class Event:
 
     @property
     def is_omega(self) -> bool:
-        return self.bits == self.space.omega.bits
+        return self.bits == self.space.full_bits
 
     def contains_index(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
@@ -131,7 +135,7 @@ def is_partition(events: Sequence[Event]) -> bool:
         if e.bits == 0 or seen & e.bits:
             return False
         seen |= e.bits
-    return seen == space.omega.bits
+    return seen == space.full_bits
 
 
 def require_partition(events: Sequence[Event]) -> None:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from treechoice.cli import run_command
+from treechoice.cli import build_parser, run_command
 from treechoice.textio import MAX_TREE_DEPTH
 
 from conftest import FIXTURES
@@ -531,6 +532,66 @@ def cli_process(*argv, recursion_limit=None):
         stderr=subprocess.PIPE,
         env=env,
     )
+
+
+# pairs whose first job sets what the second must not inherit from the
+# parser they share: a flag, a context, a usage error, a help request
+INTERLEAVED_JOBS = [
+    ("solve", "--full", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("solve", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("check-perfect", "--weak", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("check-perfect", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("solve", "--tree", LAKE, "--rule", "eu_max", "--context", LAKE_PROB),
+    ("solve", "--tree", LAKE, "--rule", "eu_max"),
+    ("solve", "--rule", "eu_max"),
+    ("compare-backward", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("check-perfect", "--help"),
+    ("equiv", "--tree", LAKE, "--tree2", LAKE),
+]
+
+
+def test_jobs_in_one_process_answer_as_each_in_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    fresh = []
+    for argv in INTERLEAVED_JOBS:
+        proc = cli_process(*argv)
+        out, _ = proc.communicate(timeout=60)
+        fresh.append((proc.returncode, out.decode()))
+    assert [code for code, _ in fresh] == [0, 0, 0, 1, 0, 2, 2, 0, 0, 0]
+    assert [run(capsys, *argv) for argv in INTERLEAVED_JOBS] == fresh
+    assert build_parser.cache_info().misses <= 1
+
+
+EVERY_COMMAND = [
+    ("solve", "--full", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("solve", "--method", "backward", "--tree", LAKE, "--rule", "eu_max",
+     "--context", LAKE_PROB),
+    ("check-perfect", "--tree", INCOMP, "--rule", "maximality", "--context", INCOMP_CREDAL),
+    ("compare-backward", "--tree", INCOMP, "--rule", "pointwise_dominance"),
+    ("check-properties", "--rule", "maximality", "--props", ALL_PROPS, "--budget", "20"),
+    ("equiv", "--tree", INCOMP, "--tree2", INCOMP),
+    ("export-dot", "--tree", LAKE, "--solution", "--rule", "pointwise_dominance"),
+]
+
+
+def test_jobs_leave_no_reference_cycles_of_their_own(capsys):
+    """What a job leaves for the cyclic collector outlives it until a
+    collection; none of it may be the package's or argparse's (the json
+    encoder's indent-mode closures are the standard library's own)."""
+    build_parser()  # built once per process, not per job
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        codes = [run(capsys, *argv)[0] for argv in EVERY_COMMAND]
+        gc.collect()
+        kinds = {type(o) for o in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert codes == [0, 0, 1, 0, 1, 0, 0]
+    ours = {f"{k.__module__}.{k.__qualname__}" for k in kinds}
+    assert not {k for k in ours if k.split(".")[0] in ("treechoice", "argparse")}
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
