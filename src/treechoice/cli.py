@@ -83,7 +83,7 @@ def _cmd_check_perfect(args) -> int:
     report = check_subtree_perfectness(doc.tree, rule, weak=args.weak)
     violations = [
         {
-            "node": list(c.node),
+            "node": list(doc.tree.path_of(c.node)),
             "expected": solution_json(c.subtree_solution),
             "actual": solution_json(c.restricted),
             "expected_gambles": gamble_set_json(induced_gambles(c.subtree_solution)),

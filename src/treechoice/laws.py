@@ -26,14 +26,13 @@ from .props import (
     SubsetInstance,
 )
 from .rules import ChoiceRule
-from .solve import SolveReport, agreeing, norm_opt, optimal
+from .solve import agreeing, norm_opt, optimal
 from .trees import (
     Chance,
     Decision,
     DecisionTree,
     Leaf,
     NormalFormDecision,
-    Path,
     chance_expansion,
     distinct_values,
     restrict_solution,
@@ -478,9 +477,10 @@ def divergence_tree_for_mixture_witness(instance: MixtureInstance) -> DecisionTr
 @dataclass(frozen=True)
 class NodeComparison:
     """One node's verdict: the subtree's own solution vs the restriction of
-    the root solution to that node, both listed only where the node fails."""
+    the root solution to that node, both listed only where the node fails.
+    `node` is the node's id; `tree.path_of` spells it as a path."""
 
-    node: Path
+    node: int
     ok: bool
     subtree_solution: Optional[frozenset[NormalFormDecision]] = None
     restricted: Optional[frozenset[NormalFormDecision]] = None
@@ -489,7 +489,6 @@ class NodeComparison:
 @dataclass(frozen=True)
 class PerfectionReport:
     weak: bool
-    root: SolveReport
     comparisons: tuple[NodeComparison, ...]
 
     @property
@@ -517,13 +516,14 @@ def check_subtree_perfectness(
     rule chooses from the pool. By the same swap at a decision node u, its
     child c is reached by the gambles reaching u that agree, on the states
     routed to u, with a gamble of c's pool; a chance child by its parent's.
-    Member sets are listed only where a node fails."""
-    root_report = norm_opt(tree, rule)
+    Member sets are listed only where a node fails: the root is solved at
+    the first failing node, and each failing node's subtree after it."""
     # each node's distinct gambles, one choice-free pair apiece
     size, nodes, parent = tree.space.size, tree.index.nodes, tree.index.parent
     pools = {v: [((), (n.reward,) * size)] for v, n in tree.nodes() if isinstance(n, Leaf)}
     strategies(tree, select=lambda v, pairs: pools.setdefault(v, distinct_values(v, pairs)))
-    reaching = [[((), g.values) for g in root_report.induced]]  # root gambles, per node
+    reaching = [optimal(tree, rule, pools[0], 0)[2]]  # root gambles, per node
+    root = None  # the root solution, once a node fails
     comparisons = []
     for v, node in tree.nodes():
         if v:
@@ -532,15 +532,17 @@ def check_subtree_perfectness(
             reaching.append(agreeing(tree, pools[v], u, reaching[u]) if decides else reaching[u])
         if not reaching[v]:
             continue
-        ok = isinstance(node, Leaf)  # its one strategy on both sides
+        # the root has its chosen gambles on both sides, a leaf its one strategy
+        ok = not v or isinstance(node, Leaf)
         if not ok:  # both filter the pool, in its order
             restricted = agreeing(tree, reaching[v], v, pools[v])
             _, _, chosen = optimal(tree, rule, pools[v], v)
             ok = restricted == chosen or weak and set(restricted) <= set(chosen)
-        path = tree.path_of(v)
+        if not ok and root is None:
+            root = norm_opt(tree, rule).solution
         members = () if ok else (
             norm_opt(tree.subtree_of(v), rule).solution,
-            restrict_solution(root_report.solution, path),
+            restrict_solution(root, tree.path_of(v)),
         )
-        comparisons.append(NodeComparison(path, ok, *members))
-    return PerfectionReport(weak=weak, root=root_report, comparisons=tuple(comparisons))
+        comparisons.append(NodeComparison(v, ok, *members))
+    return PerfectionReport(weak=weak, comparisons=tuple(comparisons))

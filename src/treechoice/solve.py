@@ -183,16 +183,17 @@ class ExtensiveEquivalence:
 def equivalence_for_solution(
     tree: DecisionTree, solution: Iterable[NormalFormDecision]
 ) -> ExtensiveEquivalence:
+    """Every member uses only kept arcs, so the solution lies inside the
+    extensive form's expansion: they are equal iff their counts are. The
+    expansion is listed only when they differ, to name its first strategy
+    in choice order that is not a member."""
     members = frozenset(solution)
     extensive = extract_extensive(tree, members)
-    expanded = nfd_of_extensive(extensive)
-    extra = sorted(expanded - members, key=lambda m: m.choices)
-    return ExtensiveEquivalence(
-        equal=not extra,
-        solution=members,
-        extensive=extensive,
-        witness=extra[0] if extra else None,
-    )
+    extra = ()
+    if nfd_count(tree, extensive.kept_arcs.__contains__) != len(members):
+        extra = nfd_of_extensive(extensive) - members
+    witness = min(extra, key=lambda m: m.choices, default=None)
+    return ExtensiveEquivalence(witness is None, members, extensive, witness)
 
 
 def check_normal_extensive_equivalence(

@@ -201,13 +201,13 @@ class DecisionTree:
         self,
         leaf: Callable[[Leaf], T],
         inner: Callable[[Node, int, list], T],
-        walk: Optional[Callable[[int], bool]] = None,
+        keep_arc: Optional[Callable[[int], bool]] = None,
     ) -> T:
         """Fold bottom-up along the preorder index: `leaf(node)` at each
         leaf, `inner(node, id, below)` at each other node once its subtree
         is done, `below` holding its children's results in child order.
-        Nodes are reached in preorder; `walk(id)`, asked of each one but the
-        root, may skip its subtree, whose result is then None."""
+        Nodes are reached in preorder; `keep_arc(id)`, asked of each child
+        of a decision node, may skip its subtree, whose result is then None."""
         nodes, end = self.index.nodes, self.index.end
         if isinstance(nodes[0], Leaf):
             return leaf(nodes[0])
@@ -221,7 +221,7 @@ class DecisionTree:
                 if not stack:
                     return result
                 stack[-1][1].append(result)
-            if walk is not None and not walk(v):
+            if keep_arc and isinstance(nodes[stack[-1][0]], Decision) and not keep_arc(v):
                 stack[-1][1].append(None)
                 v = end[v]
                 continue
@@ -264,12 +264,16 @@ def validate(tree: DecisionTree) -> DecisionTree:
     return tree
 
 
-def nfd_count(tree: DecisionTree) -> int:
-    """Number of normal form decisions: products at chance nodes, sums at
-    decision nodes."""
+def nfd_count(tree: DecisionTree, keep_arc: Optional[Callable[[int], bool]] = None) -> int:
+    """Number of normal form decisions that use only the decision arcs
+    (named by the child's id) `keep_arc` keeps, all by default: products at
+    chance nodes, sums at decision nodes, where a skipped arc counts 0."""
     return tree.fold(
         lambda _: 1,
-        lambda node, v, below: sum(below) if isinstance(node, Decision) else math.prod(below),
+        lambda node, v, below: (
+            sum(filter(None, below)) if isinstance(node, Decision) else math.prod(below)
+        ),
+        keep_arc,
     )
 
 
@@ -349,10 +353,6 @@ def strategies(
     """
     size = tree.space.size
     noun = "strategies" if select is None else "glued candidates"
-    nodes, parent = tree.index.nodes, tree.index.parent
-
-    def kept(v: int) -> bool:
-        return not isinstance(nodes[parent[v]], Decision) or keep_arc(v)
 
     def combine(node: Node, v: int, below: list) -> list[Strategy]:
         if isinstance(node, Decision):
@@ -381,11 +381,7 @@ def strategies(
             ]
         return candidates if select is None else select(v, candidates)
 
-    return tree.fold(
-        lambda node: [((), (node.reward,) * size)],
-        combine,
-        None if keep_arc is None else kept,
-    )
+    return tree.fold(lambda node: [((), (node.reward,) * size)], combine, keep_arc)
 
 
 def nfd(tree: DecisionTree) -> tuple[NormalFormDecision, ...]:

@@ -69,7 +69,7 @@ def test_counterexample_reproduction(incomparable_doc, incomparable_dominance):
     assert {g.values for g in induced_gambles(restricted)} == {y}
 
     perfection = check_subtree_perfectness(tree, incomparable_dominance)
-    assert [v.node for v in perfection.violations()] == [node_n]
+    assert [tree.path_of(v.node) for v in perfection.violations()] == [node_n]
 
 
 @criterion("strategy-gamble-vectors")

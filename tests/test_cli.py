@@ -24,6 +24,8 @@ INCOMP_PROB = str(FIXTURES / "incomparable_uniform.prob")
 INCOMP_CREDAL = str(FIXTURES / "incomparable_credal.ctx")
 OVERLAPPING = str(FIXTURES / "rejected" / "overlapping_events.tree")
 WIDE = str(FIXTURES / "over_cap" / "wide_chance.tree")
+ONE_GAMBLE = str(FIXTURES / "over_cap" / "one_gamble.tree")
+PD = str(FIXTURES / "laws" / "pd.tree")
 
 
 def run(capsys, *argv):
@@ -377,6 +379,29 @@ def test_commands_answer_on_a_tree_past_the_strategy_cap(capsys):
     assert code == 0
     code, payload = run_json(capsys, "equiv", "--tree", WIDE, "--tree2", WIDE)
     assert code == 0 and payload["equivalent"]
+
+
+def test_check_perfect_answers_past_the_cap_when_the_pools_are_small(capsys):
+    # 100,489 strategies, all with one gamble: the root solution cannot be
+    # listed, but a perfect tree needs no member sets
+    argv = ("--tree", ONE_GAMBLE, "--rule", "pointwise_dominance")
+    code, payload = run_json(capsys, "check-perfect", *argv)
+    assert code == 0
+    assert (payload["perfect"], payload["nodes_checked"]) == (True, 637)
+    code, payload = run_json(capsys, "solve", *argv)
+    assert code == 2 and payload["type"] == "EnumerationLimitExceeded"
+
+
+def test_check_perfect_and_compare_backward_on_the_law_fixtures(capsys):
+    # pd.tree fails strong perfectness and passes the weak check, with
+    # backward induction equal to the normal form solution
+    argv = ("--tree", PD, "--rule", "pointwise_dominance")
+    code, payload = run_json(capsys, "check-perfect", *argv)
+    assert code == 1 and [v["node"] for v in payload["violations"]] == [[0]]
+    code, payload = run_json(capsys, "check-perfect", *argv, "--weak")
+    assert code == 0 and payload["perfect"]
+    code, payload = run_json(capsys, "compare-backward", *argv)
+    assert code == 0 and payload["equal"]
 
 
 def test_solve_full_refuses_before_the_solver_runs(capsys, monkeypatch):

@@ -148,6 +148,7 @@ from treechoice.rules import (
 from treechoice.solve import (
     ExtensiveSolution,
     back_opt,
+    equivalence_for_solution,
     extract_extensive,
     induced_gambles,
     nfd_of_extensive,
@@ -243,8 +244,10 @@ def oracle_eu_solution(tree, members, probability, utilities):
     return {m for m, s in scores.items() if s == best}
 
 
-def literal_nfd(tree):
-    """All strategies, enumerated as merged choice dicts and sorted."""
+def literal_nfd(tree, kept=None):
+    """All strategies, enumerated as merged choice dicts and sorted; given
+    `kept`, a set of arc paths, only those whose every decision arc is in
+    it."""
 
     def enumerate_node(node, path):
         if isinstance(node, Leaf):
@@ -253,6 +256,7 @@ def literal_nfd(tree):
             return [
                 {path: i, **sub}
                 for i, child in enumerate(node.children)
+                if kept is None or path + (i,) in kept
                 for sub in enumerate_node(child, path + (i,))
             ]
         per_branch = [
@@ -334,7 +338,7 @@ def literal_back_opt(tree, rule):
 def literal_nfd_of_extensive(extensive):
     """The strategies of the source tree whose every arc is kept."""
     kept = {extensive.tree.path_of(arc) for arc in extensive.kept_arcs}
-    return frozenset(m for m in literal_nfd(extensive.tree) if kept.issuperset(arc_paths(m)))
+    return frozenset(literal_nfd(extensive.tree, kept))
 
 
 class LiteralPointwiseDominance(PointwiseDominance):
@@ -1574,8 +1578,8 @@ def literal_check_subtree_perfectness(tree, rule, weak=False):
             continue
         subtree_solution = norm_opt(tree.subtree_of(v), rule).solution
         ok = restricted <= subtree_solution if weak else restricted == subtree_solution
-        comparisons.append(laws.NodeComparison(path, ok, subtree_solution, restricted))
-    return laws.PerfectionReport(weak, root, tuple(comparisons))
+        comparisons.append(laws.NodeComparison(v, ok, subtree_solution, restricted))
+    return laws.PerfectionReport(weak, tuple(comparisons))
 
 
 def members_json(members):
@@ -1585,10 +1589,12 @@ def members_json(members):
 @pytest.fixture
 def perfectness_differences(monkeypatch):
     """Compare both checks, strong and weak, on each (tree, rule) given, and
-    count the root and per-node solves the gamble-pool check makes: one,
-    plus one per violating node. Returns the compare function and a counter
-    of checks, violations and subtrees with a root event not the whole
-    space."""
+    count the root and per-node solves the gamble-pool check makes: none on
+    a perfect tree, else the root's and one per violating node. Where the
+    literal check cannot list the root solution, the gamble-pool check
+    raises the same error or finds the tree perfect. Returns the compare
+    function and a counter of checks, violations, errors, perfect answers
+    past the cap and subtrees with a root event not the whole space."""
     solves = []
 
     def counted_norm_opt(tree, rule):
@@ -1603,8 +1609,12 @@ def perfectness_differences(monkeypatch):
             solves.clear()
             report = outcome(check_subtree_perfectness, tree, rule, weak)
             literal = outcome(literal_check_subtree_perfectness, tree, rule, weak)
-            if isinstance(literal, tuple):  # the same error from both
-                assert report == literal, where
+            if isinstance(literal, tuple):  # the same error, or perfect past the cap
+                if report != literal:
+                    assert literal[0] is EnumerationLimitExceeded, where
+                    assert report.perfect and not solves, (where, weak)
+                    tally["past_cap"] += 1
+                    continue
                 tally["errors"] += 1
                 continue
             assert [(c.node, c.ok) for c in report.comparisons] == [
@@ -1623,7 +1633,9 @@ def perfectness_differences(monkeypatch):
                     weak,
                     mine.node,
                 )
-            assert len(solves) == 1 + len(report.violations()), (where, weak)
+            violations = len(report.violations())
+            assert len(solves) == (violations and 1 + violations), (where, weak)
+            assert not violations or solves[0] is tree, (where, weak)
             assert all(
                 c.subtree_solution is None and c.restricted is None
                 for c in report.comparisons
@@ -1668,13 +1680,11 @@ def test_perfectness_from_pools_matches_the_literal_check_on_subtrees(
     assert tally["narrowed"] > 0 and tally["errors"] == 0, tally
 
 
-def test_perfectness_from_pools_matches_the_literal_check_on_fixtures(
-    perfectness_differences,
-):
-    compare, tally = perfectness_differences
+def fixture_cases(paths):
+    """(document, rule, label) for each fixture tree at `paths`, under each
+    rule that its own rewards or a fixture context over its states allow."""
     contexts = [None] + sorted(FIXTURES.glob("*.ctx")) + sorted(FIXTURES.glob("*.prob"))
-    trees = sorted(FIXTURES.glob("*.tree")) + [FIXTURES / "over_cap" / "wide_chance.tree"]
-    for path in trees:
+    for path in paths:
         doc = parse_tree_file(path.read_text())
         for context_path in contexts:
             if context_path is None:
@@ -1687,13 +1697,101 @@ def test_perfectness_from_pools_matches_the_literal_check_on_fixtures(
             for name in sorted(RULES):
                 rule = outcome(RULES[name], context)
                 if not isinstance(rule, tuple):  # else it needs a mass function
-                    compare(doc.tree, rule, (path.name, context_path, name))
+                    yield doc, rule, (path.name, context_path, name)
+
+
+def test_perfectness_from_pools_matches_the_literal_check_on_fixtures(
+    perfectness_differences,
+):
+    compare, tally = perfectness_differences
+    over_cap = [FIXTURES / "over_cap" / name for name in ("wide_chance.tree", "one_gamble.tree")]
+    for doc, rule, label in fixture_cases(sorted(FIXTURES.glob("*.tree")) + over_cap):
+        compare(doc.tree, rule, label)
     head = "omega a b\nreward z = 0\nevent E = a b\ntree = "
     for nest in ("decision(", "chance(E: "):
         text = head + nest * MAX_TREE_DEPTH + "leaf(z)" + ")" * MAX_TREE_DEPTH + "\n"
         doc = parse_tree_file(text)
         compare(doc.tree, RULES["pointwise_dominance"](ChoiceContext(doc.rewards)), nest)
     assert tally["checks"] == 32 and tally["violations"] > 0, tally
+    # one_gamble.tree's 100,489 strategies: the literal check cannot list
+    # the root solution, the gamble-pool check answers
+    assert tally["past_cap"] > 0, tally
+
+
+# ---------------------------------------------------------------------------
+# Normal-extensive equivalence by a kept-arc count, against the listing
+
+
+@pytest.fixture
+def equivalence_differences(monkeypatch):
+    """Decide equivalence for each (tree, solution) given both ways: by the
+    kept-arc count, and as it reads, by listing the extensive form's
+    strategies and naming the first, in choice order, outside the solution.
+    The count must equal the listing's length, and the production check
+    must list only where equivalence fails. Returns the compare function
+    and a counter of verdicts."""
+    listings = []
+
+    def counted_nfd_of_extensive(extensive):
+        listings.append(extensive)
+        return nfd_of_extensive(extensive)
+
+    monkeypatch.setattr(solve, "nfd_of_extensive", counted_nfd_of_extensive)
+    tally = Counter()
+
+    def compare(tree, solution, where):
+        listings.clear()
+        verdict = equivalence_for_solution(tree, solution)
+        expanded = literal_nfd_of_extensive(verdict.extensive)
+        extra = expanded - frozenset(solution)
+        witness = min(extra, key=path_choices, default=None)
+        assert (verdict.equal, verdict.witness) == (not extra, witness), where
+        assert nfd_count(tree, verdict.extensive.kept_arcs.__contains__) == len(expanded), where
+        assert len(listings) == (not verdict.equal), where
+        tally[verdict.equal] += 1
+
+    return compare, tally
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_equivalence_by_count_matches_the_listing_on_corpus(
+    acceptance_corpus, equivalence_differences, name
+):
+    compare, tally = equivalence_differences
+    for index, tree in enumerate(acceptance_corpus):
+        rule = rule_for(tree, name, index)
+        for solver in (norm_opt, back_opt):
+            compare(tree, solver(tree, rule).solution, (index, solver.__name__))
+    assert sum(tally.values()) == 400, tally
+
+
+def test_equivalence_by_count_matches_the_listing_on_other_solutions(
+    acceptance_corpus, cross_doc, equivalence_differences
+):
+    compare, tally = equivalence_differences
+    for index, tree in enumerate(acceptance_corpus):
+        rule = FussyPairsRule(ChoiceContext(reward_table_for_tree(tree)))
+        for solver in (norm_opt, back_opt):
+            compare(tree, solver(tree, rule).solution, (index, solver.__name__))
+        compare(tree, nfd(tree)[::2], (index, "every other strategy"))
+    # every member set of the cross fixture, the diagonal pairs among them
+    members = nfd(cross_doc.tree)
+    for size in range(1, len(members) + 1):
+        for solution in itertools.combinations(members, size):
+            compare(cross_doc.tree, solution, solution)
+    assert tally[True] > 0 and tally[False] > 0, tally
+
+
+def test_equivalence_by_count_matches_the_listing_on_fixtures(equivalence_differences):
+    compare, tally = equivalence_differences
+    paths = sorted(FIXTURES.glob("*.tree")) + [
+        FIXTURES / "over_cap" / "wide_chance.tree",
+        FIXTURES / "laws" / "pd.tree",
+    ]
+    for doc, rule, label in fixture_cases(paths):
+        for solver in (norm_opt, back_opt):
+            compare(doc.tree, solver(doc.tree, rule).solution, (label, solver.__name__))
+    assert tally[True] > 0 and tally[False] > 0, tally
 
 
 # ---------------------------------------------------------------------------
@@ -1725,12 +1823,11 @@ def nested_fold_serialize(document):
 
     nodes = document.tree.index.nodes
 
-    def named(v):
-        if isinstance(nodes[v], Chance):
-            for event, _ in nodes[v].branches:
+    for node in nodes:  # the first unnamed event in preorder
+        if isinstance(node, Chance):
+            for event, _ in node.branches:
                 if event.bits not in names:
                     raise UnknownReference(f"unnamed event {event!r}")
-        return True
 
     def expr(node, path, below):
         if isinstance(node, Decision):
@@ -1738,13 +1835,12 @@ def nested_fold_serialize(document):
         parts = (f"{names[e.bits]}: {b}" for (e, _), b in zip(node.branches, below))
         return f"chance({', '.join(parts)})"
 
-    named(0)  # the fold asks its hook of every node but the root
     lines = [f"omega {' '.join(document.space.states)}"]
     lines += [f"reward {n} = {document.rewards.utility(n)}" for n in document.reward_order]
     lines += [f"event {n} = {' '.join(e.labels())}" for n, e in document.events]
     if document.root_event_name is not None:
         lines.append(f"root_event {document.root_event_name}")
-    tree_expression = document.tree.fold(lambda node: f"leaf({node.reward})", expr, named)
+    tree_expression = document.tree.fold(lambda node: f"leaf({node.reward})", expr)
     lines.append(f"tree = {tree_expression}")
     return "\n".join(lines) + "\n"
 

@@ -14,11 +14,16 @@ from treechoice.generate import (
 from treechoice.laws import check_subtree_perfectness, falsify_property
 from treechoice.model import GambleSet
 from treechoice.props import PropertyId
-from treechoice.rules import ChoiceContext
-from treechoice.solve import back_opt, induced_gambles, norm_opt
+from treechoice.rules import ChoiceContext, make_rule
+from treechoice.solve import (
+    back_opt,
+    check_normal_extensive_equivalence,
+    induced_gambles,
+    norm_opt,
+)
 from treechoice.trees import gamb, nfd, restrict_solution
 
-from conftest import FussyPairsRule, equivalent_rewrite
+from conftest import FussyPairsRule, equivalent_rewrite, load_context, load_doc
 
 P = PropertyId
 CORPUS_CONFIG = GenConfig(max_depth=3, omega_range=(2, 5), nfd_ceiling=120)
@@ -73,6 +78,40 @@ def test_backward_properties_imply_backward_induction(name, corpus):
         assert back_opt(tree, rule).solution == norm_opt(tree, rule).solution
 
 
+PRODUCT = ("laws/product.tree", "laws/product_credal.ctx")
+
+
+@pytest.mark.parametrize(
+    "fixture, context, rule_name, verdicts, witness",
+    [
+        # the witness swaps two root members' choices
+        ("laws/pd.tree", None, "pointwise_dominance", "sWeB", ((0, 0), (2, 0), (9, 1))),
+        (*PRODUCT, "maximality", "SWeB", ((1, 0), (8, 0))),
+        (*PRODUCT, "e_admissibility", "SWeB", ((1, 0), (8, 0))),
+        ("incomparable.tree", None, "pointwise_dominance", "sWEB", None),
+    ],
+)
+def test_perfectness_and_equivalence_differ_on_one_tree(
+    fixture, context, rule_name, verdicts, witness
+):
+    # S strong and W weak perfectness, E normal-extensive equivalence, B
+    # backward induction equal to the normal form; upper case where it holds
+    doc = load_doc(fixture)
+    bound = ChoiceContext(doc.rewards) if context is None else load_context(context).bind(
+        doc.space, doc.rewards
+    )
+    rule = make_rule(rule_name, bound)
+    equivalence = check_normal_extensive_equivalence(doc.tree, rule)
+    holds = (
+        check_subtree_perfectness(doc.tree, rule).perfect,
+        check_subtree_perfectness(doc.tree, rule, weak=True).perfect,
+        equivalence.equal,
+        back_opt(doc.tree, rule).solution == norm_opt(doc.tree, rule).solution,
+    )
+    assert "".join(c if h else c.lower() for c, h in zip("SWEB", holds)) == verdicts
+    assert (equivalence.witness and equivalence.witness.choices) == witness
+
+
 def test_backward_properties_imply_weak_perfectness(corpus):
     for prop in (P.P7_backward_conditioning, P.P9_preservation, P.P10_backward_mixture):
         assert corroborates("pointwise_dominance", prop)
@@ -102,7 +141,7 @@ def test_backward_mixture_witness_converts_to_divergence(name):
     # the same tree witnesses the loss of weak subtree perfectness: the
     # overall-optimal strategy restricts to a non-optimal one at the fan
     weak = check_subtree_perfectness(tree, rule, weak=True)
-    assert any(v.node == (0,) for v in weak.violations())
+    assert any(tree.path_of(v.node) == (0,) for v in weak.violations())
 
 
 def test_divergent_rule_also_violates_a_backward_property():

@@ -323,7 +323,7 @@ def test_subtree_perfectness_incomparable(incomparable_doc, incomparable_dominan
     report = check_subtree_perfectness(incomparable_doc.tree, incomparable_dominance)
     assert not report.perfect
     violations = report.violations()
-    assert [v.node for v in violations] == [(0,)]
+    assert [incomparable_doc.tree.path_of(v.node) for v in violations] == [(0,)]
     v = violations[0]
     assert {g.values for g in induced_gambles(v.subtree_solution)} == {
         ("m1", "m1"),
@@ -334,7 +334,7 @@ def test_subtree_perfectness_incomparable(incomparable_doc, incomparable_dominan
 
 
 def test_perfectness_solves_the_root_and_each_violating_node_only(
-    incomparable_doc, incomparable_dominance, monkeypatch
+    incomparable_doc, incomparable_dominance, lake_doc, lake_eu, monkeypatch
 ):
     solved = []
 
@@ -343,10 +343,19 @@ def test_perfectness_solves_the_root_and_each_violating_node_only(
         return norm_opt(tree, rule)
 
     monkeypatch.setattr(laws, "norm_opt", counted_norm_opt)
-    for weak, solves in ((False, 2), (True, 1)):
+    # a perfect tree needs no solve; a failing one the root's at its first
+    # failing node, then each failing node's subtree
+    cases = [
+        (incomparable_doc.tree, incomparable_dominance, False, 2),
+        (incomparable_doc.tree, incomparable_dominance, True, 0),
+        (lake_doc.tree, lake_eu, False, 0),
+    ]
+    for tree, rule, weak, solves in cases:
         solved.clear()
-        report = check_subtree_perfectness(incomparable_doc.tree, incomparable_dominance, weak)
-        assert len(solved) == solves == 1 + len(report.violations())
+        report = check_subtree_perfectness(tree, rule, weak)
+        violations = len(report.violations())
+        assert len(solved) == solves == (violations and 1 + violations)
+        assert not violations or solved[0] is tree
         passing = [c for c in report.comparisons if c.ok]
         assert passing and all(c.subtree_solution is c.restricted is None for c in passing)
 
@@ -382,7 +391,7 @@ def test_weak_violation_for_p9_violator():
     )
     report = check_subtree_perfectness(tree, rule, weak=True)
     assert not report.perfect
-    assert any(v.node == (0,) for v in report.violations())
+    assert any(tree.path_of(v.node) == (0,) for v in report.violations())
 
 
 def test_mixture_instance_full_part_rejected(incomparable_doc, incomparable_dominance):

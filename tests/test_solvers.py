@@ -1,5 +1,6 @@
 import pytest
 
+from treechoice import solve
 from treechoice.errors import EmptySolution
 from treechoice.generate import (
     GenConfig,
@@ -191,6 +192,25 @@ def test_cross_example_injected_solution_fails(cross_doc):
     # all four arcs were kept, so the expansion contains the two diagonals
     assert len(verdict.extensive.pruned_arcs) == 0
     assert path_choices(verdict.witness) == (((0,), 0), ((1,), 0))  # d(1)[1] d(2)[1]
+
+
+def test_an_equivalence_that_holds_lists_nothing(
+    incomparable_doc, lake_doc, cross_doc, incomparable_eu, lake_eu, monkeypatch
+):
+    listed = []
+
+    def counted_nfd_of_extensive(extensive):
+        listed.append(extensive)
+        return nfd_of_extensive(extensive)
+
+    monkeypatch.setattr(solve, "nfd_of_extensive", counted_nfd_of_extensive)
+    assert check_normal_extensive_equivalence(incomparable_doc.tree, incomparable_eu)
+    assert check_normal_extensive_equivalence(lake_doc.tree, lake_eu)
+    assert listed == []
+    # a failing one lists the expansion once, to name its witness
+    members = nfd(cross_doc.tree)
+    verdict = equivalence_for_solution(cross_doc.tree, members[1:3])
+    assert not verdict and listed == [verdict.extensive]
 
 
 def test_normal_extensive_equivalence_for_eu(incomparable_doc, lake_doc, incomparable_eu, lake_eu):

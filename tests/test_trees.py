@@ -10,13 +10,16 @@ from treechoice.errors import (
     NotAPartition,
     UnknownNode,
 )
+from treechoice.laws import check_subtree_perfectness
 from treechoice.model import (
     Gamble,
     GambleSet,
     PossibilitySpace,
+    RewardTable,
     check_a_consistency,
     require_partition,
 )
+from treechoice.rules import ChoiceContext, make_rule
 from treechoice.solve import extract_extensive
 from treechoice.textio import document_for, export_dot
 from treechoice.trees import (
@@ -343,6 +346,19 @@ def test_node_ids_keep_memory_linear_on_a_deep_first_chain():
     # 96 and 385 MB at depth 5,000
     for small, large in zip(peaks[2500], peaks[5000]):
         assert large <= 2.5 * small and large < 10, peaks
+
+
+def test_a_perfectness_report_keeps_memory_linear_on_a_deep_chance_chain():
+    # each level: a chance node with one branch over the whole space, so
+    # every node is reached and compared
+    rule = make_rule("pointwise_dominance", ChoiceContext(RewardTable({"0": 0})))
+    peaks = {}
+    for depth in (2500, 5000):
+        tree = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), Leaf("0"))
+        peaks[depth] = traced_peak_mb(lambda: check_subtree_perfectness(tree, rule))
+    # a path tuple per reached node made it grow 4x when the depth doubled,
+    # to about 100 MB at depth 5,000
+    assert peaks[5000] <= 2.5 * peaks[2500] and peaks[5000] < 10, peaks
 
 
 def test_the_strategy_readers_walk_a_5000_deep_chance_chain():
