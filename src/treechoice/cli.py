@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from .textio import (
     export_dot,
     gamble_set_json,
     instance_json,
+    json_text,
     jsonable,
     member_json,
     parse_context_file,
@@ -52,7 +52,7 @@ def _build_rule(name: str, doc: TreeDocument, context_path: Optional[str]) -> Ch
 
 
 def _print(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    print(json_text(report))
 
 
 def _cmd_solve(args) -> int:

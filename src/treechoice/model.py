@@ -144,7 +144,8 @@ def require_partition(events: Sequence[Event]) -> None:
 
 
 # Parses each literal once per process: a falsifier's instances draw their
-# rewards from a few dozen literals. Bounded, and a bad literal raises anew.
+# rewards from a few dozen literals, and tree and context files repeat theirs.
+# Bounded, and a bad literal raises anew.
 _rational_literal = lru_cache(maxsize=1024)(Fraction)
 
 

@@ -1,9 +1,12 @@
 """Conditional set-valued choice rules over exact rational contexts.
 
 Every rule maps a non-empty, event-consistent gamble set to a non-empty
-subset of it, conditional on a non-empty event. All arithmetic is exact:
-`fractions.Fraction` in the context, whole numbers in the rules'
-comparisons. Ties are never broken; the full optimal set is returned.
+subset of it, conditional on a non-empty event. All arithmetic is exact
+and in whole numbers: a mass function is held as integer weights in lowest
+terms, conditioning works on those weights, and the rules compare integer
+row entries. `Fraction`s appear only at the edges, in `MassFunction.masses`
+and `conditional_expectation`. Ties are never broken; the full optimal set
+is returned.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import eq, ge, gt, itemgetter, mul
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -33,26 +36,38 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MassFunction:
-    """A strictly positive probability mass function on a possibility space."""
+    """A strictly positive probability mass function on a possibility space,
+    held as whole-number weights in lowest terms: p(ω) = w_ω / Σw. Equality
+    and hash are on the space and the weights."""
 
     space: PossibilitySpace
-    masses: tuple[Fraction, ...]
+    weights: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.masses) != self.space.size:
+    def __init__(self, space: PossibilitySpace, masses: Sequence[Fraction]):
+        if len(masses) != space.size:
             raise InvalidMassFunction("one mass per state required")
-        if any(m.numerator <= 0 for m in self.masses):
+        if any(m.numerator <= 0 for m in masses):
             raise InvalidMassFunction("all state masses must be strictly positive")
-        common = lcm(*(m.denominator for m in self.masses))
-        if sum(m.numerator * (common // m.denominator) for m in self.masses) != common:
+        common = lcm(*(m.denominator for m in masses))
+        weights = tuple(m.numerator * (common // m.denominator) for m in masses)
+        if sum(weights) != common:
             raise InvalidMassFunction("masses must sum to one")
+        # in lowest terms: a prime dividing every weight divides their sum,
+        # the lcm; its full power there divides some denominator, whose
+        # weight it then does not divide
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def masses(self) -> tuple[Fraction, ...]:
+        total = sum(self.weights)
+        return tuple(Fraction(w, total) for w in self.weights)
 
     @classmethod
     def uniform(cls, space: PossibilitySpace) -> MassFunction:
-        n = space.size
-        return cls(space, (Fraction(1, n),) * n)
+        return cls.from_weights(space, (1,) * space.size)
 
     @classmethod
     def of(cls, space: PossibilitySpace, by_label: dict[str, Fraction]) -> MassFunction:
@@ -60,27 +75,41 @@ class MassFunction:
 
     @classmethod
     def from_weights(cls, space: PossibilitySpace, weights: Sequence[int]) -> MassFunction:
-        total = sum(weights)
-        return cls(space, tuple(Fraction(w, total) for w in weights))
+        """p(ω) = w_ω / Σw for whole weights w_ω > 0, one per state."""
+        if len(weights) != space.size:
+            raise InvalidMassFunction("one mass per state required")
+        if min(weights) <= 0:
+            raise InvalidMassFunction("all state masses must be strictly positive")
+        common = gcd(*weights)
+        p = object.__new__(cls)
+        object.__setattr__(p, "space", space)
+        object.__setattr__(p, "weights", tuple(w // common for w in weights))
+        return p
 
     def restricted(self, space: PossibilitySpace, kept: Sequence[int]) -> MassFunction:
         """Renormalize onto the sub-space formed by the kept state indices."""
-        total = sum(self.masses[i] for i in kept)
-        return MassFunction(space, tuple(self.masses[i] / total for i in kept))
+        return MassFunction.from_weights(space, [self.weights[i] for i in kept])
 
 
 def event_columns(masses: Sequence[MassFunction], event: Event) -> list[tuple[int, ...]]:
     """One column per mass function p: the weights p(ω)/P(event) of the
-    event's states, all times the least S > 0 that makes every one whole."""
+    event's states, all times the least S > 0 that makes every one whole.
+    With p's weights n_ω on the event divided by their gcd, p(ω)/P(event) =
+    n_ω/N in lowest terms for N = Σn_ω, so S is the lcm of the N's and each
+    entry is n_ω·(S/N)."""
     if event.is_empty:
         raise EmptyEvent("cannot condition on the empty event")
     if any(p.space != event.space for p in masses):
         raise SpaceMismatch("event over a different space")
     states = tuple(event.indices())
-    totals = [sum(p.masses[i] for i in states) for p in masses]
-    weights = [[p.masses[i] / total for i in states] for p, total in zip(masses, totals)]
-    scale = lcm(*(w.denominator for column in weights for w in column))
-    return [tuple(w.numerator * (scale // w.denominator) for w in c) for c in weights]
+    columns = []
+    for p in masses:
+        column = [p.weights[i] for i in states]
+        common = gcd(*column)
+        columns.append([w // common for w in column])
+    totals = [sum(column) for column in columns]
+    scale = lcm(*totals)
+    return [tuple(w * (scale // total) for w in c) for c, total in zip(columns, totals)]
 
 
 def column_expectation(column: tuple[int, ...], points: Sequence[int]) -> int:

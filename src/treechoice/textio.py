@@ -19,9 +19,11 @@ Rationals are serialized as `p/q` in lowest terms, integers bare.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Iterable, Optional
 
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
     TreeSyntaxError,
     UnknownReference,
 )
-from .model import Event, Gamble, GambleSet, PossibilitySpace, RewardTable
+from .model import Event, Gamble, GambleSet, PossibilitySpace, RewardTable, _rational_literal
 from .props import InstanceShape
 from .rules import ChoiceContext, ChoiceRule, MassFunction
 from .solve import extract_extensive
@@ -117,8 +119,8 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_rational(text: str, line_no: int, col: int) -> Fraction:
-    try:
-        return Fraction(text)
+    try:  # a bad literal raises on every parse: the cache keeps no exceptions
+        return _rational_literal(text)
     except (ValueError, ZeroDivisionError):
         raise TreeSyntaxError(f"not a rational: {text!r}", line_no, col) from None
 
@@ -436,6 +438,39 @@ def jsonable(value):
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     return repr(value)
+
+
+# Each JSON scalar's text, by its exact type: a bool is not an int here.
+_SCALARS = {
+    str: _quoted,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` byte for byte, for what `jsonable` gives:
+    str-keyed dicts, lists, strings, ints, bools and None (other leaves go to
+    `json.dumps`). A list of scalars of one type is one `str.join`."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str raises TypeError: no report has one
+        items = [_quoted(key) + ": " + json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)  # a float; a TypeError for what JSON cannot hold
 
 
 def instance_json(instance) -> dict:

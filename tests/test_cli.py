@@ -885,3 +885,54 @@ def test_malformed_context_reports_stay_byte_identical(capsys, tmp_path, name):
     path.write_text(document)
     argv = ("solve", "--tree", INCOMP, "--rule", "maximality", "--context", str(path))
     assert run(capsys, *argv) == (2, error_report(error, kind))
+
+
+# The JSON-printing fixture commands of the CI step that runs the CLI under
+# `python -O`, and a falsifier report with witnesses for every rule.
+FIXTURE_COMMANDS = [
+    ["check-perfect", "--tree", INCOMP, "--rule", "pointwise_dominance"],
+    ["check-perfect", "--tree", INCOMP, "--rule", "maximality", "--context", INCOMP_CREDAL],
+    ["check-perfect", "--weak", "--tree", INCOMP, "--rule", "pointwise_dominance"],
+    ["check-perfect", "--weak", "--tree", INCOMP, "--rule", "maximality",
+     "--context", INCOMP_CREDAL],
+    ["equiv", "--tree", LAKE, "--tree2", LAKE],
+    ["equiv", "--tree", LAKE, "--tree2", CROSS],
+    ["solve", "--tree", INCOMP, "--rule", "pointwise_dominance", "--method", "backward"],
+    ["solve", "--full", "--tree", INCOMP, "--rule", "pointwise_dominance"],
+    ["solve", "--tree", LAKE, "--rule", "eu_max", "--context", LAKE_PROB],
+    ["compare-backward", "--tree", INCOMP, "--rule", "pointwise_dominance"],
+    *(
+        ["compare-backward", "--tree", INCOMP, "--rule", rule, "--context", INCOMP_CREDAL]
+        for rule in ("maximality", "gamma_maximin", "interval_dominance")
+    ),
+    ["check-perfect", "--tree", ONE_GAMBLE, "--rule", "pointwise_dominance"],
+    ["check-perfect", "--tree", PD, "--rule", "pointwise_dominance"],
+    ["solve", "--tree", WIDE, "--rule", "pointwise_dominance"],
+    ["solve", "--full", "--rule", "pointwise_dominance", "--tree", WIDE],
+    ["solve", "--rule", "pointwise_dominance", "--tree", OVERLAPPING],
+    *(
+        ["check-properties", "--rule", rule, "--budget", "20",
+         "--props", "P1,P2,P3,P4,P5,P6,P7,P8,P9,P10,P11,L"]
+        for rule in ("eu_max", "pointwise_dominance", "maximality", "e_admissibility",
+                     "gamma_maximin", "interval_dominance")
+    ),
+]
+
+
+def test_reports_print_as_json_dumps_with_indent_two(capsys, monkeypatch):
+    from treechoice import cli
+
+    reports = []
+
+    def recorded(report):
+        reports.append(report)
+        return cli_json_text(report)
+
+    cli_json_text = cli.json_text
+    monkeypatch.setattr(cli, "json_text", recorded)
+    codes = set()
+    for argv in FIXTURE_COMMANDS:
+        codes.add(run_command(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(reports[-1], indent=2) + "\n", argv
+    assert len(reports) == len(FIXTURE_COMMANDS) and codes == {0, 1, 2}

@@ -22,6 +22,12 @@ table, and computes each row entry as one integer dot product with the
 gamble's utilities times L, the table's common denominator: the entry is
 S·L times the literal expectation.
 
+The `Fraction` mass function holds one `Fraction` per state, renormalizes
+by dividing them, and builds an event's columns from the conditional
+weights as `Fraction`s, S being the lcm of their denominators. The library
+holds whole-number weights in lowest terms and finds the same columns from
+them in integers.
+
 The literal rules compare every pair of gambles, recomputing conditional
 expectations or utilities for each pair, as maximality, pointwise
 dominance and interval dominance read. The library scores each gamble
@@ -81,7 +87,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -113,6 +119,7 @@ from treechoice.generate import (
     seeded_rule_policy,
     subseed,
 )
+from treechoice.cli import run_command
 from treechoice.laws import check_property_instance, check_subtree_perfectness
 from treechoice.model import (
     ConsistencyVerdict,
@@ -1241,6 +1248,136 @@ def test_rows_of_falsifier_instances_equal_the_literal_sum(literal_rows, name):
             )
             check_property_instance(prop, rule, instance)
         assert len(literal_rows) > before, prop
+
+
+# ---------------------------------------------------------------------------
+# Whole-number mass functions, against the `Fraction` ones
+
+
+@dataclass(frozen=True)
+class FractionMassFunction:
+    """A mass function as one `Fraction` per state, conditioned by `Fraction`
+    sums and divisions."""
+
+    space: PossibilitySpace
+    masses: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        assert len(self.masses) == self.space.size and all(m > 0 for m in self.masses)
+        assert sum(self.masses) == 1
+
+    @classmethod
+    def from_weights(cls, space, weights):
+        total = sum(weights)
+        return cls(space, tuple(Fraction(w, total) for w in weights))
+
+    def restricted(self, space, kept):
+        total = sum(self.masses[i] for i in kept)
+        return FractionMassFunction(space, tuple(self.masses[i] / total for i in kept))
+
+
+def fraction_event_columns(masses, event):
+    """The weights p(ω)/P(event) as `Fraction`s, times the lcm S of all their
+    denominators."""
+    states = tuple(event.indices())
+    totals = [sum(p.masses[i] for i in states) for p in masses]
+    weights = [[p.masses[i] / total for i in states] for p, total in zip(masses, totals)]
+    scale = math.lcm(*(w.denominator for column in weights for w in column))
+    return [tuple(w.numerator * (scale // w.denominator) for w in c) for c in weights]
+
+
+def assert_as_fraction_oracle(p, oracle):
+    """`p` holds the oracle's masses, and reads equal to a mass function
+    built from them."""
+    assert p.masses == oracle.masses, (p, oracle)
+    assert all(type(w) is int for w in p.weights) and math.gcd(*p.weights) == 1, p
+    built = MassFunction(p.space, oracle.masses)
+    assert built == p and hash(built) == hash(p) and built.weights == p.weights
+
+
+@pytest.fixture
+def fraction_oracle(monkeypatch):
+    """Each mass function built by `from_weights` or `restricted` is checked
+    against the `Fraction` mass function built the same way, and each
+    `event_columns` call against the `Fraction` columns of those oracles.
+    The counter tallies the calls checked."""
+    oracles: dict = {}
+    counts = Counter()
+    from_weights = MassFunction.__dict__["from_weights"].__func__
+    restricted = MassFunction.restricted
+    columns = rules.event_columns
+
+    def weighted(cls, space, weights):
+        p = from_weights(cls, space, weights)
+        oracle = oracles.setdefault(p, FractionMassFunction.from_weights(space, weights))
+        assert_as_fraction_oracle(p, oracle)
+        counts["from_weights"] += 1
+        return p
+
+    def cut(self, space, kept):
+        q = restricted(self, space, kept)
+        oracle = oracles[self].restricted(space, kept)
+        assert_as_fraction_oracle(q, oracle)
+        assert oracles[q] == oracle
+        counts["restricted"] += 1
+        return q
+
+    def conditioned(masses, event):
+        out = columns(masses, event)
+        assert out == fraction_event_columns([oracles[p] for p in masses], event), event
+        counts["event_columns"] += 1
+        return out
+
+    monkeypatch.setattr(MassFunction, "from_weights", classmethod(weighted))
+    monkeypatch.setattr(MassFunction, "restricted", cut)
+    monkeypatch.setattr(rules, "event_columns", conditioned)
+    return counts
+
+
+def test_columns_of_every_corpus_context_and_node_event(acceptance_corpus, fraction_oracle):
+    for index, tree in enumerate(acceptance_corpus):
+        events = list(dict.fromkeys(tree.event_of(v) for v, _ in tree.nodes()))
+        for name in NUMERIC_RULES:
+            context = rule_for(tree, name, index).context
+            masses = context.credal or (context.probability,)
+            for event in events:
+                rules.event_columns(list(dict.fromkeys(masses)), event)
+                for p in masses:
+                    rules.event_columns([p], event)
+    assert fraction_oracle["event_columns"] > 3 * len(acceptance_corpus) * len(NUMERIC_RULES)
+
+
+def test_columns_of_every_falsifier_and_shrinker_context(capsys, fraction_oracle):
+    props = ",".join(prop.value for prop in PropertyId)
+    for name in sorted(RULES):
+        code = run_command(["check-properties", "--rule", name, "--budget", "50", "--props", props])
+        assert code in (0, 1), capsys.readouterr().out
+    # five rules draw their mass functions afresh for each instance (about
+    # 4,300 in all), and the shrinker renormalizes them onto the states it keeps
+    assert fraction_oracle["from_weights"] > 4000
+    assert fraction_oracle["restricted"] > 100
+    assert fraction_oracle["event_columns"] > 3000
+
+
+def test_columns_scale_one_shared_denominator_across_mass_functions():
+    space = PossibilitySpace(("a", "b", "c", "d"))
+    event = space.event(["a", "b", "c"])
+    weights = ([2, 4, 6, 9], [1, 1, 1, 5], [3, 1, 2, 2])
+    credal = [MassFunction.from_weights(space, w) for w in weights]
+    oracle = [FractionMassFunction.from_weights(space, w) for w in weights]
+    # conditional weights 1/6 2/6 3/6, 1/3 1/3 1/3 and 3/6 1/6 2/6: S = 6
+    columns = rules.event_columns(credal, event)
+    assert columns == fraction_event_columns(oracle, event) == [(1, 2, 3), (2, 2, 2), (3, 1, 2)]
+    for size in (1, 3):  # one column, and one scale shared by three
+        rng = rng_for("diff-columns", size)
+        for _ in range(300):
+            weights = [[rng.randint(1, 30) for _ in range(space.size)] for _ in range(size)]
+            given = Event(space, rng.randint(1, 15))
+            expected = fraction_event_columns(
+                [FractionMassFunction.from_weights(space, w) for w in weights], given
+            )
+            credal = [MassFunction.from_weights(space, w) for w in weights]
+            assert rules.event_columns(credal, given) == expected, (weights, given)
 
 
 # ---------------------------------------------------------------------------

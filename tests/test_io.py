@@ -1,8 +1,10 @@
 import gc
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treechoice.errors import (
     DuplicateDefinition,
@@ -16,6 +18,7 @@ from treechoice.textio import (
     export_dot,
     gamble_set_json,
     instance_json,
+    json_text,
     jsonable,
     parse_context_file,
     parse_tree_file,
@@ -78,6 +81,22 @@ def test_parse_root_event():
 def test_parse_rational_rewards():
     doc = parse_tree_file("omega a\nreward half = 1/2\ntree = leaf(half)\n")
     assert doc.rewards.utility("half") == Fraction(1, 2)
+
+
+def test_bad_literal_raises_alike_on_every_parse():
+    # literals are parsed through a per-process cache, which keeps no errors
+    for bad in ("x", "1/0", "1//2"):
+        tree = f"omega a\nreward one = 1\nreward bad = {bad}\ntree = leaf(one)\n"
+        context = f"# masses\nprob a = {bad}\n"
+        for parse, text, line in ((parse_tree_file, tree, 3), (parse_context_file, context, 2)):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(TreeSyntaxError) as err:
+                    parse(text)
+                errors.append((str(err.value), err.value.line, err.value.col))
+            assert errors[0] == errors[1]
+            assert errors[0][1:] == (line, 1)
+            assert repr(bad) in errors[0][0]
 
 
 def test_empty_tree_expression_is_syntax_error():
@@ -231,3 +250,44 @@ def test_instance_json_shapes(incomparable_doc):
     payload = instance_json(inst)
     assert payload["shape"] == "subset"
     assert payload["space"] == ["a1", "a2"]
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", "é", "\x00\x1f\x7f", "\u2028", "\U0001f600", '"\\/'])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+    | st.lists(st.text(max_size=4), max_size=5)  # one join of strings
+    | st.lists(st.integers(-5, 5) | st.booleans(), max_size=5)  # ints and bools
+    | st.lists(st.booleans() | st.none(), max_size=5),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent_two(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], (), [[]], [{}], {"": {}}, {"a": [[], [{}]]}, [True, 1, False, 0], [-1, -(2**70)],
+     ["é", "\x00"], [None, "x", 1], {"\u00e9\n": None}, -0.0, [float("nan")]],
+)
+def test_json_text_edges(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_raises_rather_than_print_a_non_report():
+    # reports key their dicts by str; json.dumps would print {1: 2} as {"1": 2}
+    for value in ({1: 2}, [object()], {"a": {1.5}}):
+        with pytest.raises(TypeError):
+            json_text(value)

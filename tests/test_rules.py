@@ -340,6 +340,28 @@ def test_context_restriction_renormalizes():
     small = PossibilitySpace(("w2", "w4"))
     q = p.restricted(small, (1, 3))
     assert q.masses == (Fraction(1, 3), Fraction(2, 3))
+    assert q.weights == (1, 2) and q == MassFunction.from_weights(small, [2, 4])
+
+
+def test_mass_functions_are_weights_in_lowest_terms():
+    space = PossibilitySpace(("a", "b"))
+    p = MassFunction.from_weights(space, (2, 4))
+    q = MassFunction(space, (Fraction(1, 3), Fraction(2, 3)))
+    assert p == q and hash(p) == hash(q) and p.weights == q.weights == (1, 2)
+    assert len({p, q, MassFunction.of(space, {"b": Fraction(2, 3), "a": Fraction(1, 3)})}) == 1
+    assert p != MassFunction.from_weights(space, (2, 1))
+    for name in ("weights", "masses", "space"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, q.masses)
+    assert p != MassFunction.from_weights(PossibilitySpace(("b", "a")), (1, 2))
+    assert MassFunction.uniform(W4) == MassFunction.from_weights(W4, [5, 5, 5, 5])
+    assert MassFunction.uniform(W4).masses == (Fraction(1, 4),) * 4
+    with pytest.raises(ValueError, match="one mass per state required"):
+        MassFunction.from_weights(space, (1, 2, 3))
+    with pytest.raises(ValueError, match="all state masses must be strictly positive"):
+        MassFunction.from_weights(space, (0, 2))
+    with pytest.raises(ValueError, match="all state masses must be strictly positive"):
+        MassFunction.from_weights(space, (3, -1))
 
 
 def count_work_bound_calls(monkeypatch, name):
