@@ -69,7 +69,7 @@ def _cmd_solve(args) -> int:
         "ev": event_json(doc.tree.root_event),
         "solution": solution_json(report.solution),
         "induced_gambles": gamble_set_json(report.induced),
-        "stats": jsonable(report.stats),
+        "stats": report.stats,
     }
     if members is not None:
         payload["nfd"] = [member_json(m) for m in members]

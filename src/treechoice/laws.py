@@ -26,7 +26,7 @@ from .props import (
     SubsetInstance,
 )
 from .rules import ChoiceRule
-from .solve import agreeing, norm_opt, optimal
+from .solve import agreeing, expand, norm_opt, optimal
 from .trees import (
     Chance,
     Decision,
@@ -35,7 +35,6 @@ from .trees import (
     NormalFormDecision,
     chance_expansion,
     distinct_values,
-    restrict_solution,
     strategies,
 )
 
@@ -516,14 +515,15 @@ def check_subtree_perfectness(
     rule chooses from the pool. By the same swap at a decision node u, its
     child c is reached by the gambles reaching u that agree, on the states
     routed to u, with a gamble of c's pool; a chance child by its parent's.
-    Member sets are listed only where a node fails: the root is solved at
-    the first failing node, and each failing node's subtree after it."""
+    Every strategy of T_v has its gamble in the pool, so the restriction
+    is the expansion (`expand`) of the pool gambles that agree with a
+    reaching member's. Member sets are listed only where a node fails, and
+    only within its subtree: its solution and that expansion."""
     # each node's distinct gambles, one choice-free pair apiece
     size, nodes, parent = tree.space.size, tree.index.nodes, tree.index.parent
     pools = {v: [((), (n.reward,) * size)] for v, n in tree.nodes() if isinstance(n, Leaf)}
     strategies(tree, select=lambda v, pairs: pools.setdefault(v, distinct_values(v, pairs)))
     reaching = [optimal(tree, rule, pools[0], 0)[2]]  # root gambles, per node
-    root = None  # the root solution, once a node fails
     comparisons = []
     for v, node in tree.nodes():
         if v:
@@ -538,11 +538,9 @@ def check_subtree_perfectness(
             restricted = agreeing(tree, reaching[v], v, pools[v])
             _, _, chosen = optimal(tree, rule, pools[v], v)
             ok = restricted == chosen or weak and set(restricted) <= set(chosen)
-        if not ok and root is None:
-            root = norm_opt(tree, rule).solution
         members = () if ok else (
             norm_opt(tree.subtree_of(v), rule).solution,
-            restrict_solution(root, tree.path_of(v)),
+            expand(tree.subtree_of(v), restricted),
         )
         comparisons.append(NodeComparison(v, ok, *members))
     return PerfectionReport(weak=weak, comparisons=tuple(comparisons))

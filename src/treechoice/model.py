@@ -165,8 +165,9 @@ class RewardTable:
 
     def units(self) -> Mapping[str, int]:
         """Each utility times L, the least common multiple of their denominators."""
-        common = lcm(*(u.denominator for u in self._entries.values()))
-        return _BySymbol((s, u.numerator * common // u.denominator) for s, u in self.items())
+        ratios = [(s, u.as_integer_ratio()) for s, u in self.items()]
+        common = lcm(*(d for _, (_, d) in ratios))
+        return _BySymbol((s, n * common // d) for s, (n, d) in ratios)
 
     @classmethod
     def from_literals(cls, symbols: Iterable[str]) -> RewardTable:

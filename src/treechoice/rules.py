@@ -48,10 +48,11 @@ class MassFunction:
     def __init__(self, space: PossibilitySpace, masses: Sequence[Fraction]):
         if len(masses) != space.size:
             raise InvalidMassFunction("one mass per state required")
-        if any(m.numerator <= 0 for m in masses):
+        ratios = [m.as_integer_ratio() for m in masses]
+        if any(n <= 0 for n, _ in ratios):
             raise InvalidMassFunction("all state masses must be strictly positive")
-        common = lcm(*(m.denominator for m in masses))
-        weights = tuple(m.numerator * (common // m.denominator) for m in masses)
+        common = lcm(*(d for _, d in ratios))
+        weights = tuple(n * (common // d) for n, d in ratios)
         if sum(weights) != common:
             raise InvalidMassFunction("masses must sum to one")
         # in lowest terms: a prime dividing every weight divides their sum,
@@ -71,7 +72,7 @@ class MassFunction:
 
     @classmethod
     def of(cls, space: PossibilitySpace, by_label: dict[str, Fraction]) -> MassFunction:
-        return cls(space, tuple(Fraction(by_label[s]) for s in space.states))
+        return cls(space, tuple(by_label[s] for s in space.states))
 
     @classmethod
     def from_weights(cls, space: PossibilitySpace, weights: Sequence[int]) -> MassFunction:

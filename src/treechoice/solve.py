@@ -16,7 +16,7 @@ from .trees import (
     DecisionTree,
     NormalFormDecision,
     Strategy,
-    distinct,
+    distinct_values,
     nfd_count,
     strategies,
 )
@@ -67,29 +67,32 @@ def agreeing(
     return [pair for pair in candidates if on_routed(pair[1]) in wanted]
 
 
+def expand(tree: DecisionTree, pairs: list[Strategy]) -> Solution:
+    """The strategies of `tree` whose gamble is one of `pairs`' values: the
+    walk keeps, at every node, the candidates that agree with one of those
+    gambles on the states routed there."""
+    kept = strategies(tree, select=partial(agreeing, tree, pairs))
+    assert {values for _, values in kept} == {values for _, values in pairs}
+    return frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
+
+
 def norm_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
     """The normal form operator: keep exactly those strategies whose induced
     gamble the rule selects from the tree's gamble set given its event.
 
-    One walk keeps a pair per distinct gamble at every node, which yields
-    the gamble set; the rule selects from it; a second walk expands only
-    the strategies of the chosen gambles. When every strategy has its own
-    gamble, the first walk kept them all and the second is skipped. The
-    strategy count is a fold; no walk lists every strategy."""
-    total = nfd_count(tree)
-    pool_pairs = strategies(tree, select=distinct)
-    pool, chosen, kept = optimal(tree, rule, pool_pairs, 0)
-    if len(pool_pairs) < total:
-        kept = strategies(tree, select=partial(agreeing, tree, kept))
-    solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
-    assert _gamble_set(tree.space, kept) == chosen
+    One walk keeps the distinct gambles at every node, which yields the
+    gamble set; the rule selects from it; `expand` lists only the strategies
+    of the chosen gambles. The strategy count is a fold; no walk lists
+    every strategy."""
+    pool, chosen, kept = optimal(tree, rule, strategies(tree, select=distinct_values), 0)
+    solution = expand(tree, kept)
     return SolveReport(
         solution=solution,
         induced=chosen,
         method="normal",
         stats={
             "nodes": tree.node_counts(),
-            "nfd_count": total,
+            "nfd_count": nfd_count(tree),
             "gamble_count": len(pool),
             "solution_count": len(solution),
         },

@@ -396,11 +396,6 @@ def nfd(tree: DecisionTree) -> tuple[NormalFormDecision, ...]:
     return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree))
 
 
-def distinct(v: int, candidates: list[Strategy]) -> list[Strategy]:
-    """A `select` hook keeping one pair per distinct gamble."""
-    return list({values: (choices, values) for choices, values in candidates}.values())
-
-
 def distinct_values(v: int, candidates: list[Strategy]) -> list[Strategy]:
     """A `select` hook keeping one choice-free pair per distinct gamble."""
     return [((), values) for values in dict.fromkeys(values for _, values in candidates)]

@@ -25,6 +25,7 @@ INCOMP_CREDAL = str(FIXTURES / "incomparable_credal.ctx")
 OVERLAPPING = str(FIXTURES / "rejected" / "overlapping_events.tree")
 WIDE = str(FIXTURES / "over_cap" / "wide_chance.tree")
 ONE_GAMBLE = str(FIXTURES / "over_cap" / "one_gamble.tree")
+FAILING_NODE = str(FIXTURES / "over_cap" / "failing_node.tree")
 PD = str(FIXTURES / "laws" / "pd.tree")
 
 
@@ -388,6 +389,21 @@ def test_check_perfect_answers_past_the_cap_when_the_pools_are_small(capsys):
     code, payload = run_json(capsys, "check-perfect", *argv)
     assert code == 0
     assert (payload["perfect"], payload["nodes_checked"]) == (True, 637)
+    code, payload = run_json(capsys, "solve", *argv)
+    assert code == 2 and payload["type"] == "EnumerationLimitExceeded"
+
+
+def test_check_perfect_lists_a_violation_when_the_root_solution_is_past_the_cap(capsys):
+    # incomparable.tree with leaf(z) replaced by a chance node over two
+    # 317-leaf decisions: the root solution cannot be listed, but the
+    # violating node's member sets are incomparable.tree's
+    argv = ("--tree", FAILING_NODE, "--rule", "pointwise_dominance")
+    code, out = run(capsys, "check-perfect", *argv)
+    _, expected = run(capsys, "check-perfect", "--tree", INCOMP, "--rule", "pointwise_dominance")
+    assert code == 1 and json.loads(out)["nodes_checked"] == 642
+    assert out.partition('"violations"')[2] == expected.partition('"violations"')[2]
+    code, payload = run_json(capsys, "check-perfect", *argv, "--weak")
+    assert code == 0 and payload["perfect"]
     code, payload = run_json(capsys, "solve", *argv)
     assert code == 2 and payload["type"] == "EnumerationLimitExceeded"
 
@@ -907,6 +923,8 @@ FIXTURE_COMMANDS = [
     ),
     ["check-perfect", "--tree", ONE_GAMBLE, "--rule", "pointwise_dominance"],
     ["check-perfect", "--tree", PD, "--rule", "pointwise_dominance"],
+    ["check-perfect", "--tree", FAILING_NODE, "--rule", "pointwise_dominance"],
+    ["check-perfect", "--weak", "--tree", FAILING_NODE, "--rule", "pointwise_dominance"],
     ["solve", "--tree", WIDE, "--rule", "pointwise_dominance"],
     ["solve", "--full", "--rule", "pointwise_dominance", "--tree", WIDE],
     ["solve", "--rule", "pointwise_dominance", "--tree", OVERLAPPING],
