@@ -135,13 +135,7 @@ def _random_partition(
     members: list[list[int]] = [[anchors[b]] for b in range(blocks)]
     for i in anchors[blocks:] + rest:
         members[rng.randrange(blocks)].append(i)
-    events = []
-    for block in members:
-        bits = 0
-        for i in block:
-            bits |= 1 << i
-        events.append(Event(space, bits))
-    return events
+    return [Event.of(space, block) for block in members]
 
 
 def random_consistent_tree(config: GenConfig, seed: int) -> DecisionTree:
@@ -222,11 +216,7 @@ def _random_event(
     """A non-empty random event; `proper` also forbids the full space."""
     upper = space.size - 1 if proper else space.size
     size = rng.randint(1, max(upper, 1))
-    indices = rng.sample(range(space.size), size)
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return Event(space, bits)
+    return Event.of(space, rng.sample(range(space.size), size))
 
 
 def _plant_equal_pair(

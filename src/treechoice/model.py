@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import lcm
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -41,7 +42,7 @@ class PossibilitySpace:
                 next(s for s in self.states if self.states.count(s) > 1)
             )
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.states)
 
@@ -52,14 +53,15 @@ class PossibilitySpace:
             raise UnknownReference(label) from None
 
     def event(self, labels: Iterable[str]) -> Event:
-        bits = 0
-        for label in labels:
-            bits |= 1 << self.index(label)
-        return Event(self, bits)
+        return Event.of(self, map(self.index, labels))
 
     @cached_property
     def full_bits(self) -> int:
         return (1 << self.size) - 1
+
+    @cached_property
+    def _indices(self) -> dict[int, tuple[int, ...]]:  # Event.indices, by bitset
+        return {}
 
     @property
     def omega(self) -> Event:
@@ -71,7 +73,7 @@ class PossibilitySpace:
 
 
 def _same_space(a: PossibilitySpace, b: PossibilitySpace) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise SpaceMismatch(f"values over different spaces: {a.states} vs {b.states}")
 
 
@@ -85,10 +87,14 @@ class Event:
     def __post_init__(self):
         if self.bits < 0 or self.bits >> self.space.size:
             raise ValueError("event bits outside the space")
-        object.__setattr__(self, "_hash", hash(self.bits))
+
+    @classmethod
+    def of(cls, space: PossibilitySpace, indices: Iterable[int]) -> Event:
+        """The event of the states at `indices`, the inverse of `indices()`."""
+        return cls(space, reduce(or_, (1 << i for i in indices), 0))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.bits)
 
     def __and__(self, other: Event) -> Event:
         _same_space(self.space, other.space)
@@ -108,16 +114,19 @@ class Event:
     def contains_index(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
 
-    def indices(self) -> Iterator[int]:
-        for i in range(self.space.size):
-            if self.bits >> i & 1:
-                yield i
+    def indices(self) -> tuple[int, ...]:
+        """The event's state indices, ascending: one tuple per bitset, kept on the space."""
+        memo, bits = self.space._indices, self.bits
+        found = memo.get(bits)
+        if found is None:
+            found = memo[bits] = tuple(i for i in range(self.space.size) if bits >> i & 1)
+        return found
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.space.states[i] for i in self.indices())
 
     def __len__(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def __repr__(self) -> str:
         return f"Event({{{', '.join(self.labels())}}})"
@@ -220,11 +229,7 @@ class Gamble:
         return cls(space, (reward,) * space.size)
 
     def preimage(self, reward: str) -> Event:
-        bits = 0
-        for i, v in enumerate(self.values):
-            if v == reward:
-                bits |= 1 << i
-        return Event(self.space, bits)
+        return Event.of(self.space, (i for i, v in enumerate(self.values) if v == reward))
 
     def attained_rewards(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.values)))
@@ -266,9 +271,10 @@ class GambleSet:
 
     def __init__(self, gambles: Iterable[Gamble]):
         self._lookup = frozenset(gambles)
-        unique = sorted(self._lookup, key=lambda g: g.values)
+        unique = sorted(self._lookup, key=attrgetter("values"))
+        space = unique[0].space if unique else None
         for g in unique[1:]:
-            _same_space(unique[0].space, g.space)
+            _same_space(space, g.space)
         self._members = tuple(unique)
 
     def __iter__(self) -> Iterator[Gamble]:
@@ -339,7 +345,7 @@ def check_a_consistency(gambles: Iterable[Gamble], event: Event) -> ConsistencyV
     """
     if event.is_empty:
         raise EmptyEvent("A-consistency is defined for non-empty events only")
-    inside = tuple(event.indices())
+    inside = event.indices()
     for gamble in gambles:
         _same_space(gamble.space, event.space)
         on_event = {gamble.values[i] for i in inside}

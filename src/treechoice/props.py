@@ -65,11 +65,7 @@ def _restrict(value, space: PossibilitySpace, kept: Sequence[int]):
     if isinstance(value, GambleSet):
         return GambleSet(_restrict(g, space, kept) for g in value)
     if isinstance(value, Event):
-        bits = 0
-        for new_index, old_index in enumerate(kept):
-            if value.contains_index(old_index):
-                bits |= 1 << new_index
-        return Event(space, bits)
+        return Event.of(space, (new for new, old in enumerate(kept) if value.contains_index(old)))
     return Gamble(space, tuple(value.values[i] for i in kept))
 
 

@@ -102,7 +102,7 @@ def event_columns(masses: Sequence[MassFunction], event: Event) -> list[tuple[in
         raise EmptyEvent("cannot condition on the empty event")
     if any(p.space != event.space for p in masses):
         raise SpaceMismatch("event over a different space")
-    states = tuple(event.indices())
+    states = event.indices()
     columns = []
     for p in masses:
         column = [p.weights[i] for i in states]
@@ -234,7 +234,7 @@ class ChoiceRule:
         if given not in self.scores:
             self.scores[given] = event_columns(list(dict.fromkeys(masses)), given), {}
         columns, table = self.scores[given]
-        units, states = self.units, tuple(given.indices())
+        units, states = self.units, given.indices()
         for g in gambles:
             if g not in table:
                 points = [units[g.values[i]] for i in states]
@@ -268,7 +268,7 @@ class PointwiseDominance(ChoiceRule):
     name = "pointwise_dominance"
 
     def _select(self, gambles: GambleSet, given: Event) -> list[Gamble]:
-        units, states = self.units, tuple(given.indices())
+        units, states = self.units, given.indices()
         rows = {g: [units[g.values[i]] for i in states] for g in gambles}
         return undominated(rows, sum, lambda y, x: y != x and all(map(ge, y, x)))
 

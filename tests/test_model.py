@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from treechoice.errors import (
     SpaceMismatch,
     UnknownReference,
 )
+from treechoice.generate import GenConfig, random_gamble_instance, rng_for
 from treechoice.model import (
     Event,
     Gamble,
@@ -23,6 +25,7 @@ from treechoice.model import (
     gamble_set_sum,
     is_partition,
 )
+from treechoice.props import PropertyId
 
 W4 = PossibilitySpace(("w1", "w2", "w3", "w4"))
 E1 = W4.event(["w1", "w2"])
@@ -70,6 +73,81 @@ def test_an_unpickled_gamble_is_hashed_anew():
     x = Gamble(W4, ("1", "0", "1", "0"))
     object.__setattr__(x, "_hash", hash(x) + 1)  # as if hashed under another seed
     assert hash(pickle.loads(pickle.dumps(x))) == hash(Gamble(W4, x.values))
+
+
+def literal_indices(event):
+    """The oracle: the event's state indices, scanning every state of its space."""
+    for i in range(event.space.size):
+        if event.bits >> i & 1:
+            yield i
+
+
+def assert_indices_literal(event):
+    found = event.indices()
+    assert found == tuple(literal_indices(event)), event
+    assert len(event) == len(found) and Event.of(event.space, found) == event
+    assert Event(event.space, event.bits).indices() is found  # the space's memo answers
+
+
+def test_indices_match_the_literal_scan_on_every_small_bitset():
+    for size in range(1, 9):
+        space = PossibilitySpace(tuple(f"s{i}" for i in range(size)))
+        for bits in range(1 << size):
+            assert_indices_literal(Event(space, bits))
+        assert len(space._indices) == 1 << size
+
+
+def test_indices_match_the_literal_scan_on_a_wide_space():
+    space = PossibilitySpace(tuple(f"s{i}" for i in range(70)))
+    rng = rng_for("model", "wide-indices")
+    for bits in [rng.getrandbits(70) for _ in range(400)] + [0, 1, space.full_bits]:
+        assert_indices_literal(Event(space, bits))
+
+
+def test_indices_match_the_literal_scan_on_shrunk_spaces():
+    checked = 0
+    for prop in PropertyId:
+        instance = random_gamble_instance(prop, GenConfig(), seed=7)
+        size = instance.space.size
+        for drop in range(size if size > 1 else 0):
+            restricted = instance.restricted(tuple(i for i in range(size) if i != drop))
+            for f in fields(restricted):
+                value = getattr(restricted, f.name)
+                for event in value if isinstance(value, tuple) else (value,):
+                    if isinstance(event, Event):
+                        assert_indices_literal(event)
+                        checked += 1
+    assert checked > 50
+
+
+def test_equal_spaces_built_apart_keep_their_own_index_memos():
+    a, b = PossibilitySpace(("x", "y", "z")), PossibilitySpace(("x", "y", "z"))
+    assert a == b and a is not b
+    assert Event(a, 0b101).indices() == Event(b, 0b101).indices() == (0, 2)
+    assert Event(b, 0b011).indices() == (0, 1)
+    assert set(a._indices) == {0b101} and set(b._indices) == {0b101, 0b011}
+
+
+TWIN, V4 = PossibilitySpace(W4.states), PossibilitySpace(("v1", "v2", "v3", "v4"))
+X = ("1", "0", "0", "1")
+
+
+@pytest.mark.parametrize(
+    "across",
+    [
+        lambda t: E1 & Event(t, S1.bits),
+        lambda t: Gamble(W4, X).equal_on(Gamble(t, X), E1),
+        lambda t: GambleSet([Gamble(W4, X), Gamble(t, ("0",) * 4)]),
+        lambda t: combine_on_partition([(E1, Gamble(W4, X)), (Event(t, E2.bits), Gamble(t, X))]),
+        lambda t: check_a_consistency([Gamble(t, X)], S1),
+    ],
+    ids=["event_and", "equal_on", "gamble_set", "combine_on_partition", "a_consistency"],
+)
+def test_values_over_equal_spaces_mix_and_over_other_spaces_do_not(across):
+    # an equal space built apart is the same space; one with other labels is not
+    assert across(TWIN) == across(W4)
+    with pytest.raises(SpaceMismatch):
+        across(V4)
 
 
 def test_partition_predicate():
