@@ -519,7 +519,7 @@ def check_subtree_perfectness(
     is the expansion (`expand`) of the pool gambles that agree with a
     reaching member's. Member sets are listed only where a node fails, and
     only within its subtree: its solution and that expansion."""
-    # each node's distinct gambles, one choice-free pair apiece
+    # each node's distinct gambles, one arc-free pair apiece
     size, nodes, parent = tree.space.size, tree.index.nodes, tree.index.parent
     pools = {v: [((), (n.reward,) * size)] for v, n in tree.nodes() if isinstance(n, Leaf)}
     strategies(tree, select=lambda v, pairs: pools.setdefault(v, distinct_values(v, pairs)))

@@ -100,7 +100,7 @@ def event_columns(masses: Sequence[MassFunction], event: Event) -> list[tuple[in
     entry is n_ω·(S/N)."""
     if event.is_empty:
         raise EmptyEvent("cannot condition on the empty event")
-    if any(p.space != event.space for p in masses):
+    if any(p.space is not event.space and p.space != event.space for p in masses):
         raise SpaceMismatch("event over a different space")
     states = event.indices()
     columns = []
@@ -123,7 +123,7 @@ def conditional_expectation(
 ) -> Fraction:
     """Exact E_p[u(gamble) | event], a `Fraction`: `p` is strictly positive,
     so every non-empty event conditions it."""
-    if gamble.space != event.space:
+    if gamble.space is not event.space and gamble.space != event.space:
         raise SpaceMismatch("gamble over a different space")
     (column,) = event_columns([p], event)
     points = [utilities.utility(gamble.values[i]) for i in event.indices()]

@@ -12,7 +12,6 @@ from .errors import EmptySolution
 from .model import Event, Gamble, GambleSet, PossibilitySpace
 from .rules import ChoiceRule
 from .trees import (
-    Decision,
     DecisionTree,
     NormalFormDecision,
     Strategy,
@@ -29,7 +28,7 @@ def induced_gambles(solution: Iterable[NormalFormDecision]) -> GambleSet:
 
 
 def _gamble_set(space: PossibilitySpace, pairs: Iterable[Strategy]) -> GambleSet:
-    """The distinct gambles of enumerated (choices, values) pairs."""
+    """The distinct gambles of enumerated (arcs, values) pairs."""
     return GambleSet(Gamble(space, values) for values in {v for _, v in pairs})
 
 
@@ -73,7 +72,7 @@ def expand(tree: DecisionTree, pairs: list[Strategy]) -> Solution:
     gambles on the states routed there."""
     kept = strategies(tree, select=partial(agreeing, tree, pairs))
     assert {values for _, values in kept} == {values for _, values in pairs}
-    return frozenset(NormalFormDecision(tree, choices) for choices, _ in kept)
+    return frozenset(NormalFormDecision(tree, arcs) for arcs, _ in kept)
 
 
 def norm_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
@@ -112,7 +111,7 @@ def back_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
         return kept
 
     survivors = strategies(tree, select=keep_optimal)
-    solution = frozenset(NormalFormDecision(tree, choices) for choices, _ in survivors)
+    solution = frozenset(NormalFormDecision(tree, arcs) for arcs, _ in survivors)
     return SolveReport(
         solution=solution,
         induced=_gamble_set(tree.space, survivors),
@@ -127,45 +126,37 @@ def back_opt(tree: DecisionTree, rule: ChoiceRule) -> SolveReport:
 
 @dataclass(frozen=True)
 class ExtensiveSolution:
-    """The source tree with a kept/pruned mark on every decision arc.
-
-    Arcs and nodes are sets of node ids, an arc identified by its child's
-    id. Regions below pruned arcs are retained in the tree but flagged
-    unreachable, so node ids stay stable.
+    """The source tree with a kept or pruned mark on every decision arc of
+    a decision node that some member reaches. Arcs are sets of node ids, an
+    arc named by its child's id, as a strategy names its arcs.
     """
 
     tree: DecisionTree
     kept_arcs: frozenset[int]
     pruned_arcs: frozenset[int]
-    unreachable: frozenset[int]
 
 
 def extract_extensive(
     tree: DecisionTree, solution: Iterable[NormalFormDecision]
 ) -> ExtensiveSolution:
-    """Keep a decision arc iff its child lies in at least one member of the
-    solution; chance arcs are always kept within the reachable region."""
+    """Keep a decision arc iff a member of the solution keeps it, and prune
+    the other arcs of each decision node that a member reaches."""
     members = list(solution)
     if not members:
         raise EmptySolution("cannot extract an extensive form from no members")
     # ids gather in dicts, not sets: a set grown one id at a time may
     # reserve four times its size, a frozenset copied from a dict is sized once
-    kept = frozenset(dict.fromkeys(arc for member in members for arc in member.arcs()))
-    nodes, parent = tree.index.nodes, tree.index.parent
-    pruned, unreachable = {}, {}
-    for v in range(1, len(nodes)):  # parents before children
-        u = parent[v]
-        if u in unreachable:
-            unreachable[v] = None
-        elif isinstance(nodes[u], Decision) and v not in kept:
-            pruned[v] = unreachable[v] = None
-    return ExtensiveSolution(tree, kept, frozenset(pruned), frozenset(unreachable))
+    kept = frozenset(dict.fromkeys(arc for member in members for arc in member.arcs))
+    # a member reaches a decision node exactly when it keeps one of its arcs
+    reached = dict.fromkeys(tree.index.parent[arc] for arc in kept)
+    pruned = dict.fromkeys(c for u in reached for c in tree.child_ids(u) if c not in kept)
+    return ExtensiveSolution(tree, kept, frozenset(pruned))
 
 
 def nfd_of_extensive(extensive: ExtensiveSolution) -> Solution:
     """All strategies of the source tree that only use kept decision arcs."""
     pairs = strategies(extensive.tree, keep_arc=extensive.kept_arcs.__contains__)
-    return frozenset(NormalFormDecision(extensive.tree, choices) for choices, _ in pairs)
+    return frozenset(NormalFormDecision(extensive.tree, arcs) for arcs, _ in pairs)
 
 
 @dataclass(frozen=True)
@@ -189,13 +180,13 @@ def equivalence_for_solution(
     """Every member uses only kept arcs, so the solution lies inside the
     extensive form's expansion: they are equal iff their counts are. The
     expansion is listed only when they differ, to name its first strategy
-    in choice order that is not a member."""
+    in arc order that is not a member."""
     members = frozenset(solution)
     extensive = extract_extensive(tree, members)
     extra = ()
     if nfd_count(tree, extensive.kept_arcs.__contains__) != len(members):
         extra = nfd_of_extensive(extensive) - members
-    witness = min(extra, key=lambda m: m.choices, default=None)
+    witness = min(extra, key=lambda m: m.arcs, default=None)
     return ExtensiveEquivalence(witness is None, members, extensive, witness)
 
 

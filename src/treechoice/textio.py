@@ -49,7 +49,7 @@ RESERVED = set("(),:=#")
 
 # The deepest decision/chance nest a tree document may hold. No reader
 # recurses once per level, so this is an input bound, not a stack limit: a
-# solution's arc-path listing, the DOT node names and the enumerator's choice
+# solution's arc-path listing, the DOT node names and the enumerator's arc
 # tuples still grow faster than the depth.
 MAX_TREE_DEPTH = 493
 
@@ -394,11 +394,11 @@ def event_json(e: Event) -> list[str]:
 
 def member_json(member: NormalFormDecision) -> list[list[int]]:
     """The member's kept decision arcs, each as the path of its child."""
-    return [[*member.tree.path_of(v), i] for v, i in member.choices]
+    return [list(member.tree.path_of(arc)) for arc in member.arcs]
 
 
 def solution_json(solution: Iterable[NormalFormDecision]) -> list[list[list[int]]]:
-    ordered = sorted(solution, key=lambda m: m.choices)
+    ordered = sorted(solution, key=lambda m: m.arcs)
     return [member_json(m) for m in ordered]
 
 

@@ -22,7 +22,6 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
-    Mapping,
     NamedTuple,
     Optional,
     TypeVar,
@@ -45,7 +44,7 @@ from .model import (
 )
 
 Path = tuple[int, ...]
-Strategy = tuple[tuple[tuple[int, int], ...], tuple[str, ...]]  # (choices, values)
+Strategy = tuple[tuple[int, ...], tuple[str, ...]]  # (arcs, values)
 
 ENUMERATION_CAP = 100_000
 
@@ -152,23 +151,24 @@ class DecisionTree:
     ) -> DecisionTree:
         return cls(space, root, space.omega if root_event is None else root_event)
 
-    def child(self, v: int, i: int) -> int:
-        """The id of child `i` of node `v`: the first child's id, moved past
-        one sibling's subtree per step; `end(v)` past the last child."""
+    def child_ids(self, v: int) -> list[int]:
+        """The ids of node `v`'s children in child order: the first child's
+        id, then one past each sibling's subtree, up to `end(v)`."""
         end = self.index.end
-        c, stop = v + 1, end[v]
-        while i > 0 and c < stop:
-            c, i = end[c], i - 1
-        return c
+        ids, c = [], v + 1
+        while c < end[v]:
+            ids.append(c)
+            c = end[c]
+        return ids
 
     def id_of(self, path: Path) -> int:
         """The id of the node at `path`; `UnknownNode` when there is none."""
         v = 0
         for step, i in enumerate(path):
-            c = self.child(v, i)
-            if i < 0 or c >= self.index.end[v]:
+            ids = self.child_ids(v)
+            if not 0 <= i < len(ids):
                 raise UnknownNode(f"no node at path {list(path[: step + 1])}")
-            v = c
+            v = ids[i]
         return v
 
     def path_of(self, v: int) -> Path:
@@ -281,30 +281,27 @@ def nfd_count(tree: DecisionTree, keep_arc: Optional[Callable[[int], bool]] = No
 class NormalFormDecision:
     """A strategy: one kept arc at every reachable decision node of `tree`.
 
-    `choices` pairs the id of each reachable decision node with the index of
-    its kept child, in id order.
+    `arcs` holds the kept arcs in id order, each named by its child's id,
+    as an extensive form names its arcs.
     """
 
     tree: DecisionTree
-    choices: tuple[tuple[int, int], ...]
+    arcs: tuple[int, ...]
 
     @classmethod
-    def of(cls, tree: DecisionTree, choices: Mapping[Path, int]) -> NormalFormDecision:
-        """The strategy keeping child `choices[path]` of the node at each path."""
-        return cls(tree, tuple(sorted((tree.id_of(path), i) for path, i in choices.items())))
-
-    @cached_property
-    def choice_map(self) -> dict[int, int]:
-        return dict(self.choices)
+    def of(cls, tree: DecisionTree, paths: Iterable[Path]) -> NormalFormDecision:
+        """The strategy keeping the arc into the node at each path, as
+        reports spell a member."""
+        return cls(tree, tuple(sorted(map(tree.id_of, paths))))
 
     def contains_node(self, v: int) -> bool:
-        """True iff node `v` survives under this strategy's choices: every
-        decision node above it that chooses keeps the arc towards it."""
-        parent, position = self.tree.index.parent, self.tree.index.position
-        chosen = self.choice_map
+        """True iff node `v` survives under this strategy: each arc on the
+        way to it from a decision node is kept."""
+        nodes, parent = self.tree.index.nodes, self.tree.index.parent
+        kept = frozenset(self.arcs)
         while v > 0:
             u = parent[v]
-            if chosen.get(u, position[v]) != position[v]:
+            if isinstance(nodes[u], Decision) and v not in kept:
                 return False
             v = u
         return True
@@ -313,21 +310,16 @@ class NormalFormDecision:
     def gamble(self) -> Gamble:
         """The normal form gamble this strategy induces: the one pair that
         `strategies` enumerates under this strategy's own arcs."""
-        arcs = frozenset(self.arcs())
-        ((_, values),) = strategies(self.tree, keep_arc=arcs.__contains__)
+        ((_, values),) = strategies(self.tree, keep_arc=frozenset(self.arcs).__contains__)
         return Gamble(self.tree.space, values)
 
     def __hash__(self) -> int:
         # the members of a solution share one tree: hashing it would walk
         # the whole tree once per member
-        return hash(self.choices)
-
-    def arcs(self) -> tuple[int, ...]:
-        """Kept decision arcs, each identified by the id of its child node."""
-        return tuple(sorted(self.tree.child(v, i) for v, i in self.choices))
+        return hash(self.arcs)
 
     def __repr__(self) -> str:
-        arcs = ["".join(f"[{i}]" for i in self.tree.path_of(arc)) for arc in self.arcs()]
+        arcs = ["".join(f"[{i}]" for i in self.tree.path_of(arc)) for arc in self.arcs]
         return f"NormalFormDecision({' '.join(arcs) or 'trivial'})"
 
 
@@ -336,14 +328,13 @@ def strategies(
     keep_arc: Optional[Callable[[int], bool]] = None,
     select: Optional[Callable[[int, list[Strategy]], list[Strategy]]] = None,
 ) -> list[Strategy]:
-    """Every strategy of `tree` as a (choices, values) pair, built bottom-up.
+    """Every strategy of `tree` as an (arcs, values) pair, built bottom-up.
 
-    `choices` is the canonical sorted tuple of (decision id, kept index)
-    pairs, `values` the induced gamble's reward symbol per state. Decision
-    nodes take the union of their children's pairs; chance nodes combine one
-    pair per branch through a state-to-branch index built once per node. No
-    strategy's choices are a prefix of another's, so the pairs come out in
-    canonical choice order.
+    `arcs` is the sorted tuple of kept arcs' child ids, `values` the induced
+    gamble's reward symbol per state. Decision nodes prefix each child's
+    pairs with the arc into it; chance nodes combine one pair per branch
+    through a state-to-branch index built once per node. No strategy's arcs
+    are a prefix of another's, so the pairs come out in sorted arc order.
 
     `keep_arc(arc)` drops the decision arcs (named by the child's id) it
     rejects: extensive forms, single strategies. `select(id, candidates)`
@@ -357,8 +348,8 @@ def strategies(
     def combine(node: Node, v: int, below: list) -> list[Strategy]:
         if isinstance(node, Decision):
             candidates = [
-                (((v, i),) + c, values)
-                for i, pairs in enumerate(below)
+                ((arc,) + c, values)
+                for arc, pairs in zip(tree.child_ids(v), below)
                 if pairs
                 for c, values in pairs
             ]
@@ -385,7 +376,7 @@ def strategies(
 
 
 def nfd(tree: DecisionTree) -> tuple[NormalFormDecision, ...]:
-    """Enumerate all normal form decisions, in canonical (choice-sorted) order.
+    """Enumerate all normal form decisions, in sorted arc order.
     The one walk that holds every strategy: their count is checked against
     the cap up front."""
     total = nfd_count(tree)
@@ -393,17 +384,17 @@ def nfd(tree: DecisionTree) -> tuple[NormalFormDecision, ...]:
         raise EnumerationLimitExceeded(
             f"{total} normal form decisions exceed the cap of {ENUMERATION_CAP}"
         )
-    return tuple(NormalFormDecision(tree, choices) for choices, _ in strategies(tree))
+    return tuple(NormalFormDecision(tree, arcs) for arcs, _ in strategies(tree))
 
 
 def distinct_values(v: int, candidates: list[Strategy]) -> list[Strategy]:
-    """A `select` hook keeping one choice-free pair per distinct gamble."""
+    """A `select` hook keeping one arc-free pair per distinct gamble."""
     return [((), values) for values in dict.fromkeys(values for _, values in candidates)]
 
 
 def gamb(tree: DecisionTree) -> GambleSet:
     """The set of normal form gambles: the root pool of the enumeration
-    that keeps one choice-free pair per distinct gamble at every node."""
+    that keeps one arc-free pair per distinct gamble at every node."""
     pairs = strategies(tree, select=distinct_values)
     return GambleSet(Gamble(tree.space, values) for _, values in pairs)
 
@@ -447,9 +438,9 @@ def restrict_solution(
     if not members:
         return frozenset()
     sub, stop = tree.subtree_of(v), tree.index.end[v]
-    # the choices are in id order, and stay in order once renumbered
+    # the arcs are in id order, and stay in order once renumbered
     return frozenset(
-        NormalFormDecision(sub, tuple((u - v, i) for u, i in m.choices if v <= u < stop))
+        NormalFormDecision(sub, tuple(u - v for u in m.arcs if v < u < stop))
         for m in members
     )
 

@@ -74,8 +74,10 @@ def gambles_by_values(gamble_set: GambleSet):
 
 
 def path_choices(member):
-    """A strategy's (decision node path, kept index) pairs, in id order."""
-    return tuple((member.tree.path_of(v), i) for v, i in member.choices)
+    """A strategy's (decision node path, kept index) pairs, in id order:
+    each kept arc as its parent's path and its child's position there."""
+    parent, position = member.tree.index.parent, member.tree.index.position
+    return tuple((member.tree.path_of(parent[arc]), position[arc]) for arc in member.arcs)
 
 
 def over_cap_tree(rewards):

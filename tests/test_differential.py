@@ -210,6 +210,11 @@ def arc_paths(member):
     return sorted(q + (i,) for q, i in path_choices(member))
 
 
+def member_of(tree, choices):
+    """The strategy keeping child `choices[path]` of the node at each path."""
+    return NormalFormDecision.of(tree, [q + (i,) for q, i in choices.items()])
+
+
 def play_out(tree, choices, state_index):
     node = tree.root
     path = ()
@@ -278,7 +283,7 @@ def literal_nfd(tree, kept=None):
             out.append(merged)
         return out
 
-    decisions = [NormalFormDecision.of(tree, c) for c in enumerate_node(tree.root, ())]
+    decisions = [member_of(tree, c) for c in enumerate_node(tree.root, ())]
     return tuple(sorted(decisions, key=path_choices))
 
 
@@ -333,7 +338,7 @@ def literal_back_opt(tree, rule):
         return kept
 
     survivors = solve(tree.root, (), tree.root_event)
-    solution = frozenset(NormalFormDecision.of(tree, c) for c, _ in survivors)
+    solution = frozenset(member_of(tree, c) for c, _ in survivors)
     stats = {
         "nodes": tree.node_counts(),
         "stages": stages,
@@ -440,7 +445,7 @@ def test_enumeration_matches_literal_oracle(acceptance_corpus):
     for index, tree in enumerate(acceptance_corpus):
         members = nfd(tree)
         expected = literal_nfd(tree)
-        assert [m.choices for m in members] == [m.choices for m in expected], index
+        assert [m.arcs for m in members] == [m.arcs for m in expected], index
         assert members == expected, index
         assert [m.gamble for m in members] == [oracle_gamble(tree, m) for m in expected], index
         extensive = extract_extensive(tree, members[::2])
@@ -495,7 +500,7 @@ def test_enumeration_caps_keep_their_messages():
     every_arc = frozenset(
         v for v in range(1, len(nodes)) if isinstance(nodes[parent[v]], Decision)
     )
-    full = ExtensiveSolution(tree, every_arc, frozenset(), frozenset())
+    full = ExtensiveSolution(tree, every_arc, frozenset())
     with pytest.raises(
         EnumerationLimitExceeded, match="^100489 strategies exceed the cap of 100000$"
     ):
@@ -1447,13 +1452,11 @@ def literal_gamb(tree):
 
 
 def literal_extensive_arcs(tree, solution):
-    """(kept, pruned, unreachable) arc paths, reachability passed down."""
+    """(kept, pruned) arc paths, reachability passed down."""
     kept = {arc for member in solution for arc in arc_paths(member)}
-    pruned, unreachable = set(), set()
+    pruned = set()
 
     def walk(node, path, reachable):
-        if not reachable and path:
-            unreachable.add(path)
         if isinstance(node, Decision):
             for i, child in enumerate(node.children):
                 arc = path + (i,)
@@ -1465,7 +1468,7 @@ def literal_extensive_arcs(tree, solution):
                 walk(child, path + (i,), reachable)
 
     walk(tree.root, (), True)
-    return kept, pruned, unreachable
+    return kept, pruned
 
 
 def literal_document_for(tree, rewards=None):
@@ -1531,7 +1534,7 @@ def test_node_walk_matches_the_literal_recursions(acceptance_corpus):
             extensive = extract_extensive(tree, solution)
             assert tuple(
                 {tree.path_of(v) for v in ids}
-                for ids in (extensive.kept_arcs, extensive.pruned_arcs, extensive.unreachable)
+                for ids in (extensive.kept_arcs, extensive.pruned_arcs)
             ) == literal_extensive_arcs(tree, solution), index
             solutions += 1
     assert len(cases) == 3768 and solutions == 4 * len(cases), (len(cases), solutions)
@@ -1683,7 +1686,7 @@ def literal_restrict_solution(solution, path):
         if all(choices.get(path[:k], path[k]) == path[k] for k in range(len(path))):
             sub = member.tree.subtree_at(path)
             kept = {q[len(path):]: i for q, i in choices.items() if q[: len(path)] == path}
-            restricted.add(NormalFormDecision.of(sub, kept))
+            restricted.add(member_of(sub, kept))
     return frozenset(restricted)
 
 
@@ -2118,7 +2121,8 @@ def test_the_enumerator_fails_as_the_literal_recursion_on_crafted_trees(label):
     assert members == literal_nfd(tree)
     assert gamb(tree) == literal_gamb(tree)
     # the `keep_arc` hook, first children only, and the `select` hook
-    extensive = extract_extensive(tree, [m for m in members if not any(i for _, i in m.choices)])
+    first_children = [m for m in members if not any(i for _, i in path_choices(m))]
+    extensive = extract_extensive(tree, first_children)
     assert nfd_of_extensive(extensive) == literal_nfd_of_extensive(extensive)
     rule = PointwiseDominance(ChoiceContext(RewardTable({"x": 0, "y": 1, "z": 2})))
     backward = back_opt(tree, rule)

@@ -84,10 +84,11 @@ PRODUCT = ("laws/product.tree", "laws/product_credal.ctx")
 @pytest.mark.parametrize(
     "fixture, context, rule_name, verdicts, witness",
     [
-        # the witness swaps two root members' choices
-        ("laws/pd.tree", None, "pointwise_dominance", "sWeB", ((0, 0), (2, 0), (9, 1))),
-        (*PRODUCT, "maximality", "SWeB", ((1, 0), (8, 0))),
-        (*PRODUCT, "e_admissibility", "SWeB", ((1, 0), (8, 0))),
+        # the witness swaps two root members' arcs; each arc is the path
+        # of its child, as reports print it
+        ("laws/pd.tree", None, "pointwise_dominance", "sWeB", [(0,), (0, 0, 0), (0, 1, 1)]),
+        (*PRODUCT, "maximality", "SWeB", [(0, 0), (1, 0)]),
+        (*PRODUCT, "e_admissibility", "SWeB", [(0, 0), (1, 0)]),
         ("incomparable.tree", None, "pointwise_dominance", "sWEB", None),
     ],
 )
@@ -109,7 +110,8 @@ def test_perfectness_and_equivalence_differ_on_one_tree(
         back_opt(doc.tree, rule).solution == norm_opt(doc.tree, rule).solution,
     )
     assert "".join(c if h else c.lower() for c, h in zip("SWEB", holds)) == verdicts
-    assert (equivalence.witness and equivalence.witness.choices) == witness
+    found = equivalence.witness
+    assert (found and [doc.tree.path_of(arc) for arc in found.arcs]) == witness
 
 
 def test_backward_properties_imply_weak_perfectness(corpus):

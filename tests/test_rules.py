@@ -26,6 +26,7 @@ from treechoice.rules import (
     MassFunction,
     RULES,
     conditional_expectation,
+    event_columns,
     make_rule,
 )
 from treechoice.trees import gamb
@@ -80,6 +81,25 @@ W2 = PossibilitySpace(("w1", "w2"))
 def test_conditional_expectation_rejects_a_value_over_another_space(p, gamble):
     with pytest.raises(SpaceMismatch):
         conditional_expectation(p, gamble, W3.omega, NUMERIC)
+
+
+@pytest.mark.parametrize(
+    "across",
+    [
+        lambda t: event_columns([MassFunction.uniform(t)], W4.event(["w1", "w3"])),
+        lambda t: event_columns([UNIFORM4, MassFunction.from_weights(t, (1, 2, 3, 4))], W4.omega),
+        lambda t: conditional_expectation(
+            UNIFORM4, Gamble(t, ("0", "1", "4", "9")), W4.event(["w2", "w4"]), NUMERIC
+        ),
+    ],
+    ids=["event_columns", "event_columns_of_two", "conditional_expectation"],
+)
+def test_values_over_an_equal_space_built_apart_condition_and_others_do_not(across):
+    # an equal space built apart is the same space; one with other labels is not
+    twin = PossibilitySpace(W4.states)
+    assert twin is not W4 and across(twin) == across(W4)
+    with pytest.raises(SpaceMismatch):
+        across(PossibilitySpace(("v1", "v2", "v3", "v4")))
 
 
 def incomparable_gambles(incomparable_doc):

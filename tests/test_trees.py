@@ -21,7 +21,7 @@ from treechoice.model import (
 )
 from treechoice.rules import ChoiceContext, make_rule
 from treechoice.solve import extract_extensive
-from treechoice.textio import document_for, export_dot
+from treechoice.textio import document_for, export_dot, member_json
 from treechoice.trees import (
     Chance,
     Decision,
@@ -197,8 +197,24 @@ def test_restrict_solution_incomparable(incomparable_doc, incomparable_dominance
 
 
 def test_restrict_solution_disjoint_node_is_empty(incomparable_doc):
-    members = [m for m in nfd(incomparable_doc.tree) if m.choice_map[0] == 1]
+    tree = incomparable_doc.tree
+    members = [m for m in nfd(tree) if tree.child_ids(0)[1] in m.arcs]
     assert restrict_solution(members, (0,)) == frozenset()
+
+
+def test_strategies_extensive_forms_and_reports_name_an_arc_alike(acceptance_corpus):
+    members = 0
+    for index, tree in enumerate(acceptance_corpus):
+        parent = tree.index.parent
+        for v, _ in tree.nodes():
+            children = [u for u in range(len(parent)) if parent[u] == v]
+            assert tree.child_ids(v) == children, (index, v)
+        for m in nfd(tree):
+            # the paths a report prints read back as the member's arcs
+            assert tuple(tree.id_of(tuple(p)) for p in member_json(m)) == m.arcs, index
+            assert extract_extensive(tree, [m]).kept_arcs == set(m.arcs), index
+            members += 1
+    assert members == 4157, members
 
 
 def test_contains_node(incomparable_doc):
@@ -308,10 +324,9 @@ def test_every_tree_reader_walks_a_5000_deep_chain():
         "tree = " + "decision(leaf(0), " * depth + "leaf(1)" + ")" * depth + "\n"
     )
     # take the leaf at the root: everything below the other arc is unreachable
-    leaf_first = NormalFormDecision.of(tree, {(): 0})
+    leaf_first = NormalFormDecision.of(tree, [(0,)])
     extensive = extract_extensive(tree, [leaf_first])
     assert (extensive.kept_arcs, extensive.pruned_arcs) == ({1}, {2})
-    assert len(extensive.unreachable) == 2 * depth - 1
     assert nfd_count(tree) == depth + 1
     assert {g.values for g in gamb(tree)} == {("0", "0"), ("1", "1")}
     other = deep_chain(depth, lambda node: Decision((Leaf("0"), node)), Leaf("2"))
@@ -336,7 +351,7 @@ def test_node_ids_keep_memory_linear_on_a_deep_first_chain():
         root = deep_chain(depth, lambda node: Decision((node, Leaf("0"))), Leaf("1")).root
         tree = DecisionTree.over(W2, root)
         member = NormalFormDecision(
-            tree, tuple((v, 0) for v, node in tree.nodes() if isinstance(node, Decision))
+            tree, tuple(v + 1 for v, node in tree.nodes() if isinstance(node, Decision))
         )
         peaks[depth] = [
             traced_peak_mb(lambda: DecisionTree.over(W2, root)),
@@ -368,7 +383,7 @@ def test_the_strategy_readers_walk_a_5000_deep_chance_chain():
     split = Chance(((A, Leaf("x")), (AC, Leaf("y"))))
     tree = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), split)
     (member,) = nfd(tree)
-    assert member.choices == () and member.gamble.values == ("x", "y")
+    assert member.arcs == () and member.gamble.values == ("x", "y")
     assert {g.values for g in gamb(tree)} == {("x", "y")}
     swapped = Chance(((AC, Leaf("y")), (A, Leaf("x"))))
     reordered = deep_chain(depth, lambda node: Chance(((W2.omega, node),)), swapped)
